@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import csv
+import io
 import itertools
 import json
 import os
@@ -395,6 +397,16 @@ def _set_by_path(cfg: dict, dotted: str, value: Any) -> None:
     node[parts[-1]] = value
 
 
+def _grid_cell(v: Any) -> str:
+    # numbers and booleans as in a run's outputs; strings, lists, objects and
+    # null as JSON, which the csv module quotes when they hold commas or quotes
+    if isinstance(v, float):
+        return _fmt(v)
+    if isinstance(v, int):
+        return str(v)
+    return json.dumps(v)
+
+
 def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) -> int:
     cfg = _load_json(config_path)
     _require_keys(cfg, "sweep config", {"base", "grid"}, {"output"})
@@ -429,15 +441,14 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
         results = list(pool.map(run_cell, cell_cfgs))
 
-    header = [*paths, "iterations", "stop_reason", "final_residual", "target_distance"]
-    lines = [",".join(header)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([*paths, "iterations", "stop_reason", "final_residual", "target_distance"])
     for values, res in zip(cells, results):
-        cols = [json.dumps(v) if isinstance(v, str) else _fmt(float(v)) if isinstance(v, float)
-                else str(v) for v in values]
-        lines.append(",".join([*cols, str(res["iterations"]), res["stop_reason"],
-                               _fmt(res["final_residual"]), _fmt(res["target_distance"])]))
+        writer.writerow([*map(_grid_cell, values), res["iterations"], res["stop_reason"],
+                         _fmt(res["final_residual"]), _fmt(res["target_distance"])])
     out_name = cfg.get("output", "sweep.csv")
-    _atomic_write(Path(out_dir) / out_name, "\n".join(lines) + "\n")
+    _atomic_write(Path(out_dir) / out_name, buf.getvalue())
     print(f"sweep: {len(cells)} cells -> {Path(out_dir) / out_name}")
     return EXIT_OK
 

@@ -211,62 +211,68 @@ def check_space_axioms(
 ) -> CheckReport:
     """Bundle of the geometry invariants: comparison inequality,
     Cauchy-Schwarz for the pairing, the pairing identities, and geodesic
-    consistency, each on fresh random tuples."""
+    consistency, each on fresh random tuples.
+
+    Runs on the space's array kernels: all points of the report are drawn
+    in one batch, so a report for ``samples=N`` is not a prefix of the one
+    for ``2N`` at the same seed."""
+    if samples < 0:
+        raise DomainError(f"samples must be >= 0, got {samples}")
     rng = np.random.default_rng(seed)
-    col = _Collector("space_axioms")
-    dist = space.distance
-    for i in range(samples):
-        x, y, z = (space.sample_point(rng, scale) for _ in range(3))
-        t = float(rng.uniform())
-        m = space.combine(x, y, t)
-        dmz = dist(m, z)
-        dxz = dist(x, z)
-        dyz = dist(y, z)
-        dxy = dist(x, y)
-        col.check(
-            f"cat0 {i}", dmz * dmz,
-            (1 - t) * dxz * dxz + t * dyz * dyz - t * (1 - t) * dxy * dxy,
-            SLACK["cat0_comparison"],
-        )
+    block = space.sample_many(rng, 7 * samples, scale)
+    x, y, z, a, b, c, d = block.reshape(7, samples, block.shape[1])
+    t, s = rng.uniform(size=(2, samples))
+    dist = space.distance_many
 
-        # one squared-distance table over the 5 points makes every pairing
-        # value cheap arithmetic; the pairing itself is defined from it
-        a, b, c, d = (space.sample_point(rng, scale) for _ in range(4))
-        pts = (a, b, c, d, x)
-        sq = {}
-        for j in range(5):
-            for k in range(j + 1, 5):
-                v = dist(pts[j], pts[k])
-                sq[j, k] = sq[k, j] = v * v
-        for j in range(5):
-            sq[j, j] = 0.0
+    m = space.combine_many(x, y, t)
+    dmz, dxz, dyz, dxy = dist(m, z), dist(x, z), dist(y, z), dist(x, y)
 
-        def ql(p, q, r, s):
-            return 0.5 * (sq[p, s] + sq[q, r] - sq[p, r] - sq[q, s])
+    # one squared-distance table over the 5 points a, b, c, d, x makes every
+    # pairing value cheap arithmetic; the pairing itself is defined from it
+    pts = (a, b, c, d, x)
+    sq = {(j, j): 0.0 for j in range(5)}
+    for j in range(5):
+        for k in range(j + 1, 5):
+            v = dist(pts[j], pts[k])
+            sq[j, k] = sq[k, j] = v * v
 
-        A, B, C, D, X = range(5)
-        col.check(f"cauchy_schwarz {i}", ql(A, B, C, D),
-                  math.sqrt(sq[A, B] * sq[C, D]), SLACK["cauchy_schwarz"])
-        col.check(f"pairing_self {i}", abs(ql(A, B, A, B) - sq[A, B]), 0.0,
-                  SLACK["quasilin_identity"])
-        col.check(f"pairing_symmetry {i}", abs(ql(A, B, C, D) - ql(C, D, A, B)), 0.0,
-                  SLACK["quasilin_identity"])
-        col.check(f"pairing_antisymmetry {i}", abs(ql(A, B, C, D) + ql(B, A, C, D)), 0.0,
-                  SLACK["quasilin_identity"])
-        col.check(
-            f"pairing_split {i}",
-            abs(ql(A, X, C, D) + ql(X, B, C, D) - ql(A, B, C, D)), 0.0,
-            SLACK["quasilin_identity"],
-        )
+    def ql(i, j, k, l):
+        return 0.5 * (sq[i, l] + sq[j, k] - sq[i, k] - sq[j, l])
 
-        s = float(rng.uniform())
-        col.check(
-            f"geodesic {i}",
-            abs(dist(space.combine(x, y, t), space.combine(x, y, s))
-                - abs(t - s) * dxy),
-            0.0, SLACK["geodesic_consistency"],
-        )
-    return col.report(samples)
+    A, B, C, D, X = range(5)
+    abcd = ql(A, B, C, D)
+    zero = np.zeros(samples)
+    ident = SLACK["quasilin_identity"]
+    checks = (  # label, lhs, rhs, slack; lhs - rhs - slack <= 0 must hold
+        ("cat0", dmz * dmz,
+         (1 - t) * dxz * dxz + t * dyz * dyz - t * (1 - t) * dxy * dxy,
+         SLACK["cat0_comparison"]),
+        ("cauchy_schwarz", abcd, np.sqrt(sq[A, B] * sq[C, D]), SLACK["cauchy_schwarz"]),
+        ("pairing_self", np.abs(ql(A, B, A, B) - sq[A, B]), zero, ident),
+        ("pairing_symmetry", np.abs(abcd - ql(C, D, A, B)), zero, ident),
+        ("pairing_antisymmetry", np.abs(abcd + ql(B, A, C, D)), zero, ident),
+        ("pairing_split", np.abs(ql(A, X, C, D) + ql(X, B, C, D) - abcd), zero, ident),
+        ("geodesic", np.abs(dist(m, space.combine_many(x, y, s)) - np.abs(t - s) * dxy),
+         zero, SLACK["geodesic_consistency"]),
+    )
+    return _batched_report("space_axioms", samples, checks)
+
+
+def _batched_report(name: str, samples: int, checks) -> CheckReport:
+    """A report from per-sample check vectors, the same as a _Collector fed
+    sample by sample, check by check."""
+    labels = [label for label, _, _, _ in checks]
+    lhs = np.stack([lhs for _, lhs, _, _ in checks], axis=1)
+    rhs = np.stack([rhs for _, _, rhs, _ in checks], axis=1)
+    slack = np.array([slack for _, _, _, slack in checks])
+    margin = lhs - rhs - slack
+    failing = np.argwhere((margin > 0.0) | ~np.isfinite(margin))  # row-major: by sample
+    violations = [Violation(f"{labels[j]} {i}", float(lhs[i, j]), float(rhs[i, j]),
+                            float(slack[j])) for i, j in failing]
+    known = margin[~np.isnan(margin)]
+    worst = float(known.max()) if known.size else -math.inf
+    return CheckReport(check_name=name, samples_tested=samples, violations=violations,
+                       max_violation=worst if samples else 0.0)
 
 
 def check_halpern_target(

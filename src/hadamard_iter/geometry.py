@@ -12,6 +12,12 @@ pairing <ab, cd> = (d^2(a,d) + d^2(b,c) - d^2(a,c) - d^2(b,d)) / 2.
 
 Convention used everywhere: ``combine(x, y, t)`` is the unique geodesic point
 z with d(x, z) = t * d(x, y), i.e. t is the fraction of the way from x to y.
+
+Besides the scalar methods on ``SpacePoint`` values, each space has array
+kernels over (N, d) coordinate blocks, one point per row: ``sample_many``,
+``distance_many`` and ``combine_many``. They compute the scalar formulas row
+by row and serve the batched checkers; the iteration engines use the scalar
+methods.
 """
 
 from __future__ import annotations
@@ -26,6 +32,33 @@ from .errors import DomainError, UnsupportedOperationError
 
 POINT_TOL = 1e-9     # validity of coordinates (hyperboloid constraint, radii)
 ROUNDTRIP_TOL = 1e-8  # log/exp and projection round trips
+T_SNAP = 4 * math.ulp(1.0)  # combine parameters this far outside [0, 1] snap to its ends
+
+# each array kernel and the scalar primitives whose results it reproduces
+_KERNEL_PRIMITIVES = {
+    "sample_many": ("sample_point", "perturb"),
+    "distance_many": ("_distance",),
+    "combine_many": ("_distance", "_combine"),
+}
+
+
+def _snap_unit(t: float) -> float:
+    # t lies outside [0, 1]: snap rounding error to the nearest end, else raise
+    if 1.0 < t <= 1.0 + T_SNAP:
+        return 1.0
+    if -T_SNAP <= t < 0.0:
+        return 0.0
+    raise DomainError(f"combine parameter t={t} outside [0, 1]")
+
+
+def _snap_unit_many(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    outside = ~((t >= 0.0) & (t <= 1.0))
+    if outside.any():
+        for v in t[outside]:
+            _snap_unit(float(v))  # raises on the first value beyond the snap
+        t = np.clip(t, 0.0, 1.0)
+    return t
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -106,9 +139,20 @@ class ModelSpace:
     Subclasses implement the metric, geodesic combination and projections;
     the quasi-linearization pairing is metric-generic and lives here. All
     operations are pure functions of immutable values.
+
+    The array kernels here loop over the scalar primitives. A space may
+    replace them with vectorized versions; a subclass that redefines a
+    scalar primitive without the kernels built on it gets the loops back,
+    so the kernels always compute what the scalar methods compute.
     """
 
     space_id: str
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for kernel, primitives in _KERNEL_PRIMITIVES.items():
+            if kernel not in vars(cls) and any(p in vars(cls) for p in primitives):
+                setattr(cls, kernel, getattr(ModelSpace, kernel))
 
     # -- points ------------------------------------------------------------
 
@@ -138,16 +182,43 @@ class ModelSpace:
         return self._distance(x, y)
 
     def combine(self, x: SpacePoint, y: SpacePoint, t: float) -> SpacePoint:
-        """The geodesic point z with d(x, z) = t * d(x, y), for t in [0, 1]."""
+        """The geodesic point z with d(x, z) = t * d(x, y), for t in [0, 1].
+
+        Callers compute t arithmetically (``1 - a_k``, ``radius / d``,
+        ``lam / (1 + lam)``), so a t at most 4 ulp outside [0, 1] is taken
+        as the nearest end: 1.0 for t in (1, 1 + 4u], 0.0 for t in [-4u, 0),
+        where u = math.ulp(1.0) is the float spacing just above 1. Any other
+        t outside [0, 1], and NaN, raise ``DomainError``.
+        """
         self.check_point(x)
         self.check_point(y)
         if not (0.0 <= t <= 1.0):
-            raise DomainError(f"combine parameter t={t} outside [0, 1]")
+            t = _snap_unit(t)
         if t == 0.0:
             return x
         if t == 1.0:
             return y
         return self._combine(x, y, t)
+
+    # -- array kernels -------------------------------------------------------
+
+    def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+        """``n`` random points, distributed as ``sample_point``'s, as the
+        rows of an (n, d) coordinate block."""
+        rows = [self.sample_point(rng, scale).coords for _ in range(n)]
+        return np.array(rows, dtype=float).reshape(n, self.base_point().coords.shape[0])
+
+    def distance_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Row-wise distances d(X[i], Y[i]) of two coordinate blocks."""
+        wrap = self._wrap
+        return np.array([self._distance(wrap(x), wrap(y)) for x, y in zip(X, Y)], dtype=float)
+
+    def combine_many(self, X: np.ndarray, Y: np.ndarray, t) -> np.ndarray:
+        """Row-wise ``combine(X[i], Y[i], t[i])``, with the same rule for t."""
+        t = _snap_unit_many(t)
+        wrap = self._wrap
+        rows = [self.combine(wrap(x), wrap(y), float(ti)).coords for x, y, ti in zip(X, Y, t)]
+        return np.array(rows, dtype=float).reshape(X.shape)
 
     def quasilin(self, a: SpacePoint, b: SpacePoint, c: SpacePoint, d: SpacePoint) -> float:
         """Quasi-linearization <ab, cd>, an inner-product surrogate built
@@ -284,6 +355,19 @@ class Euclidean(ModelSpace):
     def _combine(self, x: SpacePoint, y: SpacePoint, t: float) -> SpacePoint:
         return self._wrap((1.0 - t) * x.coords + t * y.coords)
 
+    def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+        Z = rng.normal(size=(n, self.dim))
+        Z *= scale
+        return Z
+
+    def distance_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        D = X - Y
+        return np.sqrt(np.einsum("ij,ij->i", D, D))
+
+    def combine_many(self, X: np.ndarray, Y: np.ndarray, t) -> np.ndarray:
+        t = _snap_unit_many(t)[:, None]
+        return (1.0 - t) * X + t * Y
+
     def log_map(self, base: SpacePoint, target: SpacePoint) -> np.ndarray:
         self.check_point(base)
         self.check_point(target)
@@ -412,6 +496,42 @@ class Hyperboloid(ModelSpace):
         z = (math.sinh(d - s) / sd) * x.coords + (math.sinh(s) / sd) * y.coords
         return self._wrap(self._renorm(z))
 
+    def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+        # perturb at the apex, row by row: the tangent space there is the
+        # spatial part, so a raw draw's tangent projection is its spatial part
+        draw = rng.normal(size=(n, 2 * self.dim + 1))
+        v = draw[:, 1:self.dim + 1]
+        g = draw[:, self.dim + 1:]
+        nv = np.sqrt(np.einsum("ij,ij->i", v, v))
+        length = np.sqrt(np.einsum("ij,ij->i", g, g)) * scale
+        moved = (nv >= 1e-15) & (length != 0.0)
+        gain = np.sinh(length) / np.where(moved, nv, 1.0)
+        Z = np.zeros((n, self.dim + 1))
+        Z[:, 1:] = np.where(moved, gain, 0.0)[:, None] * v
+        return self._renorm_many(Z)
+
+    def distance_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        D = X - Y
+        q = np.einsum("ij,ij->i", D, D) - 2.0 * D[:, 0] * D[:, 0]
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
+
+    def combine_many(self, X: np.ndarray, Y: np.ndarray, t) -> np.ndarray:
+        t = _snap_unit_many(t)
+        d = self.distance_many(X, Y)
+        keep_x = (d < 1e-14) | (t == 0.0)
+        s = t * d
+        sd = np.sinh(np.where(keep_x, 1.0, d))
+        Z = (np.sinh(d - s) / sd)[:, None] * X + (np.sinh(s) / sd)[:, None] * Y
+        Z = self._renorm_many(Z)
+        Z = np.where(keep_x[:, None], X, Z)
+        return np.where((t == 1.0)[:, None], Y, Z)
+
+    @staticmethod
+    def _renorm_many(Z: np.ndarray) -> np.ndarray:
+        # _renorm on every row, in place
+        Z[:, 0] = np.sqrt(1.0 + np.einsum("ij,ij->i", Z[:, 1:], Z[:, 1:]))
+        return Z
+
     def log_map(self, base: SpacePoint, target: SpacePoint) -> np.ndarray:
         self.check_point(base)
         self.check_point(target)
@@ -534,6 +654,36 @@ class Spider(ModelSpace):
         if s <= rx:
             return self._pt(lx, rx - s)
         return self._pt(ly, s - rx)
+
+    def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+        legs = rng.integers(self.num_legs, size=n).astype(float)
+        return self._pt_many(legs, rng.exponential(scale, size=n))
+
+    def distance_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        lx, rx, ly, ry = X[:, 0], X[:, 1], Y[:, 0], Y[:, 1]
+        one_leg = (lx == ly) | (rx == 0.0) | (ry == 0.0)
+        return np.where(one_leg, np.abs(rx - ry), rx + ry)
+
+    def combine_many(self, X: np.ndarray, Y: np.ndarray, t) -> np.ndarray:
+        t = _snap_unit_many(t)
+        lx, rx, ly, ry = X[:, 0], X[:, 1], Y[:, 0], Y[:, 1]
+        lx = np.where(rx == 0.0, ly, lx)
+        ly = np.where(ry == 0.0, lx, ly)
+        s = t * (rx + ry)
+        one_leg = lx == ly
+        before_hub = s <= rx
+        legs = np.where(one_leg | before_hub, lx, ly)
+        radii = np.where(one_leg, (1.0 - t) * rx + t * ry,
+                         np.where(before_hub, rx - s, s - rx))
+        Z = self._pt_many(legs, radii)
+        Z = np.where((t == 0.0)[:, None], X, Z)
+        return np.where((t == 1.0)[:, None], Y, Z)
+
+    @staticmethod
+    def _pt_many(legs: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        # _pt on every row: the hub is canonicalized to leg 0
+        hub = radii <= 0.0
+        return np.stack([np.where(hub, 0.0, legs), np.where(hub, 0.0, radii)], axis=1)
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
         la, ra = int(a.coords[0]), float(a.coords[1])

@@ -9,7 +9,9 @@ where u is the anchor and the anchor weights a_k tend to 0 with divergent
 sum. Runs are indexed from k = 1; the start point is x_1. The sequence
 engine stops when the residual d(x_k, T_k x_k) drops below the tolerance;
 the Halpern engine stops on step movement instead, because its residual
-need not vanish monotonically. Both stop at the iteration budget.
+need not vanish monotonically. Both stop at the iteration budget. An error
+raised by a step ends the run as a solver error that keeps the trace so
+far; invalid start, anchor or reference points raise before the first step.
 
 All built-in schemes are Fejer monotone toward the common fixed set in the
 sequence engine, and the Halpern engine keeps d(x_k, x*) bounded by
@@ -22,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, HadamardIterError
 from .geometry import ModelSpace, SpacePoint
 from .operators import OperatorSequence, OperatorSpec, ishikawa_sequence, mann_sequence
 from .resolvents import Bifunction, ObjectiveFunction, resolvent_sequence
@@ -122,7 +124,7 @@ def iterate_sequence(
     while True:
         try:
             w = seq.factory(k).apply(x)
-        except SolverError as err:
+        except HadamardIterError as err:
             return _finish(steps, scheme, guarantee, space, cfg, x, float("nan"),
                            k - 1, StopReason.SOLVER_ERROR, k, str(err))
         res = space.distance(x, w)
@@ -172,10 +174,10 @@ def halpern_iterate(
     while True:
         try:
             w = seq.factory(k).apply(x)
-        except SolverError as err:
+            x_next = space.combine(u, w, 1.0 - anchors(k))
+        except HadamardIterError as err:
             return _finish(steps, scheme, guarantee, space, cfg, x, float("nan"),
                            k - 1, StopReason.SOLVER_ERROR, k, str(err))
-        x_next = space.combine(u, w, 1.0 - anchors(k))
         res = space.distance(x, w)
         move = space.distance(x, x_next)
         if not (math.isfinite(res) and math.isfinite(move)):

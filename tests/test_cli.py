@@ -1,7 +1,11 @@
+import csv
+import dataclasses
+import itertools
 import json
 
 import pytest
 
+from hadamard_iter import cli, objective_fixture
 from hadamard_iter.cli import main
 
 BASE_RUN = {
@@ -75,6 +79,32 @@ def test_run_solver_error_exit_three(tmp_path):
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["stop_reason"] == "solver_error"
     assert summary["error_step"] is not None
+
+
+def test_run_domain_error_mid_run_exit_three(tmp_path, monkeypatch):
+    # a resolvent whose fifth step yields a non-finite point: the run ends as
+    # a solver error with the trace of the four steps before it
+    def broken_fixture(space, name, **kwargs):
+        f = objective_fixture(space, name, **kwargs)
+        calls = []
+
+        def closed_form(lam, x):
+            calls.append(lam)
+            if len(calls) == 5:
+                return space.point([float("inf")])
+            return f.closed_form_resolvent(lam, x)
+
+        return dataclasses.replace(f, closed_form_resolvent=closed_form)
+
+    monkeypatch.setattr(cli, "objective_fixture", broken_fixture)
+    code = run_cli("run", "--config", write_cfg(tmp_path, BASE_RUN), "--out", str(tmp_path / "o"))
+    assert code == 3
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["stop_reason"] == "solver_error"
+    assert summary["error_step"] == 5 and summary["iterations"] == 4
+    assert "finite" in summary["error_message"]
+    trace = (tmp_path / "o" / "trace.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in trace[1:]] == ["1", "2", "3", "4"]
 
 
 def test_run_rejects_unknown_keys(tmp_path, capsys):
@@ -268,3 +298,22 @@ def test_sweep_byte_identical_reruns(tmp_path):
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "a")) == 0
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "b")) == 0
     assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+
+
+def test_sweep_csv_quotes_structured_grid_values(tmp_path):
+    base = dict(BASE_RUN, space={"kind": "hyperboloid", "dim": 2},
+                source={"objective": {"name": "quadratic"}},
+                start={"spatial": [0.9, 0.0]}, reference=[1.0, 0.0, 0.0])
+    starts = [{"spatial": [0.9, 0.0]}, {"spatial": [0.0, -1.5]}]
+    cfg = {"base": base, "grid": {"start": starts, "schedules.lambda.value": [1.0, 2.0]}}
+    assert run_cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 0
+    with open(tmp_path / "o" / "sweep.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["start", "schedules.lambda.value", "iterations", "stop_reason",
+                      "final_residual", "target_distance"]
+    assert len(rows) == 4
+    for row, (start, lam) in zip(rows, itertools.product(starts, [1.0, 2.0])):
+        assert len(row) == len(header)
+        assert json.loads(row[0]) == start
+        assert float(row[1]) == lam
+        assert row[3] == "converged"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hadamard_iter import (
     resolvent_constant,
     resolvent_sequence,
 )
+from hadamard_iter.diagnostics import SLACK, _Collector
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
@@ -216,6 +218,93 @@ def test_space_axioms_pass_all_model_spaces():
 def test_space_axioms_negative_control_manhattan():
     rep = check_space_axioms(ManhattanPlane(2), samples=200, seed=10)
     assert not rep.passed
+
+
+class GapPlane(Euclidean):
+    """Distances are NaN between points with a positive first coordinate."""
+
+    def _distance(self, x, y):
+        if x.coords[0] > 0.0 and y.coords[0] > 0.0:
+            return float("nan")
+        return super()._distance(x, y)
+
+
+def _scalar_space_axioms(space, samples, seed, scale=2.0):
+    """check_space_axioms on the scalar methods, one sample and one check at
+    a time, on the same draws: the reference for the batched checker."""
+    rng = np.random.default_rng(seed)
+    blocks = space.sample_many(rng, 7 * samples, scale).reshape(7, samples, -1)
+    ts, ss = rng.uniform(size=(2, samples))
+    dist = space.distance
+    col = _Collector("space_axioms")
+    for i in range(samples):
+        x, y, z, a, b, c, d = (space.point(blk[i]) for blk in blocks)
+        t, s = float(ts[i]), float(ss[i])
+        m = space.combine(x, y, t)
+        dmz, dxz, dyz, dxy = dist(m, z), dist(x, z), dist(y, z), dist(x, y)
+        pts = (a, b, c, d, x)
+        sq = {(j, j): 0.0 for j in range(5)}
+        for j in range(5):
+            for k in range(j + 1, 5):
+                v = dist(pts[j], pts[k])
+                sq[j, k] = sq[k, j] = v * v
+
+        def ql(p, q, r, w):
+            return 0.5 * (sq[p, w] + sq[q, r] - sq[p, r] - sq[q, w])
+
+        A, B, C, D, X = range(5)
+        ident = SLACK["quasilin_identity"]
+        col.check(f"cat0 {i}", dmz * dmz,
+                  (1 - t) * dxz * dxz + t * dyz * dyz - t * (1 - t) * dxy * dxy,
+                  SLACK["cat0_comparison"])
+        col.check(f"cauchy_schwarz {i}", ql(A, B, C, D), math.sqrt(sq[A, B] * sq[C, D]),
+                  SLACK["cauchy_schwarz"])
+        col.check(f"pairing_self {i}", abs(ql(A, B, A, B) - sq[A, B]), 0.0, ident)
+        col.check(f"pairing_symmetry {i}", abs(ql(A, B, C, D) - ql(C, D, A, B)), 0.0, ident)
+        col.check(f"pairing_antisymmetry {i}", abs(ql(A, B, C, D) + ql(B, A, C, D)), 0.0,
+                  ident)
+        col.check(f"pairing_split {i}",
+                  abs(ql(A, X, C, D) + ql(X, B, C, D) - ql(A, B, C, D)), 0.0, ident)
+        col.check(f"geodesic {i}",
+                  abs(dist(m, space.combine(x, y, s)) - abs(t - s) * dxy), 0.0,
+                  SLACK["geodesic_consistency"])
+    return col.report(samples)
+
+
+def _as_tuple(rep):
+    return (rep.check_name, rep.samples_tested, repr(rep.max_violation),
+            [(v.descriptor, repr(v.lhs), repr(v.rhs), v.slack) for v in rep.violations])
+
+
+@pytest.mark.parametrize("space", [ManhattanPlane(2), GapPlane(2)], ids=["manhattan", "gaps"])
+def test_space_axioms_batched_equals_scalar_reference(space):
+    # these spaces run the looped kernels, so every number is the scalar one
+    got = check_space_axioms(space, samples=60, seed=14)
+    assert not got.passed
+    assert _as_tuple(got) == _as_tuple(_scalar_space_axioms(space, 60, 14))
+
+
+def test_space_axioms_nan_margins_are_violations():
+    rep = check_space_axioms(GapPlane(2), samples=60, seed=14)
+    nan_rows = [v for v in rep.violations if math.isnan(v.lhs - v.rhs)]
+    assert nan_rows and math.isfinite(rep.max_violation)
+    assert rep.samples_tested == 60
+
+
+@pytest.mark.parametrize("space", [E2, H2, S3], ids=lambda s: s.space_id)
+def test_space_axioms_vectorized_close_to_scalar_reference(space):
+    got = check_space_axioms(space, samples=300, seed=15)
+    want = _scalar_space_axioms(space, 300, 15)
+    assert got.passed and want.passed
+    # kernel rounding moves the worst margin, by far less than the 1e-9 slack
+    assert abs(got.max_violation - want.max_violation) <= 1e-10
+
+
+def test_space_axioms_zero_samples():
+    rep = check_space_axioms(H2, samples=0, seed=1)
+    assert rep.passed and rep.samples_tested == 0 and rep.max_violation == 0.0
+    with pytest.raises(DomainError):
+        check_space_axioms(H2, samples=-1)
 
 
 def test_reports_are_deterministic():

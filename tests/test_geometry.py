@@ -11,10 +11,12 @@ from hadamard_iter import (
     Euclidean,
     Halfspace,
     Hyperboloid,
+    ModelSpace,
     Segment,
     Spider,
     UnsupportedOperationError,
     WholeSpace,
+    check_space_axioms,
     point_from_config,
     point_to_config,
     set_from_config,
@@ -425,3 +427,163 @@ def test_set_config_parsing():
     assert ball.kind == "ball" and ball.radius == 2.0
     with pytest.raises(UnsupportedOperationError):
         set_from_config(H2, {"kind": "halfspace", "normal": [1, 0, 0], "offset": 0.0})
+
+
+# ---------------------------------------------------------------------------
+# array kernels: pinned row by row to the scalar methods
+# ---------------------------------------------------------------------------
+
+SPIDER_RADII = st.one_of(st.just(0.0), st.floats(0, 50, allow_nan=False))
+UNIT_T = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0, 1, allow_nan=False))
+
+
+def _euclidean_point(draw):
+    return E2.point([draw(st.floats(-50, 50, allow_nan=False)) for _ in range(2)])
+
+
+def _hyperboloid_point(draw):
+    # up to distance 15 from the apex, so pairs reach distance 30
+    r = draw(st.floats(0, 15, allow_nan=False))
+    th = draw(st.floats(0, 2 * math.pi, allow_nan=False))
+    return H2.from_spatial([math.sinh(r) * math.cos(th), math.sinh(r) * math.sin(th)])
+
+
+def _spider_point(draw):
+    return S3.point((draw(st.integers(0, 2)), draw(SPIDER_RADII)))
+
+
+_POINTS = {E2.space_id: _euclidean_point, H2.space_id: _hyperboloid_point,
+           S3.space_id: _spider_point}
+
+
+@st.composite
+def kernel_batch(draw, space):
+    """Rows x, y and a parameter t; y may coincide with x."""
+    n = draw(st.integers(1, 6))
+    xs, ys, ts = [], [], []
+    for _ in range(n):
+        x = _POINTS[space.space_id](draw)
+        y = x if draw(st.booleans()) else _POINTS[space.space_id](draw)
+        xs.append(x)
+        ys.append(y)
+        ts.append(draw(UNIT_T))
+    return xs, ys, np.array(ts)
+
+
+def _block(points):
+    return np.array([p.coords for p in points])
+
+
+def _kernel_tol(space, x, y, d):
+    if isinstance(space, Hyperboloid):
+        # the chordal square cancels on far points, so the summation order
+        # alone moves the result by a multiple of the ambient norms
+        return max(1e-14 * d, 1e-15 * (float(x.coords @ x.coords) + float(y.coords @ y.coords)))
+    return 1e-14 * d
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.space_id)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_distance_many_matches_scalar(space, data):
+    xs, ys, _ = data.draw(kernel_batch(space))
+    got = space.distance_many(_block(xs), _block(ys))
+    assert got.shape == (len(xs),)
+    for x, y, g in zip(xs, ys, got):
+        d = space.distance(x, y)
+        assert abs(g - d) <= _kernel_tol(space, x, y, d), (x.coords, y.coords, g, d)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.space_id)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_combine_many_matches_scalar(space, data):
+    xs, ys, ts = data.draw(kernel_batch(space))
+    got = space.combine_many(_block(xs), _block(ys), ts)
+    assert got.shape == (len(xs), len(xs[0].coords))
+    for x, y, t, row in zip(xs, ys, ts, got):
+        want = space.combine(x, y, float(t))
+        z = space.point(row)  # every row is a valid point (spider hubs canonical)
+        if t in (0.0, 1.0):
+            assert np.array_equal(row, want.coords)  # the endpoints, exactly
+        gap = space.distance(z, want)
+        assert gap <= _kernel_tol(space, x, y, space.distance(x, y)), (x.coords, y.coords, t)
+
+
+def test_combine_many_spider_cases():
+    # same leg, across the hub on either side of it, and from the hub
+    X = _block([S3.point((1, 2)), S3.point((1, 2)), S3.point((1, 2)), S3.point((0, 0))])
+    Y = _block([S3.point((1, 5)), S3.point((2, 3)), S3.point((2, 3)), S3.point((2, 3))])
+    got = S3.combine_many(X, Y, np.array([0.5, 0.2, 0.8, 0.5]))
+    assert got.tolist() == [[1.0, 3.5], [1.0, 1.0], [2.0, 2.0], [2.0, 1.5]]
+    # landing exactly on the hub gives the canonical hub
+    hub = S3.combine_many(X[1:2], Y[1:2], np.array([0.4]))
+    assert hub.tolist() == [[0.0, 0.0]]
+    assert S3.distance_many(X, Y).tolist() == [3.0, 5.0, 5.0, 3.0]
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.space_id)
+def test_sample_many_rows_are_points(space):
+    block = space.sample_many(np.random.default_rng(4), 200, 2.0)
+    assert block.shape == (200, len(space.base_point().coords))
+    for row in block:
+        space.point(row)
+    assert space.sample_many(np.random.default_rng(4), 0).shape == (0, block.shape[1])
+
+
+@pytest.mark.parametrize("space", [E2, H2], ids=lambda s: s.space_id)
+def test_sample_many_follows_the_scalar_stream(space):
+    # one batched draw consumes the generator as n scalar draws do
+    block = space.sample_many(np.random.default_rng(5), 50, 2.0)
+    rng = np.random.default_rng(5)
+    for row in block:
+        p = space.sample_point(rng, 2.0)
+        assert space.distance(space.point(row), p) <= 1e-12 * (1.0 + float(p.coords @ p.coords))
+
+
+def test_subclass_overriding_a_primitive_gets_the_looped_kernels():
+    class SquashedHyperboloid(Hyperboloid):
+        """Geodesic points at the wrong parameter: t^2 instead of t."""
+
+        def _combine(self, x, y, t):
+            return super()._combine(x, y, t * t)
+
+    bad = SquashedHyperboloid(2)
+    assert type(bad).combine_many is ModelSpace.combine_many
+    assert type(bad).distance_many is Hyperboloid.distance_many
+    x, y = bad.from_spatial([1.0, 0.0]), bad.from_spatial([0.0, 2.0])
+    row = bad.combine_many(_block([x]), _block([y]), np.array([0.5]))[0]
+    assert bad.distance(bad.point(row), bad.combine(x, y, 0.5)) == 0.0
+    assert not check_space_axioms(bad, samples=200, seed=1).passed
+
+
+# ---------------------------------------------------------------------------
+# combine parameters within a few ulp of [0, 1]
+# ---------------------------------------------------------------------------
+
+U = math.ulp(1.0)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: s.space_id)
+def test_combine_snaps_arithmetic_parameters(space):
+    rng = np.random.default_rng(6)
+    x, y = rand_point(space, rng), rand_point(space, rng)
+    a_k = (0.1 + 0.2) / 0.3          # an anchor weight one ulp above 1
+    radius, d = 0.1 + 0.2, 0.3       # a ball radius one ulp past the distance
+    lam = 1e300
+    assert 1.0 - a_k == -U and radius / d == 1.0 + U and lam / (1.0 + lam) == 1.0
+    assert space.combine(x, y, 1.0 - a_k) is x
+    assert space.combine(x, y, radius / d) is y
+    assert space.combine(x, y, lam / (1.0 + lam)) is y
+    assert space.combine(x, y, 1.0 + 4 * U) is y
+    assert space.combine(x, y, -4 * U) is x
+    for t in (1.0 + 5 * U, -5 * U, float("nan")):
+        with pytest.raises(DomainError):
+            space.combine(x, y, t)
+
+    X, Y = _block([x, x]), _block([y, y])
+    got = space.combine_many(X, Y, np.array([1.0 - a_k, radius / d]))
+    assert np.array_equal(got, np.array([x.coords, y.coords]))
+    for t in (1.0 + 5 * U, -5 * U, float("nan")):
+        with pytest.raises(DomainError):
+            space.combine_many(X, Y, np.array([0.5, t]))

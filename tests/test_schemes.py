@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hadamard_iter import (
     Ball,
     ConfigError,
+    DomainError,
     Euclidean,
     OperatorSequence,
     OperatorSpec,
@@ -107,6 +110,31 @@ def test_solver_error_truncates_trace():
     assert tr.summary.error_step == 3
     assert tr.summary.iterations_run == 2
     assert "blowup" in tr.summary.error_message
+
+
+@pytest.mark.parametrize("engine", ["sequence", "halpern"])
+def test_domain_error_mid_run_keeps_the_trace(engine):
+    # an operator that yields a non-finite point at step 50
+    def factory(k):
+        def apply(x):
+            return E1.point([float("nan") if k == 50 else 0.5 * float(x.coords[0])])
+        return OperatorSpec(space=E1, apply=apply, domain=WholeSpace(E1.space_id))
+
+    seq = OperatorSequence(space=E1, factory=factory)
+    start = E1.point([4.0])
+    cfg = RunConfig(space=E1, start=start, anchor=start if engine == "halpern" else None,
+                    max_iterations=100, tolerance=0.0)
+    run = (lambda c: iterate_sequence(seq, c)) if engine == "sequence" else (
+        lambda c: halpern_iterate(seq, halpern_schedule(), c))
+    tr = run(cfg)
+    assert tr.summary.stop_reason is StopReason.SOLVER_ERROR
+    assert tr.summary.error_step == 50
+    assert tr.summary.iterations_run == 49
+    assert [s.k for s in tr.steps] == list(range(1, 50))
+    assert "finite" in tr.summary.error_message
+    # a bad start is still an error of the call, not of a step
+    with pytest.raises(DomainError):
+        run(dataclasses.replace(cfg, start=E2.point([0.0, 0.0])))
 
 
 # ---------------------------------------------------------------------------
