@@ -163,8 +163,6 @@ def _parse_schedule(role: str, desc: Mapping) -> Schedule:
             return resolvent_schedule(lambda k: floor + scale / k ** power,
                                       lower=floor, upper=top,
                                       description=f"{floor}+{scale}/k^{power}")
-        if kind == "inverse_k":
-            return resolvent_schedule(lambda k: desc.get("scale", 1.0) / k, lower=0.0)
         raise ConfigError(f"schedule kind {kind!r} cannot serve as resolvent parameters")
     raise ConfigError(f"unknown schedule role {role!r}")
 

@@ -178,10 +178,6 @@ def _projection_operator(space: ModelSpace, cset: ConvexSubset) -> OperatorSpec:
     )
 
 
-def _build_projection(space: ModelSpace, cset: ConvexSubset) -> OperatorSpec:
-    return _projection_operator(space, cset)
-
-
 def _build_hyperbolic_projection(space: ModelSpace, cset: ConvexSubset) -> OperatorSpec:
     if not isinstance(space, Hyperboloid):
         raise ConfigError("hyperbolic_projection needs a hyperboloid space")
@@ -235,7 +231,7 @@ def _build_constant(space: ModelSpace, point: SpacePoint) -> OperatorSpec:
 
 
 _CATALOG = {
-    "projection": _build_projection,
+    "projection": _projection_operator,
     "rotation": _build_rotation,
     "scaled_reflection": _build_scaled_reflection,
     "constant": _build_constant,

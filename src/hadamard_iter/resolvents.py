@@ -25,9 +25,10 @@ Equilibrium resolvent
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -269,9 +270,16 @@ def lipschitz_resolvent_detailed(
     Ratios are recorded only while the step length is well above the noise
     floor of the metric, so the reported maximum is meaningful against the
     analytic factor a lam / (1 + lam).
+
+    x and lam are validated here, once, which puts the mixing weight
+    lam / (1 + lam) in (0, 1]; inside the loop only the space of each T
+    output is checked, and the geodesic steps use the space's unchecked
+    primitives.
     """
     if not (lam > 0.0):
         raise DomainError(f"resolvent parameter lam={lam} must be positive")
+    if not math.isfinite(lam):
+        raise DomainError(f"resolvent parameter lam={lam} must be finite")
     if T.lipschitz_const is None:
         raise DomainError("lipschitz_resolvent needs an operator with a declared Lipschitz constant")
     a = T.lipschitz_const
@@ -289,8 +297,11 @@ def lipschitz_resolvent_detailed(
     max_ratio = 0.0
     noise_floor = 0.0
     for j in range(FIXED_POINT_BUDGET):
-        y_next = space.combine(x, T.apply(y), t)
-        step = space.distance(y_next, y)
+        ty = T.apply(y)
+        space.check_point(ty)
+        # t is in (0, 1]; t == 1.0 (lam >= ~1e16) is combine's endpoint case
+        y_next = space._combine(x, ty, t) if t < 1.0 else ty
+        step = space._distance(y_next, y)
         if not math.isfinite(step):
             raise SolverError(f"resolvent iteration diverged at inner step {j + 1}")
         if j == 0:
@@ -336,6 +347,8 @@ def equilibrium_resolvent(
     gamma: float | None = None,
     verify_directions: int = 64,
     verify_radii: int = 8,
+    *,
+    _grid: _FixedGrid | None = None,
 ) -> SpacePoint:
     """The point z in K with f(z, y) + lam <xz, zy> >= 0 for all y in K.
 
@@ -343,6 +356,17 @@ def equilibrium_resolvent(
     1/(L + lam)). Verification sampling can be thinned (or disabled with
     verify_directions=0) by callers that evaluate the resolvent inside long
     iteration loops.
+
+    The inequality is verified on a deterministic grid of points of K, and
+    every call evaluates every point of it. For a ball or a segment K the
+    grid depends only on K and the two counts, never on x or z, so
+    ``equilibrium_resolvent_operator`` builds it once and reuses it (through
+    the internal ``_grid`` keyword, which must carry this K and these
+    counts). For any other K the grid's radius follows x and z, so it is
+    built on each call.
+
+    x and lam are validated at entry, not inside the loop: the inner
+    iteration re-checks only what it does not produce itself.
     """
     if not (lam > f.theta):
         raise DomainError(
@@ -362,7 +386,17 @@ def equilibrium_resolvent(
         z = space.project(K, z)
 
     if verify_directions > 0:
-        _verify_equilibrium(f, lam, x, z, verify_directions, verify_radii)
+        if _grid is None:
+            grid = _verification_points(space, K, x, z, verify_directions, verify_radii)
+        elif (isinstance(_grid, _FixedGrid) and _grid.K is K
+              and (_grid.n_dir, _grid.n_rad) == (verify_directions, verify_radii)):
+            grid = _grid.points
+        else:
+            raise DomainError(
+                f"the verification grid was not built for this {K.kind} set with "
+                f"{verify_directions} directions and {verify_radii} radii"
+            )
+        _verify_equilibrium(f, lam, x, z, grid)
     return z
 
 
@@ -389,6 +423,7 @@ def _solve_min_structure(
 def _solve_vi_structure(
     vi: VariationalInequality, K: ConvexSubset, lam: float, x: SpacePoint, gamma: float | None
 ) -> SpacePoint:
+    # x is checked by the caller; the iterates are this loop's own points
     space = _vi_space(vi, K, x)
     g = gamma if gamma is not None else 1.0 / (vi.lipschitz + lam)
     z = space.project(K, x)
@@ -396,7 +431,7 @@ def _solve_vi_structure(
     for j in range(VI_BUDGET):
         drift = vi.field(z) + lam * (z.coords - xc)
         z_next = space.project(K, space.point(z.coords - g * drift))
-        move = space.distance(z_next, z)
+        move = space._distance(z_next, z)
         if not math.isfinite(move):
             raise SolverError(f"projected iteration diverged at inner step {j + 1}")
         z = z_next
@@ -420,9 +455,9 @@ def _vi_space(vi: VariationalInequality, K: ConvexSubset, x: SpacePoint) -> Eucl
 
 
 def _verify_equilibrium(
-    f: Bifunction, lam: float, x: SpacePoint, z: SpacePoint, n_dir: int, n_rad: int
+    f: Bifunction, lam: float, x: SpacePoint, z: SpacePoint, grid: Sequence[SpacePoint]
 ) -> None:
-    for y in _verification_points(f.space, f.feasible_set, x, z, n_dir, n_rad):
+    for y in grid:
         margin = f.eval(z, y) + lam * f.space.quasilin(x, z, z, y)
         if margin < -EQ_INEQUALITY_SLACK:
             raise SolverError(
@@ -433,28 +468,52 @@ def _verify_equilibrium(
 
 def _verification_points(
     space: ModelSpace, K: ConvexSubset, x: SpacePoint, z: SpacePoint, n_dir: int, n_rad: int
-):
+) -> tuple[SpacePoint, ...]:
     """Deterministic grid in K: directions x radii around the set anchor,
     boundary/extreme points included, every candidate projected into K."""
-    pts: list[SpacePoint] = []
+    grid = _fixed_verification_grid(space, K, n_dir, n_rad)
+    if grid is not None:
+        return grid
+    anchor = canonical_point(space, K)
+    radius = 1.0 + 2.0 * (space.distance(anchor, x) + space.distance(anchor, z))
+    return _radial_grid(space, K, anchor, radius, n_dir, n_rad)
+
+
+def _fixed_verification_grid(
+    space: ModelSpace, K: ConvexSubset, n_dir: int, n_rad: int
+) -> tuple[SpacePoint, ...] | None:
+    """The verification grid of a ball or segment K, which depends on
+    neither x nor z; None for any other kind of set."""
     if K.kind == "segment":
         n = max(2, n_dir * n_rad)
-        for i in range(n + 1):
-            pts.append(space.combine(K.a, K.b, i / n))
-        return pts
-    anchor = canonical_point(space, K)
+        return tuple(space.combine(K.a, K.b, i / n) for i in range(n + 1))
     if K.kind == "ball":
-        radius = K.radius
-    else:
-        radius = 1.0 + 2.0 * (space.distance(anchor, x) + space.distance(anchor, z))
-    rng = np.random.default_rng(271828)  # fixed: verification must be reproducible
+        return _radial_grid(space, K, canonical_point(space, K), K.radius, n_dir, n_rad)
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class _FixedGrid:
+    """A ball or segment verification grid with the set and counts it was
+    built for, so that ``equilibrium_resolvent`` can tell it fits."""
+    K: ConvexSubset
+    n_dir: int
+    n_rad: int
+    points: tuple[SpacePoint, ...]
+
+
+def _radial_grid(
+    space: ModelSpace, K: ConvexSubset, anchor: SpacePoint, radius: float, n_dir: int, n_rad: int
+) -> tuple[SpacePoint, ...]:
+    pts: list[SpacePoint] = []
     if isinstance(space, Spider):
         for leg in range(space.num_legs):
             for i in range(1, n_rad + 1):
                 cand = space.point((leg, radius * i / n_rad))
                 pts.append(space.project(K, cand))
         pts.append(space.base_point() if K.kind != "ball" else space.project(K, space.base_point()))
-        return pts
+        return tuple(pts)
+    rng = np.random.default_rng(271828)  # fixed: verification must be reproducible
     dim = anchor.coords.shape[0] - (1 if isinstance(space, Hyperboloid) else 0)
     for _ in range(n_dir):
         d = rng.normal(size=dim)
@@ -467,7 +526,7 @@ def _verification_points(
                 cand = space.point(anchor.coords + d * r)
             pts.append(space.project(K, cand))
     pts.append(anchor)
-    return pts
+    return tuple(pts)
 
 
 def equilibrium_resolvent_operator(
@@ -475,11 +534,22 @@ def equilibrium_resolvent_operator(
 ) -> OperatorSpec:
     """Resolvent as an operator. Verification is thinned by default because
     the operator form is meant for iteration loops; pass larger counts for
-    one-shot audited evaluations."""
+    one-shot audited evaluations. A ball or segment K gets its verification
+    grid built once, on the first call; every call still evaluates all of it."""
+
+    @functools.cache
+    def fixed_grid():
+        # built on the first call, not here, so that building an operator
+        # stays cheap: the first grid of a process imports numpy.random
+        K = f.feasible_set
+        points = _fixed_verification_grid(f.space, K, verify_directions, verify_radii)
+        return None if points is None else _FixedGrid(K, verify_directions, verify_radii, points)
+
     return OperatorSpec(
         space=f.space,
         apply=lambda x: equilibrium_resolvent(
-            f, lam, x, verify_directions=verify_directions, verify_radii=verify_radii
+            f, lam, x, verify_directions=verify_directions, verify_radii=verify_radii,
+            _grid=fixed_grid() if verify_directions > 0 else None,
         ),
         domain=f.feasible_set,
         fixed_point_witness=f.equilibrium_witness,

@@ -121,6 +121,14 @@ def test_run_rejects_summable_halpern_weights(tmp_path, capsys):
     assert "divergent sum" in capsys.readouterr().err
 
 
+def test_run_rejects_inverse_k_resolvent_parameters(tmp_path, capsys):
+    # 1/k has no positive lower bound, so it is not a resolvent-class schedule
+    cfg = dict(BASE_RUN, schedules={"lambda": {"kind": "inverse_k", "scale": 2.0}})
+    assert run_cli("run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 1
+    assert ("schedule kind 'inverse_k' cannot serve as resolvent parameters"
+            in capsys.readouterr().err)
+
+
 def test_run_rejects_anchor_on_plain_scheme(tmp_path):
     cfg = dict(BASE_RUN, anchor=[0.0])
     assert run_cli("run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 1

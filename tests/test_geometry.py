@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
 from hadamard_iter import (
@@ -90,6 +90,60 @@ def test_hyperboloid_point_validation():
         H2.point([-1, 0, 0])  # lower sheet
     p = H2.from_spatial([0.7, -0.4])
     assert Hyperboloid.minkowski(p.coords, p.coords) == pytest.approx(-1.0, abs=1e-9)
+
+
+# the edges of the float range: NaN, infinities, the largest finite values,
+# negative zero and subnormals
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, -0.0, 0.0,
+               5e-324, -5e-324, 1e-310, -2.2250738585072e-308]
+edge_coordinate = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+def _rejected_as_nonfinite(make, coords) -> bool:
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # squares of +-1.7e308
+            make(coords)
+    except DomainError as e:
+        return str(e) == "coordinates must be finite"
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(edge_coordinate, min_size=2, max_size=2))
+@example([math.nan, 0.0])
+@example([1.7e308, -1.7e308])
+@example([-0.0, 5e-324])
+def test_euclidean_point_finiteness_matches_numpy(coords):
+    arr = np.asarray(coords, dtype=float)
+    finite = bool(np.all(np.isfinite(arr)))
+    assert _rejected_as_nonfinite(E2.point, coords) == (not finite)
+    if finite:
+        assert E2.point(coords).coords.tobytes() == arr.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(edge_coordinate, min_size=3, max_size=3))
+@example([math.inf, 0.0, 0.0])
+@example([1.0, -0.0, 1e-310])
+def test_hyperboloid_point_finiteness_matches_numpy(coords):
+    finite = bool(np.all(np.isfinite(np.asarray(coords, dtype=float))))
+    assert _rejected_as_nonfinite(H2.point, coords) == (not finite)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(edge_coordinate, min_size=2, max_size=2))
+@example([1.7e308, 0.0])
+@example([-math.inf, 1.0])
+@example([-0.0, 5e-324])
+def test_from_spatial_finiteness_matches_numpy(spatial):
+    # the lift x0 = sqrt(1 + |s|^2) overflows for |s| near the float maximum
+    s = np.asarray(spatial, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lifted = np.concatenate(([math.sqrt(1.0 + float(s @ s))], s))
+    finite = bool(np.all(np.isfinite(lifted)))
+    assert _rejected_as_nonfinite(H2.from_spatial, spatial) == (not finite)
+    if finite:
+        assert H2.from_spatial(spatial).coords.tobytes() == lifted.tobytes()
 
 
 def test_spider_point_canonicalization():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,22 +7,28 @@ from scipy.optimize import brentq
 
 from hadamard_iter import (
     Ball,
+    Bifunction,
     ConfigError,
     CustomSolver,
     DomainError,
     Euclidean,
+    Halfspace,
     Hyperboloid,
     ObjectiveFunction,
     OperatorSpec,
+    RunConfig,
     Segment,
     SolverError,
     Spider,
+    StopReason,
     UnsupportedOperationError,
     WholeSpace,
     bifunction_fixture,
+    build_scheme,
     catalog_operator,
     convex_resolvent,
     equilibrium_resolvent,
+    equilibrium_resolvent_operator,
     lipschitz_resolvent,
     lipschitz_resolvent_detailed,
     objective_fixture,
@@ -30,6 +37,7 @@ from hadamard_iter import (
     resolvent_sequence,
     vanishing_schedule,
 )
+from hadamard_iter import resolvents
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
@@ -233,6 +241,51 @@ def test_lipschitz_resolvent_fixed_points_are_fixed_by_T():
             assert E2.distance(rot.apply(j), j) <= 1e-7
 
 
+def _wrong_space_on_call(n):
+    """A 1/2-Lipschitz E2 map whose n-th evaluation lands in E3."""
+    E3 = Euclidean(3)
+    calls = [0]
+
+    def apply(p):
+        calls[0] += 1
+        if calls[0] == n:
+            return E3.point([0.0, 0.0, 0.0])
+        return E2.point(0.5 * p.coords)
+
+    return OperatorSpec(space=E2, apply=apply, domain=WholeSpace(E2.space_id),
+                        lipschitz_const=0.5, fixed_point_witness=E2.base_point(),
+                        quasi_nonexpansive=True)
+
+
+def test_lipschitz_resolvent_rejects_wrong_space_inside_the_loop():
+    # x is validated at entry; each T output is still checked for its space
+    T = _wrong_space_on_call(3)
+    with pytest.raises(DomainError, match="expected 'euclidean:2'"):
+        lipschitz_resolvent_detailed(T, 1.0, E2.point([1.0, 2.0]))
+
+
+def test_lipschitz_resolvent_wrong_space_mid_run_keeps_the_trace():
+    T = _wrong_space_on_call(40)  # each outer step takes several inner steps
+    built = build_scheme("ppa_lipschitz", T, {"lambda": resolvent_constant(1.0)})
+    tr = built.run(RunConfig(space=E2, start=E2.point([3.0, -1.0]),
+                             max_iterations=100, tolerance=0.0))
+    assert tr.summary.stop_reason is StopReason.SOLVER_ERROR
+    assert tr.summary.error_step > 1
+    assert tr.summary.iterations_run == tr.summary.error_step - 1
+    assert [s.k for s in tr.steps] == list(range(1, tr.summary.error_step))
+    assert "euclidean:3" in tr.summary.error_message
+
+
+def test_lipschitz_resolvent_huge_lambda_takes_the_map_value():
+    # lam / (1 + lam) rounds to 1.0: the inner step is T y itself, as with combine
+    refl = catalog_operator(E2, "scaled_reflection", factor=0.5)
+    y, iters, _ = lipschitz_resolvent_detailed(refl, 1e17, E2.point([1.0, -2.0]))
+    assert iters > 1
+    assert np.array_equal(y.coords, np.array([1.0, -2.0]) * (-0.5) ** iters)
+    with pytest.raises(DomainError, match="finite"):
+        lipschitz_resolvent(refl, math.inf, E2.point([1.0, -2.0]))
+
+
 # ---------------------------------------------------------------------------
 # equilibrium resolvent
 # ---------------------------------------------------------------------------
@@ -289,6 +342,133 @@ def test_equilibrium_verification_catches_broken_solver():
     )
     with pytest.raises(SolverError):
         equilibrium_resolvent(broken, 1.0, E2.point([0.9, 0.0]))
+
+
+def _projection_bifunction(space, K):
+    """The zero bifunction on K, whose resolvent is the projection onto K."""
+    return Bifunction(space=space, eval=lambda z, y: 0.0, theta=0.0,
+                      structure=CustomSolver(solve=lambda lam, x: space.project(K, x)),
+                      feasible_set=K)
+
+
+def _fresh_grid(space, K, x, z, n_dir, n_rad):
+    """The verification grid built from scratch, with a new generator."""
+    pts = []
+    if K.kind == "segment":
+        n = max(2, n_dir * n_rad)
+        return [space.combine(K.a, K.b, i / n) for i in range(n + 1)]
+    anchor = K.center if K.kind == "ball" else (
+        space.point(K.normal * (K.offset / float(K.normal @ K.normal)))
+        if K.kind == "halfspace" else space.base_point())
+    if K.kind == "ball":
+        radius = K.radius
+    else:
+        radius = 1.0 + 2.0 * (space.distance(anchor, x) + space.distance(anchor, z))
+    rng = np.random.default_rng(271828)
+    if isinstance(space, Spider):
+        for leg in range(space.num_legs):
+            for i in range(1, n_rad + 1):
+                pts.append(space.project(K, space.point((leg, radius * i / n_rad))))
+        pts.append(space.base_point() if K.kind != "ball"
+                   else space.project(K, space.base_point()))
+        return pts
+    dim = anchor.coords.shape[0] - (1 if isinstance(space, Hyperboloid) else 0)
+    for _ in range(n_dir):
+        d = rng.normal(size=dim)
+        d /= math.sqrt(float(d @ d))
+        for i in range(1, n_rad + 1):
+            r = radius * i / n_rad
+            if isinstance(space, Hyperboloid):
+                cand = space.exp_map(anchor, np.concatenate(([0.0], d * r)))
+            else:
+                cand = space.point(anchor.coords + d * r)
+            pts.append(space.project(K, cand))
+    pts.append(anchor)
+    return pts
+
+
+GRID_CASES = [
+    ("E2 ball", E2, Ball(E2.point([0.2, -0.1]), 0.7),
+     [E2.point([1.0, 1.0]), E2.point([-0.3, 0.2])]),
+    ("E2 segment", E2, Segment(E2.point([0.0, 0.0]), E2.point([1.0, 0.5])),
+     [E2.point([2.0, -1.0]), E2.point([0.5, 0.5])]),
+    ("E2 whole space", E2, WholeSpace(E2.space_id),
+     [E2.point([1.5, -0.5]), E2.point([-2.0, 0.25])]),
+    ("E2 halfspace", E2, Halfspace(E2.space_id, np.array([1.0, 1.0]), 0.5),
+     [E2.point([2.0, 1.0]), E2.point([-1.0, 0.0])]),
+    ("H2 ball", H2, Ball(H2.from_spatial([0.3, 0.2]), 0.4),
+     [H2.from_spatial([1.2, -0.4]), H2.from_spatial([0.35, 0.1])]),
+    ("spider ball", S3, Ball(S3.point((1, 0.5)), 1.2),
+     [S3.point((2, 3.0)), S3.point((1, 0.8))]),
+]
+
+
+@pytest.mark.parametrize("name,space,K,xs", GRID_CASES, ids=[c[0] for c in GRID_CASES])
+def test_operator_verification_grid_equals_a_fresh_grid(monkeypatch, name, space, K, xs):
+    grids = []
+    verify = resolvents._verify_equilibrium
+
+    def recording_verify(f, lam, x, z, grid):
+        grids.append((x, z, grid))
+        return verify(f, lam, x, z, grid)
+
+    monkeypatch.setattr(resolvents, "_verify_equilibrium", recording_verify)
+    op = equilibrium_resolvent_operator(_projection_bifunction(space, K), 1.0)
+    for x in xs:
+        op.apply(x)
+    assert len(grids) == len(xs)
+    for x, z, grid in grids:
+        fresh = _fresh_grid(space, K, x, z, 8, 2)
+        assert len(grid) == len(fresh)
+        for got, want in zip(grid, fresh):
+            assert got.space_id == want.space_id
+            assert got.coords.tobytes() == want.coords.tobytes()
+    if K.kind in ("ball", "segment"):
+        assert grids[0][2] is grids[1][2]  # built once per operator
+
+
+def test_operator_verifies_every_call_with_the_cached_grid():
+    K = Ball(E2.point([0.0, 0.0]), 1.0)
+    calls = [0]
+
+    def solve(lam, x):
+        calls[0] += 1
+        return E2.point([-0.5, -0.3]) if calls[0] == 3 else E2.project(K, x)
+
+    bif = dataclasses.replace(_projection_bifunction(E2, K),
+                              structure=CustomSolver(solve=solve))
+    op = equilibrium_resolvent_operator(bif, 1.0)
+    x = E2.point([0.5, 0.3])
+    op.apply(x)
+    op.apply(x)
+    with pytest.raises(SolverError, match="equilibrium inequality violated"):
+        op.apply(x)
+    assert calls[0] == 3
+    assert E2.distance(op.apply(x), x) == 0.0
+
+
+def test_equilibrium_resolvent_rejects_a_grid_built_for_another_set():
+    ball = Ball(E2.point([0.0, 0.0]), 1.0)
+    x = E2.point([0.5, 0.3])
+    f = _projection_bifunction(E2, ball)
+
+    def fixed(K, n_dir, n_rad):
+        points = resolvents._fixed_verification_grid(E2, K, n_dir, n_rad)
+        return resolvents._FixedGrid(K, n_dir, n_rad, points)
+
+    good = fixed(ball, 8, 2)
+    assert len(good.points) == 17
+    equilibrium_resolvent(f, 1.0, x, verify_directions=8, verify_radii=2, _grid=good)
+    segment = Segment(E2.point([0.0, 0.0]), E2.point([1.0, 0.5]))
+    same_ball = Ball(E2.point([0.0, 0.0]), 1.0)
+    for wrong in (fixed(ball, 4, 2), fixed(ball, 8, 3), fixed(segment, 8, 2),
+                  fixed(same_ball, 8, 2), good.points, ()):
+        with pytest.raises(DomainError, match="verification grid"):
+            equilibrium_resolvent(f, 1.0, x, verify_directions=8, verify_radii=2, _grid=wrong)
+    # a set whose grid follows x and z takes no prebuilt grid at all
+    whole = _projection_bifunction(E2, WholeSpace(E2.space_id))
+    with pytest.raises(DomainError, match="verification grid"):
+        equilibrium_resolvent(whole, 1.0, x, verify_directions=8, verify_radii=2, _grid=good)
 
 
 def test_bifunction_sampled_axioms():
