@@ -9,7 +9,6 @@ config and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import csv
 import io
@@ -405,7 +404,39 @@ def _grid_cell(v: Any) -> str:
     return json.dumps(v)
 
 
+def _sweep_workers(requested: str | None, cells: int, cpus: int | None) -> int:
+    """Worker processes for a sweep: min(requested, cpus, cells), at least 1.
+
+    ``requested`` is the value of HADAMARD_ITER_THREADS (8 when unset or
+    empty); anything but a positive integer is a config error.
+    """
+    try:
+        n = int(requested) if requested else 8
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ConfigError(f"HADAMARD_ITER_THREADS must be a positive integer, got {requested!r}")
+    return max(1, min(n, cpus or 1, cells))
+
+
+def _run_cell(cell_cfg: dict, overrides: Mapping | None) -> list:
+    """A sweep row's result columns: iterations, stop reason, final residual
+    and target distance."""
+    built, run_cfg, _ = parse_run_config(cell_cfg, overrides)
+    s = built.run(run_cfg).summary
+    return [s.iterations_run, s.stop_reason.value, _fmt(s.final_residual),
+            _fmt(s.target_distance)]
+
+
 def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) -> int:
+    """Run every cell of the grid and write one CSV row per cell, in grid order.
+
+    Cells run in forked worker processes, as many as the smallest of
+    HADAMARD_ITER_THREADS (8 when unset; it counts processes, not threads),
+    the CPU count and the number of cells. A cell whose run raises, or whose
+    worker dies, gets a ``solver_error`` row with empty numeric fields and a
+    message on stderr; the sweep then exits 3 after writing the whole CSV.
+    """
     cfg = _load_json(config_path)
     _require_keys(cfg, "sweep config", {"base", "grid"}, {"output"})
     grid = cfg["grid"]
@@ -413,6 +444,8 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
         raise ConfigError("grid must be a nonempty mapping of config paths to value lists")
     paths = list(grid)
     cells = list(itertools.product(*(grid[p] for p in paths)))
+    workers = _sweep_workers(os.environ.get("HADAMARD_ITER_THREADS"), len(cells),
+                             os.cpu_count())
 
     # validate every cell before running anything
     cell_cfgs = []
@@ -423,32 +456,34 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
         parse_run_config(cell, overrides)  # raises ConfigError on any bad cell
         cell_cfgs.append(cell)
 
-    def run_cell(cell_cfg: dict) -> dict:
-        built, run_cfg, _ = parse_run_config(cell_cfg, overrides)
-        trace = built.run(run_cfg)
-        s = trace.summary
-        return {
-            "iterations": s.iterations_run,
-            "stop_reason": s.stop_reason.value,
-            "final_residual": s.final_residual,
-            "target_distance": s.target_distance,
-        }
+    # imported here: the process machinery is not needed by run or check.
+    # fork, not the platform default: spawn and forkserver would re-import
+    # the package in every worker on every sweep
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    workers = os.environ.get("HADAMARD_ITER_THREADS")
-    max_workers = max(1, int(workers)) if workers else min(8, os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(run_cell, cell_cfgs))
+    rows, failed = [], 0
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_run_cell, c, overrides) for c in cell_cfgs]
+        for i, (values, fut) in enumerate(zip(cells, futures)):
+            try:
+                result = fut.result()
+            except Exception as err:
+                where = ", ".join(f"{p}={_grid_cell(v)}" for p, v in zip(paths, values))
+                print(f"sweep: cell {i + 1} ({where}) failed: {type(err).__name__}: {err}",
+                      file=sys.stderr)
+                result = ["", StopReason.SOLVER_ERROR.value, "", ""]
+                failed += 1
+            rows.append([*map(_grid_cell, values), *result])
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([*paths, "iterations", "stop_reason", "final_residual", "target_distance"])
-    for values, res in zip(cells, results):
-        writer.writerow([*map(_grid_cell, values), res["iterations"], res["stop_reason"],
-                         _fmt(res["final_residual"]), _fmt(res["target_distance"])])
+    writer.writerows(rows)
     out_name = cfg.get("output", "sweep.csv")
     _atomic_write(Path(out_dir) / out_name, buf.getvalue())
     print(f"sweep: {len(cells)} cells -> {Path(out_dir) / out_name}")
-    return EXIT_OK
+    return EXIT_SOLVER if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import itertools
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -325,3 +327,86 @@ def test_sweep_csv_quotes_structured_grid_values(tmp_path):
         assert json.loads(row[0]) == start
         assert float(row[1]) == lam
         assert row[3] == "converged"
+
+
+def test_sweep_workers_rule():
+    # min(requested, cpus, cells), requested = HADAMARD_ITER_THREADS or 8
+    assert cli._sweep_workers(None, cells=20, cpus=64) == 8
+    assert cli._sweep_workers("", cells=20, cpus=64) == 8
+    assert cli._sweep_workers(None, cells=20, cpus=2) == 2
+    assert cli._sweep_workers(None, cells=3, cpus=64) == 3
+    assert cli._sweep_workers("100", cells=1000, cpus=4) == 4
+    assert cli._sweep_workers("100", cells=5, cpus=64) == 5
+    assert cli._sweep_workers("2", cells=20, cpus=64) == 2
+    assert cli._sweep_workers(" 3 ", cells=20, cpus=64) == 3
+    assert cli._sweep_workers(None, cells=20, cpus=None) == 1
+    assert cli._sweep_workers(None, cells=0, cpus=4) == 1
+    for bad in ("abc", "0", "-2", "2.5", "1e3"):
+        with pytest.raises(cli.ConfigError, match="HADAMARD_ITER_THREADS"):
+            cli._sweep_workers(bad, cells=20, cpus=64)
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_sweep_bad_thread_env_is_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("HADAMARD_ITER_THREADS", value)
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+def test_sweep_csv_identical_with_one_and_two_workers(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    for n in ("1", "2"):
+        monkeypatch.setenv("HADAMARD_ITER_THREADS", n)
+        assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / n)) == 0
+        assert multiprocessing.active_children() == []
+    assert (tmp_path / "1" / "sweep.csv").read_bytes() == (tmp_path / "2" / "sweep.csv").read_bytes()
+
+
+def _fail_at_lambda(monkeypatch, bad_lam, fail):
+    # the quadratic's closed-form resolvent calls ``fail()`` at one lambda;
+    # the forked sweep workers inherit the patch
+    def patched_fixture(space, name, **kwargs):
+        f = objective_fixture(space, name, **kwargs)
+
+        def closed_form(lam, x):
+            if lam == bad_lam:
+                fail()
+            return f.closed_form_resolvent(lam, x)
+
+        return dataclasses.replace(f, closed_form_resolvent=closed_form)
+
+    monkeypatch.setattr(cli, "objective_fixture", patched_fixture)
+
+
+def test_sweep_failing_cell_gets_error_row(tmp_path, monkeypatch, capsys):
+    def fail():
+        raise RuntimeError("injected failure")
+
+    _fail_at_lambda(monkeypatch, 1.0, fail)
+    monkeypatch.setenv("HADAMARD_ITER_THREADS", "2")
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert "schedules.lambda.value=1" in err and "injected failure" in err
+    with open(tmp_path / "o" / "sweep.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["schedules.lambda.value", "iterations", "stop_reason",
+                      "final_residual", "target_distance"]
+    assert rows[1] == ["1", "", "solver_error", "", ""]
+    assert [r[0] for r in rows] == ["0.10000000000000001", "1", "10"]
+    assert rows[0][2] == rows[2][2] == "converged"
+
+
+def test_sweep_dead_worker_gets_error_row(tmp_path, monkeypatch, capsys):
+    _fail_at_lambda(monkeypatch, 10.0, lambda: os._exit(1))
+    monkeypatch.setenv("HADAMARD_ITER_THREADS", "1")
+    cfg = write_cfg(tmp_path, SWEEP_CFG)
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    assert multiprocessing.active_children() == []
+    assert "BrokenProcessPool" in capsys.readouterr().err
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert rows[2] == "10,,solver_error,,"
