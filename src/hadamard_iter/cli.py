@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -30,7 +31,7 @@ from .diagnostics import (
     check_sqn_inequality,
 )
 from .errors import ConfigError, DomainError, HadamardIterError, UnsupportedOperationError
-from .fixtures import bifunction_fixture, objective_fixture
+from .fixtures import _BIFUNCTIONS, _OBJECTIVES, bifunction_fixture, objective_fixture
 from .geometry import (
     ModelSpace,
     Spider,
@@ -39,6 +40,7 @@ from .geometry import (
     set_from_config,
     space_from_config,
 )
+from .operators import _CATALOG as _OPERATORS
 from .operators import catalog_operator, ishikawa_operator
 from .resolvents import equilibrium_resolvent_operator, lipschitz_resolvent_operator
 from .schedules import (
@@ -69,6 +71,19 @@ def _require_keys(d: Mapping, ctx: str, required: set[str], optional: set[str]) 
         raise ConfigError(f"missing keys {sorted(missing)} in {ctx}")
 
 
+def _num(desc: Mapping, key: str, ctx: str, default: Any = None, kind: type = float):
+    """``desc[key]`` as a number, or ``default`` when the key is absent; a
+    missing required key or a non-numeric value is a config error."""
+    if key not in desc:
+        if default is None:
+            raise ConfigError(f"missing key {key!r} in {ctx}")
+        return default
+    try:
+        return kind(desc[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} in {ctx} must be a number, got {desc[key]!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # descriptor parsing
 # ---------------------------------------------------------------------------
@@ -77,53 +92,45 @@ def _parse_source(space: ModelSpace, desc: Mapping):
     _require_keys(desc, "source", set(), {"operator", "objective", "bifunction"})
     if len(desc) != 1:
         raise ConfigError("source must contain exactly one of operator/objective/bifunction")
-    if "operator" in desc:
-        return _parse_operator(space, desc["operator"])
-    if "objective" in desc:
-        return _parse_objective(space, desc["objective"])
-    return _parse_bifunction(space, desc["bifunction"])
+    (kind, d), = desc.items()
+    return _parse_descriptor(space, kind, d)
 
 
-def _parse_operator(space: ModelSpace, desc: Mapping):
+def _parse_descriptor(space: ModelSpace, kind: str, desc: Mapping):
+    """An operator, objective or bifunction from its descriptor: a catalogue
+    ``name`` plus the keyword parameters of that entry's builder, with
+    ``set`` read as a convex set (``cset``) and ``point`` as a point."""
+    factory, catalogue = {
+        "operator": (catalog_operator, _OPERATORS),
+        "objective": (objective_fixture, _OBJECTIVES),
+        "bifunction": (bifunction_fixture, _BIFUNCTIONS),
+    }[kind]
+    if not isinstance(desc, Mapping) or not isinstance(desc.get("name"), str):
+        raise ConfigError(f"{kind} descriptor must be an object with a string 'name'")
     d = dict(desc)
-    name = d.pop("name", None)
-    if name is None:
-        raise ConfigError("operator descriptor needs a 'name'")
+    name = d.pop("name")
+    if name in catalogue:  # an unknown name is the factory's error
+        params = list(inspect.signature(catalogue[name]).parameters)[1:]
+        accepted = ["name", *("set" if p == "cset" else p for p in params)]
+        unknown = set(desc) - set(accepted)
+        if unknown:
+            raise ConfigError(f"unknown keys {sorted(unknown)} in {kind} {name!r}; "
+                              f"accepted keys: {accepted}")
     if "set" in d:
         d["cset"] = set_from_config(space, d.pop("set"))
     if "point" in d:
         d["point"] = point_from_config(space, d["point"])
-    return catalog_operator(space, name, **d)
-
-
-def _parse_objective(space: ModelSpace, desc: Mapping):
-    d = dict(desc)
-    name = d.pop("name", None)
-    if name is None:
-        raise ConfigError("objective descriptor needs a 'name'")
-    if "set" in d:
-        d["cset"] = set_from_config(space, d.pop("set"))
-    return objective_fixture(space, name, **d)
-
-
-def _parse_bifunction(space: ModelSpace, desc: Mapping):
-    d = dict(desc)
-    name = d.pop("name", None)
-    if name is None:
-        raise ConfigError("bifunction descriptor needs a 'name'")
-    if "set" in d:
-        d["cset"] = set_from_config(space, d.pop("set"))
-    return bifunction_fixture(space, name, **d)
+    return factory(space, name, **d)
 
 
 def _parse_schedule(role: str, desc: Mapping) -> Schedule:
-    _require_keys(desc, f"schedule {role!r}", {"kind"},
-                  {"value", "scale", "offset", "power", "floor"})
+    ctx = f"schedule {role!r}"
+    _require_keys(desc, ctx, {"kind"}, {"value", "scale", "offset", "power", "floor"})
     kind = desc["kind"]
     if role == "anchor":
         if kind == "power":
-            return halpern_schedule(desc.get("scale", 1.0), desc.get("offset", 1.0),
-                                    desc.get("power", 1.0))
+            return halpern_schedule(_num(desc, "scale", ctx, 1.0), _num(desc, "offset", ctx, 1.0),
+                                    _num(desc, "power", ctx, 1.0))
         if kind == "constant":
             raise ConfigError(
                 "anchor weights must tend to 0 with a divergent sum; a constant "
@@ -132,36 +139,34 @@ def _parse_schedule(role: str, desc: Mapping) -> Schedule:
         raise ConfigError(f"schedule kind {kind!r} cannot serve as anchor weights")
     if role == "alpha":
         if kind == "constant":
-            return mann_constant(float(desc["value"]))
+            return mann_constant(_num(desc, "value", ctx))
         if kind == "power":
-            scale = float(desc.get("scale", 0.5))
-            offset = float(desc.get("offset", 1.0))
-            power = float(desc.get("power", 1.0))
+            scale = _num(desc, "scale", ctx, 0.5)
+            offset = _num(desc, "offset", ctx, 1.0)
+            power = _num(desc, "power", ctx, 1.0)
             top = scale / (1.0 + offset) ** power
             return Schedule(lambda k: scale / (k + offset) ** power,
-                            ScheduleClass.MANN_PARAM, upper_bound=top,
-                            description=f"{scale}/(k+{offset})^{power}")
+                            ScheduleClass.MANN_PARAM, upper_bound=top)
         raise ConfigError(f"schedule kind {kind!r} cannot serve as Mann weights")
     if role == "beta":
         if kind == "constant":
-            if float(desc["value"]) != 0.0:
+            if _num(desc, "value", ctx) != 0.0:
                 raise ConfigError("inner Ishikawa weights must tend to 0; "
                                   "a nonzero constant never vanishes")
             return vanishing_schedule(0.0)
         if kind == "inverse_k":
-            return vanishing_schedule(desc.get("scale", 1.0), desc.get("power", 1.0))
+            return vanishing_schedule(_num(desc, "scale", ctx, 1.0), _num(desc, "power", ctx, 1.0))
         raise ConfigError(f"schedule kind {kind!r} cannot serve as vanishing weights")
     if role == "lambda":
         if kind == "constant":
-            return resolvent_constant(float(desc["value"]))
+            return resolvent_constant(_num(desc, "value", ctx))
         if kind == "power_floor":
-            floor = float(desc.get("floor", 0.0))
-            scale = float(desc.get("scale", 1.0))
-            power = float(desc.get("power", 1.0))
+            floor = _num(desc, "floor", ctx, 0.0)
+            scale = _num(desc, "scale", ctx, 1.0)
+            power = _num(desc, "power", ctx, 1.0)
             top = floor + scale
             return resolvent_schedule(lambda k: floor + scale / k ** power,
-                                      lower=floor, upper=top,
-                                      description=f"{floor}+{scale}/k^{power}")
+                                      lower=floor, upper=top)
         raise ConfigError(f"schedule kind {kind!r} cannot serve as resolvent parameters")
     raise ConfigError(f"unknown schedule role {role!r}")
 
@@ -182,15 +187,16 @@ def parse_run_config(cfg: Mapping, overrides: Mapping | None = None
 
     anchor = cfg.get("anchor")
     reference = cfg.get("reference")
+    merged = {**cfg, **overrides}
     run_cfg = RunConfig(
         space=space,
         start=point_from_config(space, cfg["start"]),
         anchor=point_from_config(space, anchor) if anchor is not None else None,
-        max_iterations=int(overrides.get("max_iterations", cfg.get("max_iterations", 100_000))),
-        tolerance=float(cfg.get("tolerance", 1e-10)),
+        max_iterations=_num(merged, "max_iterations", "run config", 100_000, int),
+        tolerance=_num(cfg, "tolerance", "run config", 1e-10),
         reference=point_from_config(space, reference) if reference is not None else None,
-        trace_stride=(int(cfg["trace_stride"]) if cfg.get("trace_stride") else None),
-        seed=int(overrides.get("seed", cfg.get("seed", 0))),
+        trace_stride=cfg.get("trace_stride"),
+        seed=_num(merged, "seed", "run config", 0, int),
     )
     outputs = dict(cfg.get("outputs", {}))
     _require_keys(outputs, "outputs", set(), {"trace", "summary"})
@@ -317,49 +323,50 @@ def _build_check(space: ModelSpace, desc: Mapping, seed: int) -> CheckReport:
     if name not in CHECK_KEYS:
         raise ConfigError(f"unknown check {name!r}; known: {sorted(CHECK_KEYS)}")
     required, optional = CHECK_KEYS[name]
-    _require_keys(desc, f"check {name!r}", required, optional)
+    ctx = f"check {name!r}"
+    _require_keys(desc, ctx, required, optional)
     if name == "space_axioms":
-        return check_space_axioms(space, samples=int(desc.get("samples", 1000)),
-                                  seed=seed, scale=float(desc.get("scale", 2.0)))
+        return check_space_axioms(space, samples=_num(desc, "samples", ctx, 1000, int),
+                                  seed=seed, scale=_num(desc, "scale", ctx, 2.0))
     if name == "quasi_firm":
-        f = _parse_objective(space, desc["objective"])
+        f = _parse_descriptor(space, "objective", desc["objective"])
         witness = (point_from_config(space, desc["witness"])
                    if "witness" in desc else f.known_argmin)
         if witness is None:
             raise ConfigError("quasi_firm needs a witness or an objective with known argmin")
-        return check_quasi_firm(f, float(desc["lambda"]), witness,
-                                samples=int(desc.get("samples", 500)), seed=seed,
-                                scale=float(desc.get("scale", 2.0)))
+        return check_quasi_firm(f, _num(desc, "lambda", ctx), witness,
+                                samples=_num(desc, "samples", ctx, 500, int), seed=seed,
+                                scale=_num(desc, "scale", ctx, 2.0))
     if name == "sqn_inequality":
         variant = desc["variant"]
         if variant == "ishikawa":
-            base = _parse_operator(space, desc["operator"])
-            op = ishikawa_operator(base, float(desc.get("alpha", 0.5)),
-                                   float(desc.get("beta", 0.0)))
+            base = _parse_descriptor(space, "operator", desc["operator"])
+            op = ishikawa_operator(base, _num(desc, "alpha", ctx, 0.5),
+                                   _num(desc, "beta", ctx, 0.0))
         elif variant == "lipschitz_resolvent":
-            base = _parse_operator(space, desc["operator"])
-            op = lipschitz_resolvent_operator(base, float(desc["lambda"]))
+            base = _parse_descriptor(space, "operator", desc["operator"])
+            op = lipschitz_resolvent_operator(base, _num(desc, "lambda", ctx))
         elif variant == "equilibrium_resolvent":
-            f = _parse_bifunction(space, desc["bifunction"])
-            op = equilibrium_resolvent_operator(f, float(desc["lambda"]))
+            f = _parse_descriptor(space, "bifunction", desc["bifunction"])
+            op = equilibrium_resolvent_operator(f, _num(desc, "lambda", ctx))
         else:
             raise ConfigError(f"unknown sqn variant {variant!r}")
         witness = (point_from_config(space, desc["witness"])
                    if "witness" in desc else None)
         return check_sqn_inequality(op, witness,
-                                    samples=int(desc.get("samples", 500)), seed=seed,
-                                    scale=float(desc.get("scale", 2.0)))
+                                    samples=_num(desc, "samples", ctx, 500, int), seed=seed,
+                                    scale=_num(desc, "scale", ctx, 2.0))
     if name == "nested_fixed_sets":
-        f = _parse_objective(space, desc["objective"])
+        f = _parse_descriptor(space, "objective", desc["objective"])
         cands = [point_from_config(space, p) for p in desc["candidates"]]
-        return check_nested_fixed_sets(f, float(desc["lambda"]), float(desc["mu"]), cands)
+        return check_nested_fixed_sets(f, _num(desc, "lambda", ctx), _num(desc, "mu", ctx), cands)
     if name == "fejer":
         trace, _ = _run_embedded(space, desc["run"], seed)
         return check_fejer(space, trace, point_from_config(space, desc["witness"]))
     trace, run_cfg = _run_embedded(space, desc["run"], seed)
     return check_halpern_target(space, trace, run_cfg.anchor,
                                 set_from_config(space, desc["fixed_set"]),
-                                float(desc["tolerance"]))
+                                _num(desc, "tolerance", ctx))
 
 
 def cmd_check(config_path: str, out_dir: str, overrides: Mapping | None = None) -> int:
@@ -367,7 +374,7 @@ def cmd_check(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     _require_keys(cfg, "check config", {"space", "checks"}, {"seed", "outputs"})
     overrides = overrides or {}
     space = space_from_config(cfg["space"])
-    seed = int(overrides.get("seed", cfg.get("seed", 0)))
+    seed = _num({**cfg, **overrides}, "seed", "check config", 0, int)
     reports = [_build_check(space, desc, seed) for desc in cfg["checks"]]
     bundle = {"all_passed": all(r.passed for r in reports),
               "seed": seed,

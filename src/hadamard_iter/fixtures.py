@@ -60,7 +60,7 @@ def quadratic(space: ModelSpace, center=None) -> ObjectiveFunction:
     grad = None if isinstance(space, Spider) else (lambda y: -space.log_map(y, a))
     return ObjectiveFunction(
         space=space, eval=val, gradient=grad, gradient_lipschitz=1.0,
-        weak_convexity_alpha=0.0, convex=True, quasi_convex=True, pseudo_convex=True,
+        weak_convexity_alpha=0.0,
         known_argmin=a,
         closed_form_resolvent=lambda lam, x: space.combine(x, a, lam / (1.0 + lam)),
         name="quadratic",
@@ -81,7 +81,7 @@ def dist2_to_set(space: ModelSpace, cset: ConvexSubset) -> ObjectiveFunction:
     )
     return ObjectiveFunction(
         space=space, eval=val, gradient=grad, gradient_lipschitz=1.0,
-        weak_convexity_alpha=0.0, convex=True, quasi_convex=True, pseudo_convex=True,
+        weak_convexity_alpha=0.0,
         known_argmin=cset,
         closed_form_resolvent=lambda lam, x: space.combine(
             x, space.project(cset, x), lam / (1.0 + lam)
@@ -120,7 +120,6 @@ def plateau_quartic(space: ModelSpace) -> ObjectiveFunction:
     return ObjectiveFunction(
         space=space, eval=val, gradient=grad,
         weak_convexity_alpha=_QUARTIC_WEAK_ALPHA,
-        quasi_convex=True, weakly_convex=True,
         known_argmin=space.point([0.0]),
         closed_form_resolvent=prox,
         name="plateau_quartic",
@@ -167,7 +166,7 @@ def expanding_quadratic(space: ModelSpace, center=None) -> ObjectiveFunction:
 
     return ObjectiveFunction(
         space=space, eval=val,
-        weak_convexity_alpha=0.0, convex=True, quasi_convex=True,
+        weak_convexity_alpha=0.0,
         known_argmin=a,
         closed_form_resolvent=lambda lam, x: space.point(a.coords - 1.5 * (x.coords - a.coords)),
         name="expanding_quadratic",

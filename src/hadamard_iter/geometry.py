@@ -741,13 +741,16 @@ def space_from_config(desc: Mapping) -> ModelSpace:
     """Build a space from its config descriptor, e.g.
     {"kind": "hyperboloid", "dim": 2} or {"kind": "spider", "legs": 3}."""
     kind = desc.get("kind")
-    if kind == "euclidean":
-        return Euclidean(int(desc["dim"]))
-    if kind == "hyperboloid":
-        return Hyperboloid(int(desc["dim"]))
-    if kind == "spider":
-        return Spider(int(desc["legs"]))
-    raise DomainError(f"unknown space kind {kind!r}")
+    kinds = {"euclidean": (Euclidean, "dim"), "hyperboloid": (Hyperboloid, "dim"),
+             "spider": (Spider, "legs")}
+    if kind not in kinds:
+        raise DomainError(f"unknown space kind {kind!r}")
+    cls, size = kinds[kind]
+    try:
+        n = int(desc[size])
+    except (KeyError, TypeError, ValueError):
+        raise DomainError(f"a {kind} space needs an integer {size!r}") from None
+    return cls(n)
 
 
 def space_to_config(space: ModelSpace) -> dict:

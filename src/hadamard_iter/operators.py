@@ -1,10 +1,11 @@
 """Self-maps of convex subsets with fixed-point metadata.
 
 An OperatorSpec bundles the map itself with what is known about it: a
-Lipschitz constant, a fixed-point witness, and class flags. The flags are
-trusted annotations; quasi-nonexpansiveness is spot-checked by the test
-suite, and demiclosedness cannot be decided from samples at all, so it is
-carried as an assumption.
+Lipschitz constant, a fixed-point witness, and the quasi-nonexpansive flag
+that the composites and resolvent sequences require. The flag is a trusted
+annotation, spot-checked by the test suite. Demiclosedness cannot be
+decided from samples at all, so it is not recorded: the scheme guarantees
+state it as a hypothesis.
 
 The averaged composites used by Mann and Ishikawa iterations live here:
 
@@ -53,9 +54,7 @@ class OperatorSpec:
     domain: ConvexSubset
     lipschitz_const: float | None = None
     fixed_point_witness: SpacePoint | None = None
-    nonexpansive: bool = False
     quasi_nonexpansive: bool = False
-    demiclosed_assumed: bool = False
     tag: str = ""
     params: Mapping[str, float] = field(default_factory=dict)
 
@@ -87,8 +86,7 @@ def mann_operator(T: OperatorSpec, alpha: float) -> OperatorSpec:
     return OperatorSpec(
         space=space, apply=apply, domain=T.domain,
         fixed_point_witness=T.fixed_point_witness,
-        nonexpansive=T.nonexpansive, quasi_nonexpansive=T.quasi_nonexpansive,
-        demiclosed_assumed=T.demiclosed_assumed,
+        quasi_nonexpansive=T.quasi_nonexpansive,
         tag="mann", params={"alpha": alpha},
     )
 
@@ -115,7 +113,6 @@ def ishikawa_operator(T: OperatorSpec, alpha: float, beta: float) -> OperatorSpe
         space=space, apply=apply, domain=T.domain,
         fixed_point_witness=T.fixed_point_witness,
         quasi_nonexpansive=T.quasi_nonexpansive,
-        demiclosed_assumed=T.demiclosed_assumed,
         tag="ishikawa", params={"alpha": alpha, "beta": beta},
     )
 
@@ -173,7 +170,7 @@ def _projection_operator(space: ModelSpace, cset: ConvexSubset) -> OperatorSpec:
         space=space, apply=lambda x: space.project(cset, x),
         domain=WholeSpace(space.space_id),
         lipschitz_const=1.0, fixed_point_witness=witness,
-        nonexpansive=True, quasi_nonexpansive=True, demiclosed_assumed=True,
+        quasi_nonexpansive=True,
         tag="projection",
     )
 
@@ -198,7 +195,7 @@ def _build_rotation(space: ModelSpace, angle: float) -> OperatorSpec:
     return OperatorSpec(
         space=space, apply=apply, domain=WholeSpace(space.space_id),
         lipschitz_const=1.0, fixed_point_witness=space.base_point(),
-        nonexpansive=True, quasi_nonexpansive=True, demiclosed_assumed=True,
+        quasi_nonexpansive=True,
         tag="rotation", params={"angle": angle},
     )
 
@@ -215,7 +212,7 @@ def _build_scaled_reflection(space: ModelSpace, factor: float) -> OperatorSpec:
     return OperatorSpec(
         space=space, apply=apply, domain=WholeSpace(space.space_id),
         lipschitz_const=factor, fixed_point_witness=space.base_point(),
-        nonexpansive=True, quasi_nonexpansive=True, demiclosed_assumed=True,
+        quasi_nonexpansive=True,
         tag="scaled_reflection", params={"factor": factor},
     )
 
@@ -225,7 +222,7 @@ def _build_constant(space: ModelSpace, point: SpacePoint) -> OperatorSpec:
     return OperatorSpec(
         space=space, apply=lambda x: point, domain=WholeSpace(space.space_id),
         lipschitz_const=0.0, fixed_point_witness=point,
-        nonexpansive=True, quasi_nonexpansive=True, demiclosed_assumed=True,
+        quasi_nonexpansive=True,
         tag="constant",
     )
 

@@ -71,10 +71,6 @@ class ObjectiveFunction:
     gradient: Callable[[SpacePoint], np.ndarray] | None = None
     gradient_lipschitz: float | None = None
     weak_convexity_alpha: float | None = None
-    convex: bool = False
-    quasi_convex: bool = False
-    weakly_convex: bool = False
-    pseudo_convex: bool = False
     known_argmin: SpacePoint | ConvexSubset | None = None
     closed_form_resolvent: Callable[[float, SpacePoint], SpacePoint] | None = None
     name: str = ""
@@ -241,7 +237,7 @@ def convex_resolvent_operator(f: ObjectiveFunction, lam: float) -> OperatorSpec:
         apply=lambda x: convex_resolvent(f, lam, x),
         domain=WholeSpace(f.space.space_id),
         fixed_point_witness=witness,
-        quasi_nonexpansive=True, demiclosed_assumed=True,
+        quasi_nonexpansive=True,
         tag="convex_resolvent", params={"lam": lam},
     )
 
@@ -331,7 +327,7 @@ def lipschitz_resolvent_operator(T: OperatorSpec, lam: float) -> OperatorSpec:
         apply=lambda x: lipschitz_resolvent(T, lam, x),
         domain=T.domain,
         fixed_point_witness=T.fixed_point_witness,
-        quasi_nonexpansive=True, demiclosed_assumed=T.demiclosed_assumed,
+        quasi_nonexpansive=True,
         tag="lipschitz_resolvent", params={"lam": lam},
     )
 
@@ -553,7 +549,7 @@ def equilibrium_resolvent_operator(
         ),
         domain=f.feasible_set,
         fixed_point_witness=f.equilibrium_witness,
-        quasi_nonexpansive=True, demiclosed_assumed=True,
+        quasi_nonexpansive=True,
         tag="equilibrium_resolvent", params={"lam": lam},
     )
 

@@ -39,7 +39,6 @@ class Schedule:
     declared_class: ScheduleClass
     lower_bound: float | None = None   # certified inf (resolvent class)
     upper_bound: float | None = None   # certified sup (Mann bound b, lambda-bar)
-    description: str = ""
 
     def __post_init__(self):
         for k in SPOT_CHECK_INDICES:
@@ -101,15 +100,13 @@ def halpern_schedule(scale: float = 1.0, offset: float = 1.0, power: float = 1.0
     return Schedule(
         lambda k: scale / (k + offset) ** power,
         ScheduleClass.HALPERN_ANCHOR,
-        description=f"{scale}/(k+{offset})^{power}",
     )
 
 
 def mann_constant(alpha: float) -> Schedule:
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"Mann weight {alpha} outside (0, 1)")
-    return Schedule(lambda k: alpha, ScheduleClass.MANN_PARAM,
-                    upper_bound=alpha, description=f"constant {alpha}")
+    return Schedule(lambda k: alpha, ScheduleClass.MANN_PARAM, upper_bound=alpha)
 
 
 def vanishing_schedule(scale: float = 1.0, power: float = 1.0) -> Schedule:
@@ -117,18 +114,17 @@ def vanishing_schedule(scale: float = 1.0, power: float = 1.0) -> Schedule:
     equal 1 (e.g. 1/k at k=1), which the composites accept."""
     if not (power > 0.0) or not (0.0 <= scale <= 1.0):
         raise ConfigError("vanishing schedule needs power > 0 and scale in [0, 1]")
-    return Schedule(lambda k: scale / k ** power, ScheduleClass.VANISHING_PARAM,
-                    description=f"{scale}/k^{power}")
+    return Schedule(lambda k: scale / k ** power, ScheduleClass.VANISHING_PARAM)
 
 
 def resolvent_constant(lam: float) -> Schedule:
     if not (lam > 0.0):
         raise ConfigError(f"resolvent parameter {lam} must be positive")
     return Schedule(lambda k: lam, ScheduleClass.RESOLVENT_PARAM,
-                    lower_bound=lam, upper_bound=lam, description=f"constant {lam}")
+                    lower_bound=lam, upper_bound=lam)
 
 
 def resolvent_schedule(generator: Callable[[int], float], lower: float,
-                       upper: float | None = None, description: str = "") -> Schedule:
+                       upper: float | None = None) -> Schedule:
     return Schedule(generator, ScheduleClass.RESOLVENT_PARAM,
-                    lower_bound=lower, upper_bound=upper, description=description)
+                    lower_bound=lower, upper_bound=upper)

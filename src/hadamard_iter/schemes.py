@@ -1,21 +1,21 @@
-"""Iteration engines and named scheme wiring.
+"""Iteration engine and named scheme wiring.
 
-Two engines cover every scheme in the package:
+One loop runs every scheme in the package:
 
-    iterate_sequence:  x_{k+1} = T_k x_k
-    halpern_iterate:   x_{k+1} = a_k u (+) (1 - a_k) T_k x_k
+    x_{k+1} = a_k u (+) (1 - a_k) T_k x_k,   or x_{k+1} = T_k x_k without u,
 
 where u is the anchor and the anchor weights a_k tend to 0 with divergent
-sum. Runs are indexed from k = 1; the start point is x_1. The sequence
-engine stops when the residual d(x_k, T_k x_k) drops below the tolerance;
-the Halpern engine stops on step movement instead, because its residual
-need not vanish monotonically. Both stop at the iteration budget. An error
-raised by a step ends the run as a solver error that keeps the trace so
-far; invalid start, anchor or reference points raise before the first step.
+sum; ``halpern_iterate`` and ``iterate_sequence`` are its entry points. Runs
+are indexed from k = 1; the start point is x_1. A run stops when the step
+movement d(x_k, x_{k+1}) drops below the tolerance (without an anchor this
+is the residual d(x_k, T_k x_k); with one the residual need not vanish
+monotonically) or at the iteration budget. An error raised by a step ends
+the run as a solver error that keeps the trace so far; invalid start,
+anchor or reference points and an invalid trace stride raise before the
+first step.
 
-All built-in schemes are Fejer monotone toward the common fixed set in the
-sequence engine, and the Halpern engine keeps d(x_k, x*) bounded by
-max(d(x*, u), d(x*, x_1)).
+All built-in schemes are Fejer monotone toward the common fixed set without
+an anchor; with one, d(x_k, x*) stays bounded by max(d(x*, u), d(x*, x_1)).
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class RunConfig:
     ``reference`` is an optional known target; when present the trace
     records distances to it and the Fejer gaps d(x_k, ref) - d(x_{k+1}, ref).
     ``trace_stride`` None means: record every step up to 1000, then thin
-    logarithmically. The final step is always recorded.
+    logarithmically; a positive int n records k = 1 and every multiple of n.
+    The final step is always recorded.
     """
 
     space: ModelSpace
@@ -112,41 +113,7 @@ def iterate_sequence(
     """Run x_{k+1} = T_k x_k until the residual meets the tolerance."""
     if cfg.anchor is not None:
         raise ConfigError("anchor point given, but the plain sequence iteration has no anchor")
-    space = cfg.space
-    space.check_point(cfg.start)
-    ref = cfg.reference
-    if ref is not None:
-        space.check_point(ref)
-    rec = _Recorder(cfg.trace_stride)
-    steps: list[TraceStep] = []
-    x = cfg.start
-    k = 1
-    while True:
-        try:
-            w = seq.factory(k).apply(x)
-        except HadamardIterError as err:
-            return _finish(steps, scheme, guarantee, space, cfg, x, float("nan"),
-                           k - 1, StopReason.SOLVER_ERROR, k, str(err))
-        res = space.distance(x, w)
-        if not math.isfinite(res):
-            return _finish(steps, scheme, guarantee, space, cfg, x, res,
-                           k - 1, StopReason.SOLVER_ERROR, k,
-                           f"non-finite residual at step {k}")
-        done = res <= cfg.tolerance or k >= cfg.max_iterations
-        if done or rec.want(k):
-            if ref is None:
-                steps.append(TraceStep(k, x, res, None, None))
-            else:
-                dx = space.distance(x, ref)
-                steps.append(TraceStep(k, x, res, dx, dx - space.distance(w, ref)))
-        if res <= cfg.tolerance:
-            return _finish(steps, scheme, guarantee, space, cfg, w, res, k,
-                           StopReason.CONVERGED)
-        if k >= cfg.max_iterations:
-            return _finish(steps, scheme, guarantee, space, cfg, w, res, k,
-                           StopReason.BUDGET_EXHAUSTED)
-        x = w
-        k += 1
+    return _iterate(seq, None, cfg, scheme, guarantee)
 
 
 def halpern_iterate(
@@ -160,26 +127,37 @@ def halpern_iterate(
     require_class(anchors, ScheduleClass.HALPERN_ANCHOR, "anchor")
     if cfg.anchor is None:
         raise ConfigError("Halpern iteration needs an anchor point u")
+    return _iterate(seq, anchors, cfg, scheme, guarantee)
+
+
+def _iterate(seq, anchors, cfg, scheme, guarantee) -> IterationTrace:
+    """The one loop: x_{k+1} = a_k u (+) (1 - a_k) T_k x_k, or T_k x_k when
+    the config has no anchor. It stops when the step movement d(x_k, x_{k+1})
+    meets the tolerance; without an anchor that movement is the residual."""
+    stride = cfg.trace_stride
+    if stride is not None and not (type(stride) is int and stride >= 1):
+        raise ConfigError(f"trace_stride must be a positive integer or None, got {stride!r}")
     space = cfg.space
     space.check_point(cfg.start)
-    space.check_point(cfg.anchor)
     u = cfg.anchor
+    if u is not None:
+        space.check_point(u)
     ref = cfg.reference
     if ref is not None:
         space.check_point(ref)
-    rec = _Recorder(cfg.trace_stride)
+    rec = _Recorder(stride)
     steps: list[TraceStep] = []
     x = cfg.start
     k = 1
     while True:
         try:
             w = seq.factory(k).apply(x)
-            x_next = space.combine(u, w, 1.0 - anchors(k))
+            x_next = w if u is None else space.combine(u, w, 1.0 - anchors(k))
         except HadamardIterError as err:
             return _finish(steps, scheme, guarantee, space, cfg, x, float("nan"),
                            k - 1, StopReason.SOLVER_ERROR, k, str(err))
         res = space.distance(x, w)
-        move = space.distance(x, x_next)
+        move = res if u is None else space.distance(x, x_next)
         if not (math.isfinite(res) and math.isfinite(move)):
             return _finish(steps, scheme, guarantee, space, cfg, x, res,
                            k - 1, StopReason.SOLVER_ERROR, k,
@@ -222,13 +200,16 @@ def _finish(steps, scheme, guarantee, space, cfg, final, res, iterations, reason
 @dataclass(frozen=True, eq=False)
 class BuiltScheme:
     name: str
-    engine: str  # "sequence" | "halpern"
     sequence: OperatorSequence
     anchor_schedule: Schedule | None
     guarantee: str
 
+    @property
+    def engine(self) -> str:
+        return "sequence" if self.anchor_schedule is None else "halpern"
+
     def run(self, cfg: RunConfig) -> IterationTrace:
-        if self.engine == "halpern":
+        if self.anchor_schedule is not None:
             return halpern_iterate(self.sequence, self.anchor_schedule, cfg,
                                    scheme=self.name, guarantee=self.guarantee)
         return iterate_sequence(self.sequence, cfg,
@@ -246,55 +227,56 @@ _ROLE_CLASSES = {
                "regularization parameters bounded away from 0"),
 }
 
-# scheme -> (engine, schedule roles, source kind, convergence guarantee)
-_SCHEMES: dict[str, tuple[str, tuple[str, ...], type, str]] = {
+# scheme -> (schedule roles, source kind, convergence guarantee); the schemes
+# with an "anchor" role run with an anchor point
+_SCHEMES: dict[str, tuple[tuple[str, ...], type, str]] = {
     "ishikawa": (
-        "sequence", ("alpha", "beta"), OperatorSpec,
+        ("alpha", "beta"), OperatorSpec,
         "Delta-convergence of the two-level averaged iteration to a fixed "
         "point of the demiclosed quasi-nonexpansive base map",
     ),
     "halpern_ishikawa": (
-        "halpern", ("anchor", "alpha", "beta"), OperatorSpec,
+        ("anchor", "alpha", "beta"), OperatorSpec,
         "strong convergence to the projection of the anchor onto the fixed "
         "set of the base map",
     ),
     "mann": (
-        "sequence", ("alpha",), OperatorSpec,
+        ("alpha",), OperatorSpec,
         "Delta-convergence of the averaged iteration to a fixed point of "
         "the demiclosed quasi-nonexpansive base map",
     ),
     "halpern_mann": (
-        "halpern", ("anchor", "alpha"), OperatorSpec,
+        ("anchor", "alpha"), OperatorSpec,
         "strong convergence to the projection of the anchor onto the fixed "
         "set of the base map",
     ),
     "ppa": (
-        "sequence", ("lambda",), ObjectiveFunction,
+        ("lambda",), ObjectiveFunction,
         "convergence of the proximal point algorithm to a resolvent fixed "
         "point (a minimizer when the objective is pseudo-convex)",
     ),
     "halpern_ppa": (
-        "halpern", ("anchor", "lambda"), ObjectiveFunction,
+        ("anchor", "lambda"), ObjectiveFunction,
         "strong convergence to the projection of the anchor onto the "
         "minimizer set of the convex objective",
     ),
     "ppa_lipschitz": (
-        "sequence", ("lambda",), OperatorSpec,
+        ("lambda",), OperatorSpec,
         "Delta-convergence of the resolvent iteration to a fixed point of "
         "the Lipschitz quasi-nonexpansive map",
     ),
     "halpern_ppa_lipschitz": (
-        "halpern", ("anchor", "lambda"), OperatorSpec,
+        ("anchor", "lambda"), OperatorSpec,
         "strong convergence to the projection of the anchor onto the fixed "
         "set of the Lipschitz map",
     ),
     "ppa_equilibrium": (
-        "sequence", ("lambda",), Bifunction,
+        ("lambda",), Bifunction,
         "Delta-convergence of the resolvent iteration to an equilibrium "
         "point of the pseudo-monotone bifunction",
     ),
     "halpern_ppa_equilibrium": (
-        "halpern", ("anchor", "lambda"), Bifunction,
+        ("anchor", "lambda"), Bifunction,
         "strong convergence to the projection of the anchor onto the "
         "equilibrium set",
     ),
@@ -316,7 +298,7 @@ def build_scheme(
     """
     if name not in _SCHEMES:
         raise ConfigError(f"unknown scheme {name!r}; known: {scheme_names()}")
-    engine, roles, source_type, guarantee = _SCHEMES[name]
+    roles, source_type, guarantee = _SCHEMES[name]
     if not isinstance(source, source_type):
         raise ConfigError(
             f"scheme {name!r} drives a {source_type.__name__}, "
@@ -339,6 +321,6 @@ def build_scheme(
         seq = resolvent_sequence(source, schedules["lambda"])
 
     return BuiltScheme(
-        name=name, engine=engine, sequence=seq,
+        name=name, sequence=seq,
         anchor_schedule=schedules.get("anchor"), guarantee=guarantee,
     )

@@ -4,6 +4,9 @@ import itertools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +139,66 @@ def test_run_rejects_anchor_on_plain_scheme(tmp_path):
     assert run_cli("run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 1
 
 
+_DROP = object()
+
+
+def _with(cfg, path, value):
+    """A deep copy of ``cfg`` with the dotted ``path`` set to ``value``
+    (``_DROP`` deletes the key)."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, last = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param("source.objective", {"name": "plateau_quartic", "foo": 1},
+                 "unknown keys ['foo'] in objective 'plateau_quartic'; accepted keys: ['name']",
+                 id="unknown-descriptor-key"),
+    pytest.param("source.objective", {"name": "quadratic", "cset": {"kind": "whole_space"}},
+                 "accepted keys: ['name', 'center']", id="builder-name-for-set"),
+    pytest.param("schedules.lambda.value", _DROP, "missing key 'value' in schedule 'lambda'",
+                 id="constant-schedule-without-value"),
+    pytest.param("space.dim", _DROP, "a euclidean space needs an integer 'dim'",
+                 id="space-without-dim"),
+    pytest.param("max_iterations", "abc",
+                 "'max_iterations' in run config must be a number, got 'abc'",
+                 id="non-numeric-budget"),
+    pytest.param("trace_stride", 0, "trace_stride must be a positive integer or None, got 0",
+                 id="zero-stride"),
+    pytest.param("trace_stride", -2, "trace_stride must be a positive integer or None, got -2",
+                 id="negative-stride"),
+])
+def test_malformed_run_config_is_a_config_error(tmp_path, path, value, message):
+    # through the installed entry point, so an uncaught exception would show
+    # as a traceback on stderr
+    cfg = write_cfg(tmp_path, _with(BASE_RUN, path, value))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "hadamard_iter.cli", "run", "--config", cfg,
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_passes_trace_stride_through(tmp_path):
+    cfg = dict(BASE_RUN, trace_stride=3, max_iterations=10, tolerance=0.0)
+    assert run_cli("run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 2
+    rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["1", "3", "6", "9", "10"]
+
+
 def test_run_missing_config_file(tmp_path):
     assert run_cli("run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)) == 1
 
@@ -222,6 +285,19 @@ def test_check_negative_fixture_fails(tmp_path, capsys):
     bundle = json.loads((tmp_path / "o" / "reports.json").read_text())
     assert not bundle["all_passed"]
     assert bundle["reports"][0]["violations"]
+
+
+@pytest.mark.parametrize("index, key, value, message", [
+    (1, "lambda", "abc", "'lambda' in check 'quasi_firm' must be a number, got 'abc'"),
+    (2, "operator", {"name": "rotation", "angel": 1.0},
+     "unknown keys ['angel'] in operator 'rotation'; accepted keys: ['name', 'angle']"),
+])
+def test_check_malformed_field_is_a_config_error(tmp_path, capsys, index, key, value, message):
+    cfg = json.loads(json.dumps(CHECK_CFG))
+    cfg["checks"][index][key] = value
+    assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_check_unknown_name(tmp_path):

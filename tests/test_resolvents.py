@@ -111,7 +111,7 @@ def test_prox_spider_needs_closed_form():
 
 
 def test_prox_without_gradient_or_closed_form():
-    f = ObjectiveFunction(space=E1, eval=lambda p: abs(float(p.coords[0])), convex=True)
+    f = ObjectiveFunction(space=E1, eval=lambda p: abs(float(p.coords[0])))
     with pytest.raises(UnsupportedOperationError):
         convex_resolvent(f, 1.0, E1.point([1]))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,10 @@ from hadamard_iter import (
     scheme_names,
     vanishing_schedule,
 )
+from hadamard_iter.errors import HadamardIterError
+from hadamard_iter.geometry import SpacePoint
+from hadamard_iter.schedules import ScheduleClass, require_class
+from hadamard_iter.schemes import RunSummary, TraceStep, _finish, _Recorder
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
@@ -297,3 +302,182 @@ def test_residual_decay_for_sqn_sequence():
     assert tr.summary.stop_reason is StopReason.CONVERGED
     tail = tr.steps[-max(1, len(tr.steps) // 10):]
     assert min(s.residual for s in tail) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the one loop against the two loops it replaced
+# ---------------------------------------------------------------------------
+
+def _ref_iterate_sequence(seq, cfg, scheme="sequence", guarantee=""):
+    """The plain sequence loop as it was before the two engines were merged."""
+    if cfg.anchor is not None:
+        raise ConfigError("anchor point given, but the plain sequence iteration has no anchor")
+    space = cfg.space
+    space.check_point(cfg.start)
+    ref = cfg.reference
+    if ref is not None:
+        space.check_point(ref)
+    rec = _Recorder(cfg.trace_stride)
+    steps = []
+    x = cfg.start
+    k = 1
+    while True:
+        try:
+            w = seq.factory(k).apply(x)
+        except HadamardIterError as err:
+            return _finish(steps, scheme, guarantee, space, cfg, x, float("nan"),
+                           k - 1, StopReason.SOLVER_ERROR, k, str(err))
+        res = space.distance(x, w)
+        if not math.isfinite(res):
+            return _finish(steps, scheme, guarantee, space, cfg, x, res,
+                           k - 1, StopReason.SOLVER_ERROR, k,
+                           f"non-finite residual at step {k}")
+        done = res <= cfg.tolerance or k >= cfg.max_iterations
+        if done or rec.want(k):
+            if ref is None:
+                steps.append(TraceStep(k, x, res, None, None))
+            else:
+                dx = space.distance(x, ref)
+                steps.append(TraceStep(k, x, res, dx, dx - space.distance(w, ref)))
+        if res <= cfg.tolerance:
+            return _finish(steps, scheme, guarantee, space, cfg, w, res, k,
+                           StopReason.CONVERGED)
+        if k >= cfg.max_iterations:
+            return _finish(steps, scheme, guarantee, space, cfg, w, res, k,
+                           StopReason.BUDGET_EXHAUSTED)
+        x = w
+        k += 1
+
+
+def _ref_halpern_iterate(seq, anchors, cfg, scheme="halpern", guarantee=""):
+    """The Halpern loop as it was before the two engines were merged."""
+    require_class(anchors, ScheduleClass.HALPERN_ANCHOR, "anchor")
+    if cfg.anchor is None:
+        raise ConfigError("Halpern iteration needs an anchor point u")
+    space = cfg.space
+    space.check_point(cfg.start)
+    space.check_point(cfg.anchor)
+    u = cfg.anchor
+    ref = cfg.reference
+    if ref is not None:
+        space.check_point(ref)
+    rec = _Recorder(cfg.trace_stride)
+    steps = []
+    x = cfg.start
+    k = 1
+    while True:
+        try:
+            w = seq.factory(k).apply(x)
+            x_next = space.combine(u, w, 1.0 - anchors(k))
+        except HadamardIterError as err:
+            return _finish(steps, scheme, guarantee, space, cfg, x, float("nan"),
+                           k - 1, StopReason.SOLVER_ERROR, k, str(err))
+        res = space.distance(x, w)
+        move = space.distance(x, x_next)
+        if not (math.isfinite(res) and math.isfinite(move)):
+            return _finish(steps, scheme, guarantee, space, cfg, x, res,
+                           k - 1, StopReason.SOLVER_ERROR, k,
+                           f"non-finite residual at step {k}")
+        done = move <= cfg.tolerance or k >= cfg.max_iterations
+        if done or rec.want(k):
+            if ref is None:
+                steps.append(TraceStep(k, x, res, None, None))
+            else:
+                dx = space.distance(x, ref)
+                steps.append(TraceStep(k, x, res, dx, dx - space.distance(x_next, ref)))
+        if move <= cfg.tolerance:
+            return _finish(steps, scheme, guarantee, space, cfg, x_next, res, k,
+                           StopReason.CONVERGED)
+        if k >= cfg.max_iterations:
+            return _finish(steps, scheme, guarantee, space, cfg, x_next, res, k,
+                           StopReason.BUDGET_EXHAUSTED)
+        x = x_next
+        k += 1
+
+
+def _map_seq(step):
+    """The sequence k -> (x -> E1.point([step(k, x)]))."""
+    def factory(k):
+        return OperatorSpec(space=E1, apply=lambda x: E1.point([step(k, float(x.coords[0]))]),
+                            domain=WholeSpace(E1.space_id))
+    return OperatorSequence(space=E1, factory=factory)
+
+
+# case -> (operator sequence, start, anchor, budget, tolerance,
+#          expected stop reason without and with the anchor)
+_EQUIVALENCE_CASES = {
+    # constant map to 1: the plain run certifies at k = 2, the anchored run
+    # (u = 1) reaches 1 at k = 2 and stops on zero movement there
+    "converged": (lambda: const_seq(E1, E1.point([1.0])), 9.0, 1.0, 50, 1e-12,
+                  (StopReason.CONVERGED, StopReason.CONVERGED)),
+    # the identity: the residual is 0 at once, but the anchored run keeps
+    # moving toward u, so only the movement rule tells the two apart
+    "residual_vanishes_first": (lambda: _map_seq(lambda k, x: x), 2.0, 1.0, 30, 1e-12,
+                                (StopReason.CONVERGED, StopReason.BUDGET_EXHAUSTED)),
+    # slow contraction past the dense part of the trace
+    "budget_exhausted": (lambda: _map_seq(lambda k, x: 0.999 * x + 0.001), 9.0, 9.0, 1500, 0.0,
+                         (StopReason.BUDGET_EXHAUSTED,) * 2),
+    # T_50 yields a NaN coordinate, which the space rejects
+    "domain_error": (lambda: _map_seq(lambda k, x: float("nan") if k == 50 else 0.5 * x),
+                     4.0, 4.0, 100, 0.0, (StopReason.SOLVER_ERROR,) * 2),
+    # T_5 jumps to -1.7e308: both points are finite, their distance is not,
+    # while the anchored step toward u = 0 and its movement stay finite
+    "non_finite_residual": (lambda: _map_seq(lambda k, x: -1.7e308 if k == 5 else 0.9 * x),
+                            1.7e308, 0.0, 100, 0.0, (StopReason.SOLVER_ERROR,) * 2),
+}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, SpacePoint):
+        return a.space_id == b.space_id and np.array_equal(a.coords, b.coords)
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("stride", [None, 7])
+@pytest.mark.parametrize("with_reference", [False, True])
+@pytest.mark.parametrize("case", sorted(_EQUIVALENCE_CASES))
+@pytest.mark.parametrize("engine", ["sequence", "halpern"])
+def test_one_loop_equals_the_two_loops_it_replaced(engine, case, with_reference, stride):
+    make_seq, start, anchor, budget, tol, reasons = _EQUIVALENCE_CASES[case]
+    cfg = RunConfig(space=E1, start=E1.point([start]), max_iterations=budget, tolerance=tol,
+                    reference=E1.point([1.0]) if with_reference else None,
+                    trace_stride=stride)
+    if engine == "sequence":
+        got = iterate_sequence(make_seq(), cfg, "s", "g")
+        want = _ref_iterate_sequence(make_seq(), cfg, "s", "g")
+    else:
+        cfg = dataclasses.replace(cfg, anchor=E1.point([anchor]))
+        got = halpern_iterate(make_seq(), halpern_schedule(), cfg, "h", "g")
+        want = _ref_halpern_iterate(make_seq(), halpern_schedule(), cfg, "h", "g")
+    assert want.summary.stop_reason is reasons[engine == "halpern"]
+    if case == "non_finite_residual":
+        assert want.summary.error_message == "non-finite residual at step 5"
+    assert len(got.steps) == len(want.steps) > 0
+    for g, w in zip(got.steps, want.steps):
+        for f in dataclasses.fields(TraceStep):
+            assert _same(getattr(g, f.name), getattr(w, f.name)), (g.k, f.name)
+    for f in dataclasses.fields(RunSummary):
+        assert _same(getattr(got.summary, f.name), getattr(want.summary, f.name)), f.name
+
+
+@pytest.mark.parametrize("stride", [0, -3, True, 2.0, "4"])
+@pytest.mark.parametrize("engine", ["sequence", "halpern"])
+def test_bad_trace_stride_is_rejected_at_entry(engine, stride):
+    calls = []
+
+    def factory(k):
+        calls.append(k)
+        return catalog_operator(E1, "constant", point=E1.point([0.0]))
+
+    seq = OperatorSequence(space=E1, factory=factory)
+    cfg = RunConfig(space=E1, start=E1.point([3.0]), max_iterations=10, tolerance=0.0,
+                    trace_stride=stride)
+    with pytest.raises(ConfigError, match="trace_stride"):
+        if engine == "sequence":
+            iterate_sequence(seq, cfg)
+        else:
+            halpern_iterate(seq, halpern_schedule(),
+                            dataclasses.replace(cfg, anchor=E1.point([1.0])))
+    assert calls == []  # rejected before the first step
