@@ -52,7 +52,8 @@ from .schedules import (
     resolvent_schedule,
     vanishing_schedule,
 )
-from .schemes import BuiltScheme, IterationTrace, RunConfig, StopReason, build_scheme
+from .schemes import (BuiltScheme, IterationTrace, RunConfig, StopReason, build_scheme,
+                      check_entry)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -198,6 +199,7 @@ def parse_run_config(cfg: Mapping, overrides: Mapping | None = None
         trace_stride=cfg.get("trace_stride"),
         seed=_num(merged, "seed", "run config", 0, int),
     )
+    check_entry(run_cfg, built.anchor_schedule)  # what the engine rejects at entry
     outputs = dict(cfg.get("outputs", {}))
     _require_keys(outputs, "outputs", set(), {"trace", "summary"})
     outputs.setdefault("trace", "trace.csv")

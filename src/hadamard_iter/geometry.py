@@ -13,17 +13,23 @@ pairing <ab, cd> = (d^2(a,d) + d^2(b,c) - d^2(a,c) - d^2(b,d)) / 2.
 Convention used everywhere: ``combine(x, y, t)`` is the unique geodesic point
 z with d(x, z) = t * d(x, y), i.e. t is the fraction of the way from x to y.
 
-Besides the scalar methods on ``SpacePoint`` values, each space has array
-kernels over (N, d) coordinate blocks, one point per row: ``sample_many``,
-``distance_many`` and ``combine_many``. They compute the scalar formulas row
-by row and serve the batched checkers; the iteration engines use the scalar
-methods.
+The scalar methods on ``SpacePoint`` values serve the iteration engines and
+the inner solvers, one point at a time. The package serves small dimensions
+(the plane, 3-space, the hyperbolic plane), where one numpy operation on a
+2- or 3-entry vector costs several times the float arithmetic it does; so
+the Euclidean and hyperboloid primitives read ``coords.tolist()`` once,
+compute on Python floats and build one array per output point. Besides them,
+each space has array kernels over (N, d) coordinate blocks, one point per
+row: ``sample_many``, ``distance_many`` and ``combine_many``. They stay on
+numpy, compute the scalar formulas row by row and serve the batched
+checkers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul, sub
 from typing import Mapping
 
 import numpy as np
@@ -33,6 +39,19 @@ from .errors import DomainError, UnsupportedOperationError
 POINT_TOL = 1e-9     # validity of coordinates (hyperboloid constraint, radii)
 ROUNDTRIP_TOL = 1e-8  # log/exp and projection round trips
 T_SNAP = 4 * math.ulp(1.0)  # combine parameters this far outside [0, 1] snap to its ends
+
+# Hyperboloid points lie within this distance of the apex: between any two
+# of them every primitive stays finite, log_map's intermediate products
+# included (those overflow from a radius of about 118).
+HYPERBOLOID_MAX_RADIUS = 100.0
+_X0_MAX = math.cosh(HYPERBOLOID_MAX_RADIUS) * (1.0 + POINT_TOL)
+# The switch between the two hyperboloid distance formulas, one rule for the
+# scalar and the batched path: acosh(-<x,y>_M) when -<x,y>_M lies in
+# (_ACOSH_FROM, inf), i.e. beyond d = acosh(16) ~ 3.47, and the chordal asinh
+# form otherwise (near pairs, and the non-finite products of overflowed
+# points, which read as in the chordal form; this keeps the NaN that the
+# Armijo search backtracks on).
+_ACOSH_FROM = 16.0
 
 # each array kernel and the scalar primitives whose results it reproduces
 _KERNEL_PRIMITIVES = {
@@ -266,7 +285,7 @@ class ModelSpace:
             d = self._distance(cset.center, x)
             if d <= cset.radius:
                 return x
-            return self._combine(cset.center, x, cset.radius / d)
+            return self._combine(cset.center, x, cset.radius / d, d)
         if cset.kind == "segment":
             if self._distance(cset.a, cset.b) < 1e-15:
                 return cset.a
@@ -315,7 +334,9 @@ class ModelSpace:
     def _distance(self, x: SpacePoint, y: SpacePoint) -> float:
         raise NotImplementedError
 
-    def _combine(self, x: SpacePoint, y: SpacePoint, t: float) -> SpacePoint:
+    def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
+        """``combine`` without checks, for t in (0, 1); ``d``, when the
+        caller has it, is d(x, y), which spaces that need it then reuse."""
         raise NotImplementedError
 
 
@@ -350,11 +371,17 @@ class Euclidean(ModelSpace):
     def _distance(self, x: SpacePoint, y: SpacePoint) -> float:
         if self.dim == 1:  # tiny-array numpy overhead dominates 1-d runs
             return abs(float(x.coords[0]) - float(y.coords[0]))
-        d = x.coords - y.coords
-        return math.sqrt(float(d @ d))
+        # the square root of the plain sum of squares, as distance_many
+        # takes it, not math.dist: that one is exact where the squares
+        # underflow or overflow, so the two would part at the float extremes
+        s = 0.0
+        for a, b in zip(x.coords.tolist(), y.coords.tolist()):
+            s += (a - b) * (a - b)
+        return math.sqrt(s)
 
-    def _combine(self, x: SpacePoint, y: SpacePoint, t: float) -> SpacePoint:
-        return self._wrap((1.0 - t) * x.coords + t * y.coords)
+    def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
+        s = 1.0 - t
+        return self._wrap(np.array([s * a + t * b for a, b in zip(x.coords.tolist(), y.coords.tolist())]))
 
     def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
         Z = rng.normal(size=(n, self.dim))
@@ -381,14 +408,16 @@ class Euclidean(ModelSpace):
     def tangent_norm(self, base: SpacePoint, v: np.ndarray) -> float:
         if self.dim == 1:
             return abs(float(v[0]))
-        v = np.asarray(v, dtype=float)
-        return math.sqrt(float(v @ v))
+        v = np.asarray(v, dtype=float).tolist()
+        return math.sqrt(sum(map(mul, v, v)))
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
-        ab = b.coords - a.coords
-        t = float((x.coords - a.coords) @ ab) / float(ab @ ab)
+        al, bl = a.coords.tolist(), b.coords.tolist()
+        ab = list(map(sub, bl, al))
+        t = sum(map(mul, map(sub, x.coords.tolist(), al), ab)) / sum(map(mul, ab, ab))
         t = min(1.0, max(0.0, t))
-        return self._wrap((1.0 - t) * a.coords + t * b.coords)
+        s = 1.0 - t
+        return self._wrap(np.array([s * p + t * q for p, q in zip(al, bl)]))
 
     def _project_halfspace(self, cset: Halfspace, x: SpacePoint) -> SpacePoint:
         n = cset.normal
@@ -404,17 +433,58 @@ class Euclidean(ModelSpace):
         return self._wrap(p.coords + rng.normal(size=self.dim) * scale)
 
 
+# Hyperboloid float primitives on coordinate lists. Products and sums of
+# floats overflow to inf as numpy's do; math.sinh and math.cosh raise
+# OverflowError instead, so their callers turn it into non-finite
+# coordinates, which the engines report as a solver error.
+
+def _mink(u: list, v: list) -> float:
+    # <u, v>_M = -u0 v0 + sum_i ui vi
+    return sum(map(mul, u[1:], v[1:])) - u[0] * v[0]
+
+
+def _h_distance(x: list, y: list, m: float | None = None) -> float:
+    # d = 2 asinh(sqrt(q) / 2) from q = 4 sinh^2(d/2), which far pairs take
+    # from m = -<x,y>_M = cosh d as 2 (m - 1), so that d = acosh(m), and near
+    # pairs from the chordal square <x-y, x-y>_M. m, when the caller has
+    # it, is -<x,y>_M.
+    if m is None:
+        m = -_mink(x, y)
+    if _ACOSH_FROM < m < math.inf:
+        q = 2.0 * (m - 1.0)
+    else:
+        dl = list(map(sub, x, y))
+        d0 = dl[0]
+        q = sum(map(mul, dl, dl)) - 2.0 * d0 * d0
+        if q <= 0.0:
+            return 0.0
+    return 2.0 * math.asinh(0.5 * math.sqrt(q))
+
+
+def _lift(spatial: list) -> np.ndarray:
+    # the point of the sheet with these spatial coordinates: x0 = sqrt(1 + |s|^2)
+    return np.array([math.sqrt(1.0 + sum(map(mul, spatial, spatial))), *spatial])
+
+
 @dataclass(frozen=True, eq=True)
 class Hyperboloid(ModelSpace):
     """Hyperbolic n-space as the upper sheet {x : <x,x>_M = -1, x0 >= 1} of
     the hyperboloid in Minkowski space R^{1,n}, with the Minkowski form
     <x,y>_M = -x0 y0 + sum_i xi yi and metric d(x,y) = arccosh(-<x,y>_M).
 
-    Distances are evaluated through the chordal identity
-    <x-y, x-y>_M = 4 sinh^2(d/2), which is stable for nearby points where
-    arccosh of a near-1 argument would lose half the digits. The arccosh
-    argument clamp (>= 1) of the naive formula corresponds to clamping the
-    chordal square at 0 here.
+    Near pairs take the chordal identity <x-y, x-y>_M = 4 sinh^2(d/2),
+    where arccosh of a near-1 argument would lose half the digits; the
+    arccosh clamp (>= 1) corresponds to clamping the chordal square at 0.
+    Far pairs, -<x,y>_M > 16 (d > 3.47), take arccosh(-<x,y>_M): there the
+    chordal square cancels catastrophically (it reads 0 from d ~ 40), while
+    the product loses precision only for close pairs.
+
+    Points lie within distance HYPERBOLOID_MAX_RADIUS = 100 of the apex e0
+    (x0 <= cosh 100, up to POINT_TOL); ``point`` and ``from_spatial`` raise
+    ``DomainError`` beyond it. Up to that radius distances and geodesic
+    points through the apex keep about 1e-12 relative accuracy. Between two
+    far points the rounding of their coordinates, about 1e-16 x0, bounds the
+    accuracy of any formula.
     """
 
     dim: int
@@ -428,28 +498,40 @@ class Hyperboloid(ModelSpace):
         e0[0] = 1.0
         e0.setflags(write=False)
         object.__setattr__(self, "_base", SpacePoint(self.space_id, e0))
+        sig = np.ones(self.dim + 1)  # the Minkowski form: u @ diag(sig) @ v
+        sig[0] = -1.0
+        sig.setflags(write=False)
+        object.__setattr__(self, "_signature", sig)
 
     @staticmethod
-    def minkowski(u: np.ndarray, v: np.ndarray) -> float:
-        # = (full dot) - 2 u0 v0, avoiding slice views
-        return float(u @ v) - 2.0 * float(u[0]) * float(v[0])
+    def minkowski(u, v) -> float:
+        """<u, v>_M of two ambient vectors (arrays or sequences)."""
+        return _mink(np.asarray(u, dtype=float).tolist(), np.asarray(v, dtype=float).tolist())
 
     def point(self, coords) -> SpacePoint:
         arr = np.asarray(coords, dtype=float).reshape(-1).copy()
         if arr.shape != (self.dim + 1,):
             raise DomainError(f"expected {self.dim + 1} ambient coordinates, got {arr.shape}")
-        if not all(map(math.isfinite, arr.tolist())):
+        c = arr.tolist()
+        if not all(map(math.isfinite, c)):
             raise DomainError("coordinates must be finite")
-        m = self.minkowski(arr, arr)
-        if abs(m + 1.0) > POINT_TOL * (1.0 + float(arr @ arr)):
+        # on the sheet |xi| <= x0, so this bounds x0 and keeps the squares
+        # below finite from overflowing into the sheet test
+        big = max(map(abs, c))
+        if big > _X0_MAX:
+            raise DomainError(f"point lies beyond distance {HYPERBOLOID_MAX_RADIUS:g} "
+                              f"of the apex (a coordinate of {big:.6g})")
+        m = _mink(c, c)
+        if abs(m + 1.0) > POINT_TOL * (1.0 + sum(map(mul, c, c))):
             raise DomainError(f"not on the hyperboloid: <x,x>_M = {m}")
-        if arr[0] < 1.0 - POINT_TOL:
+        if c[0] < 1.0 - POINT_TOL:
             raise DomainError("point lies on the lower sheet (x0 < 1)")
         arr.setflags(write=False)
         return SpacePoint(self.space_id, arr)
 
     def from_spatial(self, spatial) -> SpacePoint:
-        """Lift spatial coordinates onto the sheet: x0 = sqrt(1 + |s|^2)."""
+        """Lift spatial coordinates onto the sheet: x0 = sqrt(1 + |s|^2).
+        ``point`` validates the lift, the radius bound included."""
         s = np.asarray(spatial, dtype=float).reshape(-1)
         if s.shape != (self.dim,):
             raise DomainError(f"expected {self.dim} spatial coordinates, got {s.shape}")
@@ -458,44 +540,40 @@ class Hyperboloid(ModelSpace):
     def base_point(self) -> SpacePoint:
         return self._base
 
-    def _renorm(self, z: np.ndarray) -> np.ndarray:
-        # put z back on the sheet exactly: recompute the time coordinate
-        z = np.array(z, dtype=float)
-        z[0] = math.sqrt(1.0 + float(z[1:] @ z[1:]))
-        return z
-
     def _distance(self, x: SpacePoint, y: SpacePoint) -> float:
-        dl = x.coords - y.coords
-        d0 = float(dl[0])
-        q = float(dl @ dl) - 2.0 * d0 * d0  # Minkowski square = 4 sinh^2(d/2)
-        if q <= 0.0:
-            return 0.0
-        return 2.0 * math.asinh(0.5 * math.sqrt(q))
+        return _h_distance(x.coords.tolist(), y.coords.tolist())
 
-    def _tangent_toward(self, x: SpacePoint, y: SpacePoint) -> tuple[np.ndarray, float]:
-        # unit tangent at x toward y and the distance; (zero, 0) if x == y
-        d = self._distance(x, y)
+    def _tangent_toward(self, x: list, y: list) -> tuple[list, float]:
+        # unit tangent at x toward y and the distance, from coordinate lists;
+        # (zero, 0) if x == y
+        m = _mink(x, y)
+        d = _h_distance(x, y, -m)
         if d < 1e-14:
-            return np.zeros(self.dim + 1), 0.0
-        m = self.minkowski(x.coords, y.coords)
-        w = y.coords + m * x.coords          # Minkowski-orthogonal to x
-        nw = self.minkowski(w, w)            # = sinh^2 d
+            return [0.0] * len(x), 0.0
+        w = [b + m * a for a, b in zip(x, y)]  # Minkowski-orthogonal to x
+        nw = _mink(w, w)                       # = sinh^2 d
         nw = math.sqrt(nw) if nw > 0 else 0.0
         if nw == 0.0:
-            return np.zeros(self.dim + 1), 0.0
-        return w / nw, d
+            return [0.0] * len(x), 0.0
+        return [c / nw for c in w], d
 
-    def _combine(self, x: SpacePoint, y: SpacePoint, t: float) -> SpacePoint:
+    def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
         # slerp form: gamma(s) = (sinh(d-s) x + sinh(s) y) / sinh(d). A
         # positive combination of the endpoints, so no cancellation on long
-        # geodesics (unlike the cosh/sinh tangent form).
-        d = self._distance(x, y)
+        # geodesics (unlike the cosh/sinh tangent form). The time coordinate
+        # is recomputed, so only the spatial part is combined.
+        xs, ys = x.coords.tolist(), y.coords.tolist()
+        if d is None:
+            d = _h_distance(xs, ys)
         if d < 1e-14:
             return x
         s = t * d
-        sd = math.sinh(d)
-        z = (math.sinh(d - s) / sd) * x.coords + (math.sinh(s) / sd) * y.coords
-        return self._wrap(self._renorm(z))
+        try:
+            sd = math.sinh(d)
+            a, b = math.sinh(d - s) / sd, math.sinh(s) / sd
+        except OverflowError:  # d > 710, only beyond HYPERBOLOID_MAX_RADIUS
+            a = b = math.nan
+        return self._wrap(_lift([a * p + b * q for p, q in zip(xs[1:], ys[1:])]))
 
     def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
         # perturb at the apex, row by row: the tangent space there is the
@@ -512,8 +590,12 @@ class Hyperboloid(ModelSpace):
         return self._renorm_many(Z)
 
     def distance_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        # _h_distance row by row, with its switch
+        sig = self._signature
         D = X - Y
-        q = np.einsum("ij,ij->i", D, D) - 2.0 * D[:, 0] * D[:, 0]
+        q = (D * D) @ sig
+        m = -((X * Y) @ sig)
+        q = np.where((m > _ACOSH_FROM) & (m < np.inf), 2.0 * (m - 1.0), q)
         return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(q, 0.0)))
 
     def combine_many(self, X: np.ndarray, Y: np.ndarray, t) -> np.ndarray:
@@ -529,42 +611,49 @@ class Hyperboloid(ModelSpace):
 
     @staticmethod
     def _renorm_many(Z: np.ndarray) -> np.ndarray:
-        # _renorm on every row, in place
+        # _lift on the spatial part of every row, in place
         Z[:, 0] = np.sqrt(1.0 + np.einsum("ij,ij->i", Z[:, 1:], Z[:, 1:]))
         return Z
 
     def log_map(self, base: SpacePoint, target: SpacePoint) -> np.ndarray:
         self.check_point(base)
         self.check_point(target)
-        v, d = self._tangent_toward(base, target)
-        return v * d
+        v, d = self._tangent_toward(base.coords.tolist(), target.coords.tolist())
+        return np.array([c * d for c in v])
 
     def exp_map(self, base: SpacePoint, v: np.ndarray) -> SpacePoint:
         self.check_point(base)
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim + 1,):
             raise DomainError(f"tangent vector must have {self.dim + 1} entries")
+        b = base.coords.tolist()
+        v = v.tolist()
         # re-orthogonalize against the base point (absorbs drift <= 1e-8)
-        v = v + self.minkowski(base.coords, v) * base.coords
-        t = self.minkowski(v, v)
+        m = _mink(b, v)
+        v = [c + m * p for c, p in zip(v, b)]
+        t = _mink(v, v)
         t = math.sqrt(t) if t > 0 else 0.0
         if t < 1e-16:
             return base
-        z = math.cosh(t) * base.coords + math.sinh(t) * (v / t)
-        return self._wrap(self._renorm(z))
+        try:
+            ch, sh = math.cosh(t), math.sinh(t)
+        except OverflowError:  # t > 710: the point is not representable
+            ch = sh = math.inf
+        return self._wrap(_lift([ch * p + sh * (c / t) for p, c in zip(b[1:], v[1:])]))
 
     def tangent_norm(self, base: SpacePoint, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        q = self.minkowski(v, v)
+        v = np.asarray(v, dtype=float).tolist()
+        q = _mink(v, v)
         return math.sqrt(q) if q > 0 else 0.0
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
         # minimize cosh d(x, gamma(s)) = A cosh s + B sinh s over s in [0, L]
         # where gamma is the unit-speed geodesic from a to b; the unconstrained
         # minimizer is s* = artanh(-B/A), then clamp.
-        v, L = self._tangent_toward(a, b)
-        A = -self.minkowski(x.coords, a.coords)
-        B = -self.minkowski(x.coords, v)
+        al, xl = a.coords.tolist(), x.coords.tolist()
+        v, L = self._tangent_toward(al, b.coords.tolist())
+        A = -_mink(xl, al)
+        B = -_mink(xl, v)
         ratio = -B / A  # |B| < A for any point x and unit-speed geodesic
         ratio = min(1.0 - 1e-16, max(-1.0 + 1e-16, ratio))
         s = math.atanh(ratio)
@@ -642,7 +731,7 @@ class Spider(ModelSpace):
             return abs(rx - ry)
         return rx + ry
 
-    def _combine(self, x: SpacePoint, y: SpacePoint, t: float) -> SpacePoint:
+    def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
         lx, rx = int(x.coords[0]), float(x.coords[1])
         ly, ry = int(y.coords[0]), float(y.coords[1])
         if rx == 0.0:

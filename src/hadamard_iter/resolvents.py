@@ -53,6 +53,8 @@ FIXED_POINT_BUDGET = 1_000_000
 VI_TOL = 1e-10
 VI_BUDGET = 1_000_000
 EQ_INEQUALITY_SLACK = 1e-7
+EQ_OPERATOR_DIRECTIONS = 8  # verification grid of the operator form
+EQ_OPERATOR_RADII = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,21 +527,34 @@ def _radial_grid(
     return tuple(pts)
 
 
+def _lazy_fixed_grid(f: Bifunction, n_dir: int, n_rad: int) -> Callable[[], _FixedGrid | None]:
+    """The fixed verification grid of f's feasible set (None for a set
+    without one), built on the first call and kept. Not built up front, so
+    that building an operator stays cheap: the first grid of a process
+    imports numpy.random."""
+
+    @functools.cache
+    def fixed_grid():
+        K = f.feasible_set
+        points = _fixed_verification_grid(f.space, K, n_dir, n_rad)
+        return None if points is None else _FixedGrid(K, n_dir, n_rad, points)
+
+    return fixed_grid
+
+
 def equilibrium_resolvent_operator(
-    f: Bifunction, lam: float, verify_directions: int = 8, verify_radii: int = 2
+    f: Bifunction, lam: float, verify_directions: int = EQ_OPERATOR_DIRECTIONS,
+    verify_radii: int = EQ_OPERATOR_RADII,
+    *, _fixed_grid: Callable[[], _FixedGrid | None] | None = None,
 ) -> OperatorSpec:
     """Resolvent as an operator. Verification is thinned by default because
     the operator form is meant for iteration loops; pass larger counts for
     one-shot audited evaluations. A ball or segment K gets its verification
-    grid built once, on the first call; every call still evaluates all of it."""
-
-    @functools.cache
-    def fixed_grid():
-        # built on the first call, not here, so that building an operator
-        # stays cheap: the first grid of a process imports numpy.random
-        K = f.feasible_set
-        points = _fixed_verification_grid(f.space, K, verify_directions, verify_radii)
-        return None if points is None else _FixedGrid(K, verify_directions, verify_radii, points)
+    grid built once, on the first call; every call still evaluates all of it.
+    ``resolvent_sequence`` shares one grid among the operators of all k
+    through the internal ``_fixed_grid``, since the grid does not depend on
+    lam."""
+    fixed_grid = _fixed_grid or _lazy_fixed_grid(f, verify_directions, verify_radii)
 
     return OperatorSpec(
         space=f.space,
@@ -606,10 +621,12 @@ def resolvent_sequence(
             )
         if lambdas.upper_bound is None:
             raise ConfigError("equilibrium parameters need a finite upper bound")
+        # one verification grid for every k: the operators differ only in lam
+        grid = _lazy_fixed_grid(source, EQ_OPERATOR_DIRECTIONS, EQ_OPERATOR_RADII)
         return OperatorSequence(
             space=source.space,
             factory=_cached_factory(
-                lambdas, lambda lam: equilibrium_resolvent_operator(source, lam)
+                lambdas, lambda lam: equilibrium_resolvent_operator(source, lam, _fixed_grid=grid)
             ),
             common_fixed_point_witness=source.equilibrium_witness,
         )

@@ -111,8 +111,7 @@ def iterate_sequence(
     guarantee: str = "",
 ) -> IterationTrace:
     """Run x_{k+1} = T_k x_k until the residual meets the tolerance."""
-    if cfg.anchor is not None:
-        raise ConfigError("anchor point given, but the plain sequence iteration has no anchor")
+    check_entry(cfg, None)
     return _iterate(seq, None, cfg, scheme, guarantee)
 
 
@@ -124,28 +123,40 @@ def halpern_iterate(
     guarantee: str = "",
 ) -> IterationTrace:
     """Run x_{k+1} = a_k u (+) (1 - a_k) T_k x_k; stop on step movement."""
-    require_class(anchors, ScheduleClass.HALPERN_ANCHOR, "anchor")
-    if cfg.anchor is None:
-        raise ConfigError("Halpern iteration needs an anchor point u")
+    check_entry(cfg, anchors)
     return _iterate(seq, anchors, cfg, scheme, guarantee)
+
+
+def check_entry(cfg: RunConfig, anchors: Schedule | None) -> None:
+    """Raise what the loop raises before its first step: anchor weights
+    (``anchors``) need an anchor point and a plain run takes none, the trace
+    stride is None or a positive int, and the start, anchor and reference
+    points belong to the run's space. Callers that validate configs before
+    running any (``cli.parse_run_config``) call it too."""
+    if anchors is None:
+        if cfg.anchor is not None:
+            raise ConfigError("anchor point given, but the plain sequence iteration has no anchor")
+    else:
+        require_class(anchors, ScheduleClass.HALPERN_ANCHOR, "anchor")
+        if cfg.anchor is None:
+            raise ConfigError("Halpern iteration needs an anchor point u")
+    stride = cfg.trace_stride
+    if stride is not None and not (type(stride) is int and stride >= 1):
+        raise ConfigError(f"trace_stride must be a positive integer or None, got {stride!r}")
+    for p in (cfg.start, cfg.anchor, cfg.reference):
+        if p is not None:
+            cfg.space.check_point(p)
 
 
 def _iterate(seq, anchors, cfg, scheme, guarantee) -> IterationTrace:
     """The one loop: x_{k+1} = a_k u (+) (1 - a_k) T_k x_k, or T_k x_k when
     the config has no anchor. It stops when the step movement d(x_k, x_{k+1})
-    meets the tolerance; without an anchor that movement is the residual."""
-    stride = cfg.trace_stride
-    if stride is not None and not (type(stride) is int and stride >= 1):
-        raise ConfigError(f"trace_stride must be a positive integer or None, got {stride!r}")
+    meets the tolerance; without an anchor that movement is the residual.
+    The entry points have run ``check_entry``."""
     space = cfg.space
-    space.check_point(cfg.start)
     u = cfg.anchor
-    if u is not None:
-        space.check_point(u)
     ref = cfg.reference
-    if ref is not None:
-        space.check_point(ref)
-    rec = _Recorder(stride)
+    rec = _Recorder(cfg.trace_stride)
     steps: list[TraceStep] = []
     x = cfg.start
     k = 1

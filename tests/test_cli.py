@@ -367,6 +367,33 @@ def test_sweep_validates_all_cells_before_running(tmp_path):
     assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
+HALPERN_BASE = dict(BASE_RUN, scheme="halpern_ppa", schedules={
+    "anchor": {"kind": "power"}, "lambda": {"kind": "constant", "value": 1.0}})
+
+
+@pytest.mark.parametrize("base, message", [
+    pytest.param(HALPERN_BASE, "Halpern iteration needs an anchor point u", id="halpern-without-anchor"),
+    pytest.param(dict(BASE_RUN, trace_stride=0),
+                 "trace_stride must be a positive integer or None, got 0", id="zero-stride"),
+])
+def test_sweep_rejects_what_the_engine_rejects_at_entry(tmp_path, monkeypatch, capsys, base, message):
+    # config errors the engine raises before its first step are found before
+    # any worker starts: exit 1 and no CSV, not a solver_error row per cell
+    monkeypatch.setenv("HADAMARD_ITER_THREADS", "1")
+    cfg = {"base": base, "grid": {"max_iterations": [10, 20]}}
+    assert run_cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert "solver_error" not in err and "cell" not in err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+    assert multiprocessing.active_children() == []
+    # the same base with its anchor, or a valid stride, sweeps fine
+    fixed = dict(base, anchor=[0.0]) if "anchor" in base["schedules"] else dict(base, trace_stride=2)
+    cfg = {"base": fixed, "grid": {"max_iterations": [10, 20]}}
+    assert run_cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) in (0, 2)
+    assert (tmp_path / "o" / "sweep.csv").exists()
+
+
 def test_sweep_bad_grid_path(tmp_path):
     cfg = {"base": dict(BASE_RUN), "grid": {"schedules.mu.value": [1.0]}}
     assert run_cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 1

@@ -23,12 +23,17 @@ from hadamard_iter import (
     space_from_config,
     space_to_config,
 )
+from hadamard_iter.geometry import HYPERBOLOID_MAX_RADIUS, POINT_TOL
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
+E3 = Euclidean(3)
 H2 = Hyperboloid(2)
+H3 = Hyperboloid(3)
 S3 = Spider(3)
 ALL_SPACES = [E2, H2, S3]
+R_MAX = HYPERBOLOID_MAX_RADIUS
+X0_MAX = math.cosh(R_MAX) * (1.0 + POINT_TOL)
 
 
 def rand_point(space, rng, scale=2.0):
@@ -142,8 +147,11 @@ def test_from_spatial_finiteness_matches_numpy(spatial):
         lifted = np.concatenate(([math.sqrt(1.0 + float(s @ s))], s))
     finite = bool(np.all(np.isfinite(lifted)))
     assert _rejected_as_nonfinite(H2.from_spatial, spatial) == (not finite)
-    if finite:
+    if finite and lifted[0] <= X0_MAX:
         assert H2.from_spatial(spatial).coords.tobytes() == lifted.tobytes()
+    elif finite:  # a finite lift beyond the supported radius
+        with pytest.raises(DomainError, match="beyond distance 100 of the apex"):
+            H2.from_spatial(spatial)
 
 
 def test_spider_point_canonicalization():
@@ -641,3 +649,332 @@ def test_combine_snaps_arithmetic_parameters(space):
     for t in (1.0 + 5 * U, -5 * U, float("nan")):
         with pytest.raises(DomainError):
             space.combine_many(X, Y, np.array([0.5, t]))
+
+
+# ---------------------------------------------------------------------------
+# float primitives against the array formulas they replaced
+# ---------------------------------------------------------------------------
+# The scalar primitives compute on Python floats. These are the numpy
+# formulas they replaced, kept as the reference; the hyperboloid distance
+# adds the acosh branch for far pairs, with the same switch as the package.
+
+def ref_e_distance(x, y):
+    d = x - y
+    return math.sqrt(float(d @ d))
+
+
+def ref_e_combine(x, y, t):
+    return (1.0 - t) * x + t * y
+
+
+def ref_e_tangent_norm(v):
+    return math.sqrt(float(v @ v))
+
+
+def ref_e_project_segment(a, b, x):
+    ab = b - a
+    t = float((x - a) @ ab) / float(ab @ ab)
+    t = min(1.0, max(0.0, t))
+    return (1.0 - t) * a + t * b
+
+
+def ref_minkowski(u, v):
+    return float(u @ v) - 2.0 * float(u[0]) * float(v[0])
+
+
+def ref_renorm(z):
+    z = np.array(z, dtype=float)
+    z[0] = math.sqrt(1.0 + float(z[1:] @ z[1:]))
+    return z
+
+
+def ref_h_distance(x, y):
+    m = -ref_minkowski(x, y)
+    if 16.0 < m < math.inf:
+        return math.acosh(m)
+    dl = x - y
+    d0 = float(dl[0])
+    q = float(dl @ dl) - 2.0 * d0 * d0
+    if q <= 0.0:
+        return 0.0
+    return 2.0 * math.asinh(0.5 * math.sqrt(q))
+
+
+def ref_h_log_map(x, y):
+    d = ref_h_distance(x, y)
+    if d < 1e-14:
+        return np.zeros(x.shape[0])
+    m = ref_minkowski(x, y)
+    w = y + m * x
+    nw = ref_minkowski(w, w)
+    nw = math.sqrt(nw) if nw > 0 else 0.0
+    if nw == 0.0:
+        return np.zeros(x.shape[0])
+    return (w / nw) * d
+
+
+def ref_h_combine(x, y, t):
+    d = ref_h_distance(x, y)
+    if d < 1e-14:
+        return x
+    s = t * d
+    sd = math.sinh(d)
+    return ref_renorm((math.sinh(d - s) / sd) * x + (math.sinh(s) / sd) * y)
+
+
+def ref_h_exp_map(b, v):
+    v = v + ref_minkowski(b, v) * b
+    t = ref_minkowski(v, v)
+    t = math.sqrt(t) if t > 0 else 0.0
+    if t < 1e-16:
+        return b
+    return ref_renorm(math.cosh(t) * b + math.sinh(t) * (v / t))
+
+
+def ref_h_tangent_norm(v):
+    q = ref_minkowski(v, v)
+    return math.sqrt(q) if q > 0 else 0.0
+
+
+PIN = 1e-14  # relative, against the magnitude of the terms each formula sums
+
+
+def _close(got, want, scale):
+    return np.all(np.abs(np.asarray(got, dtype=float) - np.asarray(want, dtype=float)) <= PIN * scale)
+
+
+# coordinates of magnitude 0 or at least 1e-100, so that the squares the
+# reference forms stay normal floats; times 1e100 for far pairs
+_coord = st.one_of(st.just(0.0), st.floats(-1e3, 1e3).filter(lambda v: abs(v) >= 1e-100))
+
+
+@st.composite
+def euclidean_pair(draw, space):
+    scale = draw(st.sampled_from([1.0, 1e100]))
+    x = space.point([scale * draw(_coord) for _ in range(space.dim)])
+    y = x if draw(st.booleans()) and draw(st.booleans()) else \
+        space.point([scale * draw(_coord) for _ in range(space.dim)])
+    return x, y
+
+
+@pytest.mark.parametrize("space", [E2, E3], ids=lambda s: s.space_id)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_euclidean_float_primitives_match_the_array_formulas(space, data):
+    x, y = data.draw(euclidean_pair(space))
+    t = data.draw(UNIT_T)
+    X, Y = x.coords, y.coords
+    size = max(np.abs(X).max(), np.abs(Y).max())
+    d = ref_e_distance(X, Y)
+    assert abs(space.distance(x, y) - d) <= PIN * d
+    assert _close(space.combine(x, y, t).coords, ref_e_combine(X, Y, t), size)
+    if 0.0 < t < 1.0:
+        assert _close(space._combine(x, y, t).coords, ref_e_combine(X, Y, t), size)
+    v = X - Y
+    assert abs(space.tangent_norm(x, v) - ref_e_tangent_norm(v)) <= PIN * ref_e_tangent_norm(v)
+    assert abs(space.tangent_norm(x, list(v)) - ref_e_tangent_norm(v)) <= PIN * ref_e_tangent_norm(v)
+    assert _close(space.log_map(x, y), Y - X, size)
+    assert _close(space.exp_map(x, Y - X).coords, X + (Y - X), size)
+    z = space.point([size * data.draw(st.floats(-2, 2)) for _ in range(space.dim)])
+    if d >= 1e-15:  # below that the segment is a point and project returns x
+        seg = Segment(x, y)
+        assert _close(space.project(seg, z).coords, ref_e_project_segment(X, Y, z.coords), 4 * size)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ([0.0, 0.0], [0.0, 2.2250738585072014e-308], 0.0),  # the square underflows
+    ([0.0, 0.0], [1e-160, -1e-160], None),              # subnormal squares
+    ([1e200, 0.0], [-1e200, 0.0], math.inf),            # the square overflows
+])
+def test_euclidean_distance_meets_the_kernel_at_the_float_extremes(a, b, want):
+    # the sum of squares, as the array forms take it, not a scaled norm
+    x, y = E2.point(a), E2.point(b)
+    with np.errstate(over="ignore", under="ignore"):
+        kernel = E2.distance_many(x.coords[None], y.coords[None])[0]
+    assert E2.distance(x, y) == kernel
+    assert want is None or kernel == want
+    assert E2.tangent_norm(x, np.subtract(b, a)) == kernel
+
+
+@st.composite
+def hyperboloid_pair(draw):
+    """Pairs within distance 3 of the apex (distances up to 6 cross the
+    switch at 3.47), or the apex with a point up to the supported radius,
+    where every formula is well conditioned; y may coincide with x."""
+    if draw(st.booleans()):
+        def pt():
+            r, th = draw(st.floats(0, 3)), draw(st.floats(0, 2 * math.pi))
+            return H2.from_spatial([math.sinh(r) * math.cos(th), math.sinh(r) * math.sin(th)])
+        x = pt()
+        return x, x if draw(st.booleans()) and draw(st.booleans()) else pt()
+    r, th = draw(st.floats(0, R_MAX)), draw(st.floats(0, 2 * math.pi))
+    y = H2.from_spatial([math.sinh(r) * math.cos(th), math.sinh(r) * math.sin(th)])
+    return (H2.base_point(), y) if draw(st.booleans()) else (y, H2.base_point())
+
+
+@given(pair=hyperboloid_pair(), t=UNIT_T)
+@settings(max_examples=400, deadline=None)
+@example(pair=(H2.base_point(), H2.from_spatial([math.sinh(40.0), 0.0])), t=0.5)
+def test_hyperboloid_float_primitives_match_the_array_formulas(pair, t):
+    x, y = pair
+    X, Y = x.coords, y.coords
+    cond = 1.0 + float(X @ X) + float(Y @ Y)  # cancellation in the chordal square
+    d = ref_h_distance(X, Y)
+    dtol = max(PIN * d, 1e-15 * (cond - 1.0))  # as _kernel_tol
+    assert abs(H2.distance(x, y) - d) <= dtol
+    for u, v in ((X, Y), (X, X), (Y - X, X + Y)):
+        want = ref_minkowski(u, v)
+        scale = float(np.abs(u * v).sum())
+        assert abs(Hyperboloid.minkowski(u, v) - want) <= PIN * scale
+        assert Hyperboloid.minkowski(list(u), v.tolist()) == Hyperboloid.minkowski(u, v)
+    # geodesic points, compared as points of the space
+    z = H2.combine(x, y, t)
+    assert H2.distance(z, H2._wrap(ref_h_combine(X, Y, t))) <= dtol
+    if t in (0.0, 1.0):
+        assert z is (x if t == 0.0 else y)
+    ball = Ball(x, 0.5)
+    p = H2.project(ball, y)
+    assert H2.distance(p, H2._wrap(ref_h_combine(X, Y, 0.5 / d) if d > 0.5 else Y)) <= dtol
+    # tangent maps, at a base within distance 3 of the apex: at a far base
+    # the tangent form w = y + <x,y> x cancels in any formula
+    if X[0] > math.cosh(3.0) * (1.0 + 1e-12):
+        return
+    v = ref_h_log_map(X, Y)
+    # log sums w = y + <x,y> x and scales it by d / |w|_M = d / sinh d
+    shrink = d / math.sinh(d) if d > 0.0 else 1.0
+    terms = np.abs(Y).max() + abs(ref_minkowski(X, Y)) * np.abs(X).max()
+    assert _close(H2.log_map(x, y), v, cond * terms * shrink)
+    # the norm sums the squares of v and takes a square root
+    norm = ref_h_tangent_norm(v)
+    assert abs(H2.tangent_norm(x, v) - norm) <= PIN * float(v @ v) / max(norm, 1e-300)
+    assert H2.tangent_norm(x, list(v)) == H2.tangent_norm(x, v)
+    # exp sums cosh(t) x + sinh(t) v / t; an error in t moves it by (1 + t) times that
+    want = ref_h_exp_map(X, v)
+    scale = (1.0 + d) * (math.cosh(d) * np.abs(X).max() + math.sinh(d) * np.abs(v).max() / max(d, 1e-300))
+    assert _close(H2.exp_map(x, v).coords, want, cond * scale)
+    # a vector slightly off the tangent space is projected back onto it
+    off = v + 1e-6 * X
+    assert _close(H2.exp_map(x, list(off)).coords, ref_h_exp_map(X, off), cond * scale)
+
+
+# ---------------------------------------------------------------------------
+# the hyperboloid at long range, up to HYPERBOLOID_MAX_RADIUS
+# ---------------------------------------------------------------------------
+
+@st.composite
+def unit_direction(draw, dim):
+    v = np.array([draw(st.floats(-1, 1)) for _ in range(dim)])
+    n = math.sqrt(float(v @ v))
+    if n < 1e-3:
+        v, n = np.eye(dim)[0], 1.0
+    return v / n
+
+
+@pytest.mark.parametrize("space", [H2, H3], ids=lambda s: s.space_id)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_hyperboloid_distance_holds_up_to_the_supported_radius(space, data):
+    d = data.draw(st.one_of(st.sampled_from([40.0, R_MAX]), st.floats(1e-6, R_MAX)))
+    u = data.draw(unit_direction(space.dim))
+    o = space.base_point()
+    x = space.from_spatial(math.sinh(d) * u)
+    assert abs(space.distance(o, x) - d) <= 1e-12 * d
+    assert abs(space.distance(x, o) - d) <= 1e-12 * d
+    # the midpoint, from either end, lies at d/2 from the apex
+    for mid in (space.combine(o, x, 0.5), space.combine(x, o, 0.5)):
+        assert abs(space.distance(o, mid) - d / 2) <= 1e-12 * d
+    # through the apex: x and a point at distance b on the opposite ray
+    b = data.draw(st.floats(0.0, R_MAX))
+    y = space.from_spatial(-math.sinh(b) * u)
+    assert abs(space.distance(x, y) - (d + b)) <= 1e-12 * (d + b)
+    # the batched kernel takes the same branch row by row
+    X, Y = np.array([o.coords, x.coords, x.coords]), np.array([x.coords, o.coords, y.coords])
+    got = space.distance_many(X, Y)
+    want = [space.distance(o, x), space.distance(x, o), space.distance(x, y)]
+    assert np.all(np.abs(got - want) <= 1e-14 * np.array([d, d, d + b]))
+
+
+@pytest.mark.parametrize("space", [H2, H3], ids=lambda s: s.space_id)
+def test_hyperboloid_rejects_points_beyond_the_supported_radius(space):
+    e1 = np.eye(space.dim)[0]
+    assert space.distance(space.base_point(), space.from_spatial(math.sinh(R_MAX) * e1)) == \
+        pytest.approx(R_MAX, rel=1e-12)
+    for r in (R_MAX * (1 + 1e-6), 300.0, 700.0):
+        # from 355 on the lift x0 = sqrt(1 + |s|^2) overflows: not finite
+        with pytest.raises(DomainError, match="beyond distance 100 of the apex"
+                           if r < 355.0 else "coordinates must be finite"):
+            with np.errstate(over="ignore"):
+                space.from_spatial(math.sinh(r) * e1)
+        with pytest.raises(DomainError, match="beyond distance 100 of the apex"):
+            space.point([math.cosh(r), *(math.sinh(r) * e1)])
+    # off the sheet, with squares that would overflow: still refused
+    with pytest.raises(DomainError, match="beyond distance 100 of the apex"):
+        space.point([1.0, *(1e200 * e1)])
+
+
+# ---------------------------------------------------------------------------
+# overflow: float arithmetic must not raise where the array forms gave inf
+# ---------------------------------------------------------------------------
+
+_huge = st.floats(-1.7e308, 1.7e308, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(_huge, min_size=3, max_size=3), st.lists(_huge, min_size=3, max_size=3), UNIT_T)
+@settings(max_examples=200, deadline=None)
+@example([1.7e308, -1.7e308, 1e300], [-1.7e308, 1.7e308, -1e300], 0.5)
+def test_euclidean_primitives_do_not_raise_on_overflow(a, b, t):
+    x, y = E3.point(a), E3.point(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = E3.distance(x, y)  # inf when the difference overflows, never an exception
+        assert d >= 0.0 or math.isnan(d)
+        E3.combine(x, y, t)
+        E3.tangent_norm(x, np.array(a))
+        E3.project(Segment(x, y), E3.point([0.0, 0.0, 0.0]))
+
+
+@given(st.floats(0.0, 1e308), UNIT_T)
+@settings(max_examples=200, deadline=None)
+@example(711.0, 0.5)
+@example(1e300, 0.25)
+def test_hyperboloid_primitives_do_not_raise_on_overflow(length, t):
+    # a tangent this long leaves the representable range (cosh overflows
+    # from 710.5); the result is a non-finite point, as numpy's inf gave
+    o = H2.base_point()
+    far = H2.exp_map(o, [0.0, length, 0.0])
+    if length > 710.0:
+        assert not np.all(np.isfinite(far.coords))
+        assert not math.isfinite(H2.distance(o, far))
+    for p in (o, far):
+        H2.combine(p, far, t)
+        H2.log_map(p, far)
+        H2.tangent_norm(p, far.coords)
+
+
+def test_overflowing_runs_end_as_solver_errors():
+    from hadamard_iter import (OperatorSequence, OperatorSpec, RunConfig, StopReason,
+                               build_scheme, halpern_schedule, iterate_sequence,
+                               objective_fixture, resolvent_constant)
+
+    # Euclidean: the reflected resolvent grows by 1.5 per step until it overflows
+    grow = objective_fixture(E2, "expanding_quadratic")
+    for name, schedules, anchor in (
+        ("ppa", {"lambda": resolvent_constant(1.0)}, None),
+        ("halpern_ppa", {"anchor": halpern_schedule(), "lambda": resolvent_constant(1.0)},
+         E2.point([3.0, 1.0])),
+    ):
+        cfg = RunConfig(space=E2, start=E2.point([1.0, 2.0]), anchor=anchor,
+                        max_iterations=5000, tolerance=1e-12)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = build_scheme(name, grow, schedules).run(cfg).summary
+        assert s.stop_reason is StopReason.SOLVER_ERROR
+        assert s.error_step is not None and s.error_step < 5000
+
+    # hyperboloid: a map that moves every point about 800 along e1, past
+    # where cosh overflows (math.cosh raised OverflowError out of the run)
+    op = OperatorSpec(space=H2, apply=lambda x: H2.exp_map(x, [0.0, 800.0, 0.0]),
+                      domain=WholeSpace(H2.space_id))
+    cfg = RunConfig(space=H2, start=H2.from_spatial([0.5, 0.0]), max_iterations=20,
+                    tolerance=1e-12)
+    s = iterate_sequence(OperatorSequence(space=H2, factory=lambda k: op), cfg).summary
+    assert s.stop_reason is StopReason.SOLVER_ERROR
+    assert s.error_message == "non-finite residual at step 1"

@@ -29,6 +29,7 @@ from hadamard_iter import (
     convex_resolvent,
     equilibrium_resolvent,
     equilibrium_resolvent_operator,
+    halpern_schedule,
     lipschitz_resolvent,
     lipschitz_resolvent_detailed,
     objective_fixture,
@@ -469,6 +470,28 @@ def test_equilibrium_resolvent_rejects_a_grid_built_for_another_set():
     whole = _projection_bifunction(E2, WholeSpace(E2.space_id))
     with pytest.raises(DomainError, match="verification grid"):
         equilibrium_resolvent(whole, 1.0, x, verify_directions=8, verify_radii=2, _grid=good)
+
+
+def test_sequence_builds_one_verification_grid_for_a_varying_lambda(monkeypatch):
+    # lam_k = 1 + 1/k makes a new operator at every k; the grid depends only
+    # on the set and the counts, so the whole run builds it once
+    builds = [0]
+    build = resolvents._fixed_verification_grid
+
+    def counting_build(*args):
+        builds[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(resolvents, "_fixed_verification_grid", counting_build)
+    vi = bifunction_fixture(E2, "rotation_vi")
+    lam = resolvent_schedule(lambda k: 1.0 + 1.0 / k, lower=1.0, upper=2.0)
+    built = build_scheme("halpern_ppa_equilibrium", vi, {"anchor": halpern_schedule(), "lambda": lam})
+    cfg = RunConfig(space=E2, start=E2.point([0.6, -0.2]), anchor=E2.point([0.3, 0.5]),
+                    max_iterations=300, tolerance=0.0)
+    trace = built.run(cfg)
+    assert trace.summary.stop_reason is StopReason.BUDGET_EXHAUSTED
+    assert trace.summary.iterations_run == 300
+    assert builds[0] == 1
 
 
 def test_bifunction_sampled_axioms():
