@@ -47,6 +47,7 @@ from .schedules import (
     Schedule,
     ScheduleClass,
     halpern_schedule,
+    inverse_power,
     mann_constant,
     resolvent_constant,
     resolvent_schedule,
@@ -124,52 +125,65 @@ def _parse_descriptor(space: ModelSpace, kind: str, desc: Mapping):
     return factory(space, name, **d)
 
 
+def _anchor_constant(value: float) -> Schedule:
+    raise ConfigError(
+        "anchor weights must tend to 0 with a divergent sum; a constant "
+        "schedule violates the limit requirement"
+    )
+
+
+def _mann_power(scale: float, offset: float, power: float) -> Schedule:
+    return Schedule(lambda k: inverse_power(scale, k + offset, power), ScheduleClass.MANN_PARAM,
+                    upper_bound=inverse_power(scale, 1.0 + offset, power))
+
+
+def _vanishing_constant(value: float) -> Schedule:
+    if value != 0.0:
+        raise ConfigError("inner Ishikawa weights must tend to 0; "
+                          "a nonzero constant never vanishes")
+    return vanishing_schedule(0.0)
+
+
+def _power_floor(floor: float, scale: float, power: float) -> Schedule:
+    return resolvent_schedule(lambda k: floor + inverse_power(scale, k, power),
+                              lower=floor, upper=floor + scale)
+
+
+# role -> (what the role's weights are, kind -> (builder, the keys it reads
+# with their defaults; None marks a required key))
+_SCHEDULE_KINDS = {
+    "anchor": ("anchor weights", {
+        "power": (halpern_schedule, {"scale": 1.0, "offset": 1.0, "power": 1.0}),
+        "constant": (_anchor_constant, {"value": None})}),
+    "alpha": ("Mann weights", {
+        "constant": (mann_constant, {"value": None}),
+        "power": (_mann_power, {"scale": 0.5, "offset": 1.0, "power": 1.0})}),
+    "beta": ("vanishing weights", {
+        "constant": (_vanishing_constant, {"value": None}),
+        "inverse_k": (vanishing_schedule, {"scale": 1.0, "power": 1.0})}),
+    "lambda": ("resolvent parameters", {
+        "constant": (resolvent_constant, {"value": None}),
+        "power_floor": (_power_floor, {"floor": 0.0, "scale": 1.0, "power": 1.0})}),
+}
+
+
 def _parse_schedule(role: str, desc: Mapping) -> Schedule:
     ctx = f"schedule {role!r}"
-    _require_keys(desc, ctx, {"kind"}, {"value", "scale", "offset", "power", "floor"})
+    if role not in _SCHEDULE_KINDS:
+        raise ConfigError(f"unknown schedule role {role!r}")
+    what, kinds = _SCHEDULE_KINDS[role]
+    if not isinstance(desc, Mapping) or not isinstance(desc.get("kind"), str):
+        raise ConfigError(f"{ctx} must be an object with a string 'kind'")
     kind = desc["kind"]
-    if role == "anchor":
-        if kind == "power":
-            return halpern_schedule(_num(desc, "scale", ctx, 1.0), _num(desc, "offset", ctx, 1.0),
-                                    _num(desc, "power", ctx, 1.0))
-        if kind == "constant":
-            raise ConfigError(
-                "anchor weights must tend to 0 with a divergent sum; a constant "
-                "schedule violates the limit requirement"
-            )
-        raise ConfigError(f"schedule kind {kind!r} cannot serve as anchor weights")
-    if role == "alpha":
-        if kind == "constant":
-            return mann_constant(_num(desc, "value", ctx))
-        if kind == "power":
-            scale = _num(desc, "scale", ctx, 0.5)
-            offset = _num(desc, "offset", ctx, 1.0)
-            power = _num(desc, "power", ctx, 1.0)
-            top = scale / (1.0 + offset) ** power
-            return Schedule(lambda k: scale / (k + offset) ** power,
-                            ScheduleClass.MANN_PARAM, upper_bound=top)
-        raise ConfigError(f"schedule kind {kind!r} cannot serve as Mann weights")
-    if role == "beta":
-        if kind == "constant":
-            if _num(desc, "value", ctx) != 0.0:
-                raise ConfigError("inner Ishikawa weights must tend to 0; "
-                                  "a nonzero constant never vanishes")
-            return vanishing_schedule(0.0)
-        if kind == "inverse_k":
-            return vanishing_schedule(_num(desc, "scale", ctx, 1.0), _num(desc, "power", ctx, 1.0))
-        raise ConfigError(f"schedule kind {kind!r} cannot serve as vanishing weights")
-    if role == "lambda":
-        if kind == "constant":
-            return resolvent_constant(_num(desc, "value", ctx))
-        if kind == "power_floor":
-            floor = _num(desc, "floor", ctx, 0.0)
-            scale = _num(desc, "scale", ctx, 1.0)
-            power = _num(desc, "power", ctx, 1.0)
-            top = floor + scale
-            return resolvent_schedule(lambda k: floor + scale / k ** power,
-                                      lower=floor, upper=top)
-        raise ConfigError(f"schedule kind {kind!r} cannot serve as resolvent parameters")
-    raise ConfigError(f"unknown schedule role {role!r}")
+    if kind not in kinds:
+        raise ConfigError(f"schedule kind {kind!r} cannot serve as {what}")
+    build, keys = kinds[kind]
+    accepted = ["kind", *keys]
+    unknown = set(desc) - set(accepted)
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {ctx} of kind {kind!r}; "
+                          f"accepted keys: {accepted}")
+    return build(*(_num(desc, key, ctx, default) for key, default in keys.items()))
 
 
 RUN_KEYS_REQUIRED = {"space", "scheme", "source", "schedules", "start"}

@@ -339,28 +339,16 @@ def lipschitz_resolvent_operator(T: OperatorSpec, lam: float) -> OperatorSpec:
 # ---------------------------------------------------------------------------
 
 def equilibrium_resolvent(
-    f: Bifunction,
-    lam: float,
-    x: SpacePoint,
-    gamma: float | None = None,
-    verify_directions: int = 64,
-    verify_radii: int = 8,
-    *,
-    _grid: _FixedGrid | None = None,
+    f: Bifunction, lam: float, x: SpacePoint, verify_directions: int = 64, verify_radii: int = 8
 ) -> SpacePoint:
     """The point z in K with f(z, y) + lam <xz, zy> >= 0 for all y in K.
 
-    ``gamma`` overrides the inner projected-iteration step size (default
-    1/(L + lam)). Verification sampling can be thinned (or disabled with
-    verify_directions=0) by callers that evaluate the resolvent inside long
-    iteration loops.
-
-    The inequality is verified on a deterministic grid of points of K, and
-    every call evaluates every point of it. For a ball or a segment K the
-    grid depends only on K and the two counts, never on x or z, so
-    ``equilibrium_resolvent_operator`` builds it once and reuses it (through
-    the internal ``_grid`` keyword, which must carry this K and these
-    counts). For any other K the grid's radius follows x and z, so it is
+    Every call verifies the inequality on every point of a deterministic
+    grid of K with ``verify_directions`` x ``verify_radii`` samples; counts
+    below 1 raise ``DomainError``. For a ball or a segment K the grid
+    depends only on the space, K and the two counts, never on x or z, so it
+    is built once and kept in a small memo keyed on them (sets compare by
+    identity). For any other K the grid's radius follows x and z, so it is
     built on each call.
 
     x and lam are validated at entry, not inside the loop: the inner
@@ -370,36 +358,31 @@ def equilibrium_resolvent(
         raise DomainError(
             f"lam={lam} must exceed the under-monotonicity modulus theta={f.theta}"
         )
+    if not (verify_directions >= 1 and verify_radii >= 1):
+        raise DomainError(
+            f"verification needs at least 1 direction and 1 radius, got "
+            f"{verify_directions} and {verify_radii}"
+        )
     space = f.space
     space.check_point(x)
     K = f.feasible_set
 
     if isinstance(f.structure, Minimization):
-        z = _solve_min_structure(f.structure.objective, K, lam, x, gamma)
+        z = _solve_min_structure(f.structure.objective, K, lam, x)
     elif isinstance(f.structure, VariationalInequality):
-        z = _solve_vi_structure(f.structure, K, lam, x, gamma)
+        z = _solve_vi_structure(f.structure, space, K, lam, x)
     else:
         z = f.structure.solve(lam, x)
         space.check_point(z)
         z = space.project(K, z)
 
-    if verify_directions > 0:
-        if _grid is None:
-            grid = _verification_points(space, K, x, z, verify_directions, verify_radii)
-        elif (isinstance(_grid, _FixedGrid) and _grid.K is K
-              and (_grid.n_dir, _grid.n_rad) == (verify_directions, verify_radii)):
-            grid = _grid.points
-        else:
-            raise DomainError(
-                f"the verification grid was not built for this {K.kind} set with "
-                f"{verify_directions} directions and {verify_radii} radii"
-            )
-        _verify_equilibrium(f, lam, x, z, grid)
+    grid = _verification_points(space, K, x, z, verify_directions, verify_radii)
+    _verify_equilibrium(f, lam, x, z, grid)
     return z
 
 
 def _solve_min_structure(
-    g: ObjectiveFunction, K: ConvexSubset, lam: float, x: SpacePoint, gamma: float | None
+    g: ObjectiveFunction, K: ConvexSubset, lam: float, x: SpacePoint
 ) -> SpacePoint:
     # f(z, y) = g(y) - g(z): the resolvent inequality is the optimality
     # condition of argmin_{y in K} g(y) + (lam/2) d^2(y, x), i.e. the prox of
@@ -415,20 +398,23 @@ def _solve_min_structure(
             "constrained minimization needs gradient and gradient_lipschitz"
         )
     vi = VariationalInequality(field=g.gradient, lipschitz=g.gradient_lipschitz)
-    return _solve_vi_structure(vi, K, lam, x, gamma)
+    return _solve_vi_structure(vi, g.space, K, lam, x)
 
 
 def _solve_vi_structure(
-    vi: VariationalInequality, K: ConvexSubset, lam: float, x: SpacePoint, gamma: float | None
+    vi: VariationalInequality, space: ModelSpace, K: ConvexSubset, lam: float, x: SpacePoint
 ) -> SpacePoint:
     # x is checked by the caller; the iterates are this loop's own points
-    space = _vi_space(vi, K, x)
-    g = gamma if gamma is not None else 1.0 / (vi.lipschitz + lam)
+    if not isinstance(space, Euclidean):
+        raise UnsupportedOperationError(
+            "variational-inequality resolvents are solved in Euclidean spaces only"
+        )
+    step = 1.0 / (vi.lipschitz + lam)
     z = space.project(K, x)
     xc = x.coords
     for j in range(VI_BUDGET):
         drift = vi.field(z) + lam * (z.coords - xc)
-        z_next = space.project(K, space.point(z.coords - g * drift))
+        z_next = space.project(K, space.point(z.coords - step * drift))
         move = space._distance(z_next, z)
         if not math.isfinite(move):
             raise SolverError(f"projected iteration diverged at inner step {j + 1}")
@@ -438,18 +424,8 @@ def _solve_vi_structure(
     raise SolverError(
         f"projected iteration did not reach movement <= {VI_TOL} within "
         f"{VI_BUDGET} steps (last movement {move:.3e}); the step size "
-        f"gamma={g} contracts only when lam is not too small relative to L"
+        f"1/(L + lam) = {step} contracts only when lam is not too small relative to L"
     )
-
-
-def _vi_space(vi: VariationalInequality, K: ConvexSubset, x: SpacePoint) -> Euclidean:
-    dim = x.coords.shape[0]
-    space = Euclidean(dim)
-    if x.space_id != space.space_id:
-        raise UnsupportedOperationError(
-            "variational-inequality resolvents are solved in Euclidean spaces only"
-        )
-    return space
 
 
 def _verify_equilibrium(
@@ -469,35 +445,31 @@ def _verification_points(
 ) -> tuple[SpacePoint, ...]:
     """Deterministic grid in K: directions x radii around the set anchor,
     boundary/extreme points included, every candidate projected into K."""
-    grid = _fixed_verification_grid(space, K, n_dir, n_rad)
-    if grid is not None:
-        return grid
+    if K.kind in ("ball", "segment"):
+        return _memo_fixed_grid(space, K, n_dir, n_rad)
     anchor = canonical_point(space, K)
     radius = 1.0 + 2.0 * (space.distance(anchor, x) + space.distance(anchor, z))
     return _radial_grid(space, K, anchor, radius, n_dir, n_rad)
 
 
+@functools.lru_cache(maxsize=16)
+def _memo_fixed_grid(
+    space: ModelSpace, K: ConvexSubset, n_dir: int, n_rad: int
+) -> tuple[SpacePoint, ...]:
+    # sets hash by identity, and the memo holds each key set alive, so an
+    # entry can never be mistaken for a later set at a reused address
+    return _fixed_verification_grid(space, K, n_dir, n_rad)
+
+
 def _fixed_verification_grid(
     space: ModelSpace, K: ConvexSubset, n_dir: int, n_rad: int
-) -> tuple[SpacePoint, ...] | None:
+) -> tuple[SpacePoint, ...]:
     """The verification grid of a ball or segment K, which depends on
-    neither x nor z; None for any other kind of set."""
+    neither x nor z."""
     if K.kind == "segment":
         n = max(2, n_dir * n_rad)
         return tuple(space.combine(K.a, K.b, i / n) for i in range(n + 1))
-    if K.kind == "ball":
-        return _radial_grid(space, K, canonical_point(space, K), K.radius, n_dir, n_rad)
-    return None
-
-
-@dataclass(frozen=True, eq=False)
-class _FixedGrid:
-    """A ball or segment verification grid with the set and counts it was
-    built for, so that ``equilibrium_resolvent`` can tell it fits."""
-    K: ConvexSubset
-    n_dir: int
-    n_rad: int
-    points: tuple[SpacePoint, ...]
+    return _radial_grid(space, K, canonical_point(space, K), K.radius, n_dir, n_rad)
 
 
 def _radial_grid(
@@ -527,41 +499,19 @@ def _radial_grid(
     return tuple(pts)
 
 
-def _lazy_fixed_grid(f: Bifunction, n_dir: int, n_rad: int) -> Callable[[], _FixedGrid | None]:
-    """The fixed verification grid of f's feasible set (None for a set
-    without one), built on the first call and kept. Not built up front, so
-    that building an operator stays cheap: the first grid of a process
-    imports numpy.random."""
-
-    @functools.cache
-    def fixed_grid():
-        K = f.feasible_set
-        points = _fixed_verification_grid(f.space, K, n_dir, n_rad)
-        return None if points is None else _FixedGrid(K, n_dir, n_rad, points)
-
-    return fixed_grid
-
-
 def equilibrium_resolvent_operator(
     f: Bifunction, lam: float, verify_directions: int = EQ_OPERATOR_DIRECTIONS,
     verify_radii: int = EQ_OPERATOR_RADII,
-    *, _fixed_grid: Callable[[], _FixedGrid | None] | None = None,
 ) -> OperatorSpec:
     """Resolvent as an operator. Verification is thinned by default because
     the operator form is meant for iteration loops; pass larger counts for
-    one-shot audited evaluations. A ball or segment K gets its verification
-    grid built once, on the first call; every call still evaluates all of it.
-    ``resolvent_sequence`` shares one grid among the operators of all k
-    through the internal ``_fixed_grid``, since the grid does not depend on
-    lam."""
-    fixed_grid = _fixed_grid or _lazy_fixed_grid(f, verify_directions, verify_radii)
-
+    one-shot audited evaluations. Every call still verifies on all of the
+    grid, which for a ball or segment K comes from the memo of
+    ``equilibrium_resolvent``: every operator on the same K and counts, at
+    any lam, shares one grid."""
     return OperatorSpec(
         space=f.space,
-        apply=lambda x: equilibrium_resolvent(
-            f, lam, x, verify_directions=verify_directions, verify_radii=verify_radii,
-            _grid=fixed_grid() if verify_directions > 0 else None,
-        ),
+        apply=lambda x: equilibrium_resolvent(f, lam, x, verify_directions, verify_radii),
         domain=f.feasible_set,
         fixed_point_witness=f.equilibrium_witness,
         quasi_nonexpansive=True,
@@ -621,13 +571,9 @@ def resolvent_sequence(
             )
         if lambdas.upper_bound is None:
             raise ConfigError("equilibrium parameters need a finite upper bound")
-        # one verification grid for every k: the operators differ only in lam
-        grid = _lazy_fixed_grid(source, EQ_OPERATOR_DIRECTIONS, EQ_OPERATOR_RADII)
         return OperatorSequence(
             space=source.space,
-            factory=_cached_factory(
-                lambdas, lambda lam: equilibrium_resolvent_operator(source, lam, _fixed_grid=grid)
-            ),
+            factory=_cached_factory(lambdas, lambda lam: equilibrium_resolvent_operator(source, lam)),
             common_fixed_point_witness=source.equilibrium_witness,
         )
     raise ConfigError(f"cannot build resolvents from {type(source).__name__}")

@@ -85,6 +85,15 @@ def require_class(schedule: Schedule, cls: ScheduleClass, role: str) -> Schedule
     return schedule
 
 
+def inverse_power(scale: float, base: float, power: float) -> float:
+    """scale / base ** power, with 0.0 where base ** power overflows a float
+    (Python's ``**`` raises there instead of giving inf)."""
+    try:
+        return scale / base ** power
+    except OverflowError:
+        return 0.0
+
+
 # -- constructors that certify the analytic form -----------------------------
 
 def halpern_schedule(scale: float = 1.0, offset: float = 1.0, power: float = 1.0) -> Schedule:
@@ -95,10 +104,10 @@ def halpern_schedule(scale: float = 1.0, offset: float = 1.0, power: float = 1.0
             f"anchor weights scale/(k+offset)^{power} have a finite sum; "
             "the Halpern hypothesis needs a divergent sum (power <= 1) with limit 0"
         )
-    if not (0.0 < scale / (1.0 + offset) ** power < 1.0):
+    if not (0.0 < inverse_power(scale, 1.0 + offset, power) < 1.0):
         raise ConfigError("anchor weights must start inside (0, 1)")
     return Schedule(
-        lambda k: scale / (k + offset) ** power,
+        lambda k: inverse_power(scale, k + offset, power),
         ScheduleClass.HALPERN_ANCHOR,
     )
 
@@ -114,7 +123,7 @@ def vanishing_schedule(scale: float = 1.0, power: float = 1.0) -> Schedule:
     equal 1 (e.g. 1/k at k=1), which the composites accept."""
     if not (power > 0.0) or not (0.0 <= scale <= 1.0):
         raise ConfigError("vanishing schedule needs power > 0 and scale in [0, 1]")
-    return Schedule(lambda k: scale / k ** power, ScheduleClass.VANISHING_PARAM)
+    return Schedule(lambda k: inverse_power(scale, k, power), ScheduleClass.VANISHING_PARAM)
 
 
 def resolvent_constant(lam: float) -> Schedule:

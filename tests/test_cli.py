@@ -174,22 +174,46 @@ def _with(cfg, path, value):
                  id="zero-stride"),
     pytest.param("trace_stride", -2, "trace_stride must be a positive integer or None, got -2",
                  id="negative-stride"),
+    pytest.param("schedules.lambda", {"kind": "constant", "value": 1.0, "floor": 0.5, "power": 7},
+                 "unknown keys ['floor', 'power'] in schedule 'lambda' of kind 'constant'; "
+                 "accepted keys: ['kind', 'value']", id="constant-schedule-extra-keys"),
+    pytest.param("schedules.anchor", {"kind": "power", "value": 0.1},
+                 "unknown keys ['value'] in schedule 'anchor' of kind 'power'; "
+                 "accepted keys: ['kind', 'scale', 'offset', 'power']",
+                 id="anchor-schedule-extra-key"),
+    pytest.param("schedules.alpha", {"kind": "power", "power": 2000.0},
+                 "Mann weight at k=1 is 0.0", id="mann-power-overflow"),
 ])
 def test_malformed_run_config_is_a_config_error(tmp_path, path, value, message):
-    # through the installed entry point, so an uncaught exception would show
-    # as a traceback on stderr
-    cfg = write_cfg(tmp_path, _with(BASE_RUN, path, value))
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-m", "hadamard_iter.cli", "run", "--config", cfg,
-                           "--out", str(tmp_path / "o")],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_entry_point(tmp_path, _with(BASE_RUN, path, value))
     assert proc.returncode == 1
     assert proc.stderr.startswith("config error:")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_power_floor_schedule_runs(tmp_path):
+    # 1e6 ** 300 overflows a float; the weight 1 / k ** 300 reads as 0 there
+    lam = {"kind": "power_floor", "floor": 1, "scale": 1, "power": 300}
+    proc = _run_entry_point(tmp_path, _with(BASE_RUN, "schedules.lambda", lam))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["stop_reason"] == "converged"
+
+
+def _run_entry_point(tmp_path, cfg):
+    """``hadamard-iter run`` on ``cfg`` in a fresh interpreter, output to
+    ``tmp_path / "o"``, so an uncaught exception shows as a traceback on
+    stderr."""
+    path = write_cfg(tmp_path, cfg)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "hadamard_iter.cli", "run", "--config", path,
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_run_passes_trace_stride_through(tmp_path):

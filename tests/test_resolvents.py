@@ -14,6 +14,7 @@ from hadamard_iter import (
     Euclidean,
     Halfspace,
     Hyperboloid,
+    Minimization,
     ObjectiveFunction,
     OperatorSpec,
     RunConfig,
@@ -22,6 +23,7 @@ from hadamard_iter import (
     Spider,
     StopReason,
     UnsupportedOperationError,
+    VariationalInequality,
     WholeSpace,
     bifunction_fixture,
     build_scheme,
@@ -388,6 +390,32 @@ def _fresh_grid(space, K, x, z, n_dir, n_rad):
     return pts
 
 
+def _recorded_verifications(monkeypatch):
+    """(x, z, grid) of every equilibrium resolvent verification, in order."""
+    calls = []
+    verify = resolvents._verify_equilibrium
+
+    def recording_verify(f, lam, x, z, grid):
+        calls.append((x, z, grid))
+        return verify(f, lam, x, z, grid)
+
+    monkeypatch.setattr(resolvents, "_verify_equilibrium", recording_verify)
+    return calls
+
+
+def _wrong_on_third_call(K):
+    """The projection bifunction on an E2 set K whose solver returns a point
+    that fails the inequality on its third call, and that call's counter."""
+    calls = [0]
+
+    def solve(lam, x):
+        calls[0] += 1
+        return E2.point([-0.5, -0.3]) if calls[0] == 3 else E2.project(K, x)
+
+    return dataclasses.replace(_projection_bifunction(E2, K),
+                               structure=CustomSolver(solve=solve)), calls
+
+
 GRID_CASES = [
     ("E2 ball", E2, Ball(E2.point([0.2, -0.1]), 0.7),
      [E2.point([1.0, 1.0]), E2.point([-0.3, 0.2])]),
@@ -406,14 +434,7 @@ GRID_CASES = [
 
 @pytest.mark.parametrize("name,space,K,xs", GRID_CASES, ids=[c[0] for c in GRID_CASES])
 def test_operator_verification_grid_equals_a_fresh_grid(monkeypatch, name, space, K, xs):
-    grids = []
-    verify = resolvents._verify_equilibrium
-
-    def recording_verify(f, lam, x, z, grid):
-        grids.append((x, z, grid))
-        return verify(f, lam, x, z, grid)
-
-    monkeypatch.setattr(resolvents, "_verify_equilibrium", recording_verify)
+    grids = _recorded_verifications(monkeypatch)
     op = equilibrium_resolvent_operator(_projection_bifunction(space, K), 1.0)
     for x in xs:
         op.apply(x)
@@ -425,19 +446,11 @@ def test_operator_verification_grid_equals_a_fresh_grid(monkeypatch, name, space
             assert got.space_id == want.space_id
             assert got.coords.tobytes() == want.coords.tobytes()
     if K.kind in ("ball", "segment"):
-        assert grids[0][2] is grids[1][2]  # built once per operator
+        assert grids[0][2] is grids[1][2]  # built once per set and counts
 
 
 def test_operator_verifies_every_call_with_the_cached_grid():
-    K = Ball(E2.point([0.0, 0.0]), 1.0)
-    calls = [0]
-
-    def solve(lam, x):
-        calls[0] += 1
-        return E2.point([-0.5, -0.3]) if calls[0] == 3 else E2.project(K, x)
-
-    bif = dataclasses.replace(_projection_bifunction(E2, K),
-                              structure=CustomSolver(solve=solve))
+    bif, calls = _wrong_on_third_call(Ball(E2.point([0.0, 0.0]), 1.0))
     op = equilibrium_resolvent_operator(bif, 1.0)
     x = E2.point([0.5, 0.3])
     op.apply(x)
@@ -448,28 +461,67 @@ def test_operator_verifies_every_call_with_the_cached_grid():
     assert E2.distance(op.apply(x), x) == 0.0
 
 
-def test_equilibrium_resolvent_rejects_a_grid_built_for_another_set():
-    ball = Ball(E2.point([0.0, 0.0]), 1.0)
+def test_one_shot_resolvent_reuses_its_ball_grid(monkeypatch):
+    calls = _recorded_verifications(monkeypatch)
+    f = _projection_bifunction(E2, Ball(E2.point([0.0, 0.0]), 1.0))
+    equilibrium_resolvent(f, 1.0, E2.point([0.5, 0.3]))
+    equilibrium_resolvent(f, 2.0, E2.point([2.0, -1.0]))
+    grids = [grid for _, _, grid in calls]
+    assert len(grids[0]) == 513  # 64 directions x 8 radii, and the center
+    assert grids[1] is grids[0]
+
+
+def test_one_shot_and_operator_on_one_set_get_the_grid_of_their_counts(monkeypatch):
+    calls = _recorded_verifications(monkeypatch)
+    f = _projection_bifunction(E2, Ball(E2.point([0.0, 0.0]), 1.0))
     x = E2.point([0.5, 0.3])
-    f = _projection_bifunction(E2, ball)
+    equilibrium_resolvent(f, 1.0, x)
+    equilibrium_resolvent_operator(f, 1.0).apply(x)
+    equilibrium_resolvent_operator(f, 2.0).apply(x)
+    equilibrium_resolvent(f, 1.0, x)
+    grids = [grid for _, _, grid in calls]
+    assert [len(g) for g in grids] == [513, 17, 17, 513]
+    assert grids[2] is grids[1] and grids[3] is grids[0]
 
-    def fixed(K, n_dir, n_rad):
-        points = resolvents._fixed_verification_grid(E2, K, n_dir, n_rad)
-        return resolvents._FixedGrid(K, n_dir, n_rad, points)
 
-    good = fixed(ball, 8, 2)
-    assert len(good.points) == 17
-    equilibrium_resolvent(f, 1.0, x, verify_directions=8, verify_radii=2, _grid=good)
-    segment = Segment(E2.point([0.0, 0.0]), E2.point([1.0, 0.5]))
-    same_ball = Ball(E2.point([0.0, 0.0]), 1.0)
-    for wrong in (fixed(ball, 4, 2), fixed(ball, 8, 3), fixed(segment, 8, 2),
-                  fixed(same_ball, 8, 2), good.points, ()):
-        with pytest.raises(DomainError, match="verification grid"):
-            equilibrium_resolvent(f, 1.0, x, verify_directions=8, verify_radii=2, _grid=wrong)
-    # a set whose grid follows x and z takes no prebuilt grid at all
-    whole = _projection_bifunction(E2, WholeSpace(E2.space_id))
-    with pytest.raises(DomainError, match="verification grid"):
-        equilibrium_resolvent(whole, 1.0, x, verify_directions=8, verify_radii=2, _grid=good)
+def test_one_shot_resolvent_verifies_every_call():
+    bif, calls = _wrong_on_third_call(Ball(E2.point([0.0, 0.0]), 1.0))
+    x = E2.point([0.5, 0.3])
+    equilibrium_resolvent(bif, 1.0, x)
+    equilibrium_resolvent(bif, 1.0, x)
+    with pytest.raises(SolverError, match="equilibrium inequality violated"):
+        equilibrium_resolvent(bif, 1.0, x)
+    assert calls[0] == 3
+
+
+@pytest.mark.parametrize("K", [Ball(E2.point([0.0, 0.0]), 1.0), WholeSpace(E2.space_id)],
+                         ids=["ball", "whole space"])
+@pytest.mark.parametrize("counts", [(0, 8), (64, 0), (-1, 2)],
+                         ids=["no directions", "no radii", "negative directions"])
+def test_verification_counts_below_one_raise(K, counts):
+    f = _projection_bifunction(E2, K)
+    x = E2.point([0.5, 0.3])
+    with pytest.raises(DomainError, match="at least 1 direction and 1 radius"):
+        equilibrium_resolvent(f, 1.0, x, *counts)
+    with pytest.raises(DomainError, match="at least 1 direction and 1 radius"):
+        equilibrium_resolvent_operator(f, 1.0, *counts).apply(x)
+
+
+def test_vi_and_constrained_minimization_need_a_euclidean_space():
+    K = Ball(H2.base_point(), 1.0)
+    x = H2.from_spatial([0.2, 0.1])
+    vi = Bifunction(space=H2, eval=lambda z, y: 0.0, theta=0.0,
+                    structure=VariationalInequality(field=lambda z: np.zeros(3), lipschitz=1.0),
+                    feasible_set=K)
+    with pytest.raises(UnsupportedOperationError,
+                       match="variational-inequality resolvents are solved in Euclidean"):
+        equilibrium_resolvent(vi, 1.0, x)
+    g = ObjectiveFunction(space=H2, eval=lambda p: 0.0, gradient=lambda p: np.zeros(3),
+                          gradient_lipschitz=1.0)
+    constrained = dataclasses.replace(vi, structure=Minimization(objective=g))
+    with pytest.raises(UnsupportedOperationError,
+                       match="constrained minimization bifunctions are solved in Euclidean"):
+        equilibrium_resolvent(constrained, 1.0, x)
 
 
 def test_sequence_builds_one_verification_grid_for_a_varying_lambda(monkeypatch):

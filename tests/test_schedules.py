@@ -10,6 +10,7 @@ from hadamard_iter import (
     resolvent_schedule,
     vanishing_schedule,
 )
+from hadamard_iter.schedules import inverse_power
 
 
 def test_halpern_default_is_one_over_k_plus_one():
@@ -65,3 +66,12 @@ def test_spot_check_catches_range_violation():
     with pytest.raises(ConfigError):
         # dips below the certified floor by k = 1000
         Schedule(lambda k: 2.0 / k, ScheduleClass.RESOLVENT_PARAM, lower_bound=0.5)
+
+
+def test_inverse_power_reads_an_overflowing_power_as_zero():
+    assert inverse_power(1.0, 1e6, 300.0) == 0.0
+    assert inverse_power(1.0, 10**6, 10**3) == 0.0  # an int power overflows on conversion
+    for scale, base, power in [(0.5, 3.0, 1.5), (2.0, 7, 0.3), (1.0, 1e6, 51.0)]:
+        assert inverse_power(scale, base, power) == scale / base ** power
+    s = vanishing_schedule(1.0, 300.0)  # spot-checked at k = 1e6
+    assert s(1) == 1.0 and s(10**6) == 0.0
