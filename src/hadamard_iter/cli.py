@@ -46,6 +46,7 @@ from .resolvents import equilibrium_resolvent_operator, lipschitz_resolvent_oper
 from .schedules import (
     Schedule,
     ScheduleClass,
+    check_power_term,
     halpern_schedule,
     inverse_power,
     mann_constant,
@@ -133,6 +134,8 @@ def _anchor_constant(value: float) -> Schedule:
 
 
 def _mann_power(scale: float, offset: float, power: float) -> Schedule:
+    # the first weight is the bound: the weights must not grow
+    check_power_term("Mann weights scale/(k+offset)^power", offset, power)
     return Schedule(lambda k: inverse_power(scale, k + offset, power), ScheduleClass.MANN_PARAM,
                     upper_bound=inverse_power(scale, 1.0 + offset, power))
 
@@ -145,6 +148,8 @@ def _vanishing_constant(value: float) -> Schedule:
 
 
 def _power_floor(floor: float, scale: float, power: float) -> Schedule:
+    # the parameters must stay between floor and floor + scale
+    check_power_term("resolvent parameters floor + scale/k^power", 0.0, power)
     return resolvent_schedule(lambda k: floor + inverse_power(scale, k, power),
                               lower=floor, upper=floor + scale)
 

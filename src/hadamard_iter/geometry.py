@@ -405,10 +405,11 @@ class Euclidean(ModelSpace):
         self.check_point(base)
         return self._wrap(base.coords + np.asarray(v, dtype=float))
 
-    def tangent_norm(self, base: SpacePoint, v: np.ndarray) -> float:
+    def tangent_norm(self, base: SpacePoint, v: np.ndarray | list) -> float:
         if self.dim == 1:
             return abs(float(v[0]))
-        v = np.asarray(v, dtype=float).tolist()
+        if not isinstance(v, list):  # a list of floats is read as it is
+            v = np.asarray(v, dtype=float).tolist()
         return math.sqrt(sum(map(mul, v, v)))
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
@@ -641,8 +642,9 @@ class Hyperboloid(ModelSpace):
             ch = sh = math.inf
         return self._wrap(_lift([ch * p + sh * (c / t) for p, c in zip(b[1:], v[1:])]))
 
-    def tangent_norm(self, base: SpacePoint, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float).tolist()
+    def tangent_norm(self, base: SpacePoint, v: np.ndarray | list) -> float:
+        if not isinstance(v, list):  # a list of floats is read as it is
+            v = np.asarray(v, dtype=float).tolist()
         q = _mink(v, v)
         return math.sqrt(q) if q > 0 else 0.0
 

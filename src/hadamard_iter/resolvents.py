@@ -62,7 +62,7 @@ class ObjectiveFunction:
     """An extended-real function on a model space with optional structure.
 
     ``gradient`` returns the Riemannian gradient as an ambient tangent
-    vector at the query point. ``weak_convexity_alpha`` is the weak
+    vector at the query point, a numpy array. ``weak_convexity_alpha`` is the weak
     convexity modulus (0 means convex). ``known_argmin`` may be a point or a
     convex set. A ``closed_form_resolvent`` (lam, x) -> point short-circuits
     the inner solver.
@@ -87,7 +87,8 @@ class Minimization:
 
 @dataclass(frozen=True, eq=False)
 class VariationalInequality:
-    """Bifunction structure f(x, y) = <F(x), y - x> for an L-Lipschitz field."""
+    """Bifunction structure f(x, y) = <F(x), y - x> for an L-Lipschitz field;
+    ``field`` returns a numpy array."""
 
     field: Callable[[SpacePoint], np.ndarray]
     lipschitz: float
@@ -129,9 +130,10 @@ def convex_resolvent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
         )
     space = f.space
     space.check_point(x)
-    if f.closed_form_resolvent is not None:
-        y = f.closed_form_resolvent(lam, x)
-    elif f.gradient is not None and not isinstance(space, Spider):
+    closed_form, gradient = f.closed_form_resolvent, f.gradient
+    if closed_form is not None:
+        y = closed_form(lam, x)
+    elif gradient is not None and not isinstance(space, Spider):
         y = _prox_by_descent(f, lam, x)
     elif isinstance(space, Spider):
         raise UnsupportedOperationError(
@@ -142,7 +144,8 @@ def convex_resolvent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
             f"objective {f.name or '<anonymous>'} has neither a closed-form "
             "resolvent nor a gradient"
         )
-    _recheck_first_order(f, lam, x, y)
+    if gradient is not None:
+        _recheck_first_order(space, gradient, lam, x, y)
     return y
 
 
@@ -151,12 +154,14 @@ def _subproblem_grad(f: ObjectiveFunction, lam: float, x: SpacePoint, y: SpacePo
     return f.gradient(y) - f.space.log_map(y, x) / lam
 
 
-def _recheck_first_order(f: ObjectiveFunction, lam: float, x: SpacePoint, y: SpacePoint) -> None:
-    if f.gradient is None:
-        return
-    space = f.space
-    back = space.log_map(y, x)  # |back| = d(x, y), reused for the scale
-    g = f.gradient(y) - back / lam
+def _recheck_first_order(
+    space: ModelSpace, gradient: Callable, lam: float, x: SpacePoint, y: SpacePoint
+) -> None:
+    # on Python floats: the vectors have a few entries, and each float
+    # operation rounds as numpy's elementwise one does, so this is the
+    # gradient of the subproblem, |g| and the scale to the bit
+    back = space.log_map(y, x).tolist()  # |back| = d(x, y), reused for the scale
+    g = [a - b / lam for a, b in zip(gradient(y).tolist(), back)]
     norm = space.tangent_norm(y, g)
     scale = 1.0 + space.tangent_norm(y, back) / lam
     if norm > 1e-8 * scale:
@@ -409,12 +414,16 @@ def _solve_vi_structure(
         raise UnsupportedOperationError(
             "variational-inequality resolvents are solved in Euclidean spaces only"
         )
+    # on Python floats, each entry rounded as numpy's elementwise
+    # z - g (F(z) + lam (z - x)) rounds it
+    field = vi.field
     step = 1.0 / (vi.lipschitz + lam)
     z = space.project(K, x)
-    xc = x.coords
+    xl = x.coords.tolist()
     for j in range(VI_BUDGET):
-        drift = vi.field(z) + lam * (z.coords - xc)
-        z_next = space.project(K, space.point(z.coords - step * drift))
+        zl = z.coords.tolist()
+        z_next = space.project(K, space.point(
+            [c - step * (fc + lam * (c - a)) for c, fc, a in zip(zl, field(z).tolist(), xl)]))
         move = space._distance(z_next, z)
         if not math.isfinite(move):
             raise SolverError(f"projected iteration diverged at inner step {j + 1}")

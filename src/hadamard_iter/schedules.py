@@ -94,16 +94,34 @@ def inverse_power(scale: float, base: float, power: float) -> float:
         return 0.0
 
 
+def check_power_term(what: str, offset: float, power: float) -> None:
+    """Raise ``ConfigError`` unless every weight scale / (k + offset) ** power,
+    k >= 1, is a real number that never grows with k: power >= 0,
+    k + offset > 0 from k = 1 on, and (1 + offset) ** power, the smallest
+    divisor, does not underflow to 0."""
+    if not (power >= 0.0):
+        raise ConfigError(f"{what} need power >= 0, got {power}")
+    base = 1.0 + offset
+    if not (base > 0.0):
+        raise ConfigError(f"{what} need k + offset > 0 for every k >= 1, "
+                          f"i.e. offset > -1; got offset {offset}")
+    if base < 1.0 and base ** power == 0.0:
+        raise ConfigError(f"{what} are undefined: (1 + offset)^power underflows to 0 "
+                          f"(offset {offset}, power {power})")
+
+
 # -- constructors that certify the analytic form -----------------------------
 
 def halpern_schedule(scale: float = 1.0, offset: float = 1.0, power: float = 1.0) -> Schedule:
     """Anchor weights scale / (k + offset)^power. Requires 0 < power <= 1 so
-    that the weights sum to infinity while tending to zero."""
+    that the weights sum to infinity while tending to zero, and offset > -1
+    so that every weight is a real number."""
     if not (0.0 < power <= 1.0):
         raise ConfigError(
             f"anchor weights scale/(k+offset)^{power} have a finite sum; "
             "the Halpern hypothesis needs a divergent sum (power <= 1) with limit 0"
         )
+    check_power_term("anchor weights scale/(k+offset)^power", offset, power)
     if not (0.0 < inverse_power(scale, 1.0 + offset, power) < 1.0):
         raise ConfigError("anchor weights must start inside (0, 1)")
     return Schedule(

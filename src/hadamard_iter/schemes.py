@@ -14,6 +14,11 @@ the run as a solver error that keeps the trace so far; invalid start,
 anchor or reference points and an invalid trace stride raise before the
 first step.
 
+Those points are checked once, at entry. Each step checks the operator's
+output once, through the public ``distance`` of the residual; the anchored
+movement and the distances to the reference are between points the loop
+made or checked, so they take the space's unchecked ``_distance``.
+
 All built-in schemes are Fejer monotone toward the common fixed set without
 an anchor; with one, d(x_k, x*) stays bounded by max(d(x*, u), d(x*, x_1)).
 """
@@ -21,7 +26,9 @@ an anchor; with one, d(x_k, x*) stays bounded by max(d(x*, u), d(x*, x_1)).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ConfigError, HadamardIterError
@@ -86,22 +93,20 @@ class RunConfig:
     seed: int = 0
 
 
-class _Recorder:
-    __slots__ = ("stride", "next_log")
-
-    def __init__(self, stride: int | None):
-        self.stride = stride
-        self.next_log = 1000
-
-    def want(self, k: int) -> bool:
-        if self.stride is not None:
-            return k == 1 or k % self.stride == 0
-        if k <= 1000:
-            return True
-        if k >= self.next_log:
-            self.next_log = max(self.next_log + 1, int(self.next_log * 1.1))
-            return True
-        return False
+def _recorded_steps(stride: int | None) -> Iterator[int]:
+    """The steps k a trace records, in increasing order (the last step of a
+    run is recorded as well). With a stride n: k = 1 and every multiple of
+    n. Without one: every k up to 1001, then m_1, m_2, ... with m_0 = 1000
+    and m_{i+1} = max(m_i + 1, int(1.1 m_i)): 1100, 1210, 1331, ..."""
+    if stride is not None:
+        yield 1
+        yield from itertools.count(max(stride, 2), stride)
+    else:
+        yield from range(1, 1002)
+        k = 1000
+        while True:
+            k = max(k + 1, int(k * 1.1))
+            yield k
 
 
 def iterate_sequence(
@@ -152,40 +157,49 @@ def _iterate(seq, anchors, cfg, scheme, guarantee) -> IterationTrace:
     """The one loop: x_{k+1} = a_k u (+) (1 - a_k) T_k x_k, or T_k x_k when
     the config has no anchor. It stops when the step movement d(x_k, x_{k+1})
     meets the tolerance; without an anchor that movement is the residual.
-    The entry points have run ``check_entry``."""
+    The entry points have run ``check_entry``.
+
+    A recorded step's d(x_{k+1}, ref) is reused as d(x_k, ref) by the next
+    recorded step whose x_k is that same point object: the same call on the
+    same objects, so the same bits."""
     space = cfg.space
+    factory = seq.factory
+    dist = space._distance
+    tol = cfg.tolerance
+    budget = cfg.max_iterations
     u = cfg.anchor
     ref = cfg.reference
-    rec = _Recorder(cfg.trace_stride)
+    recorded = _recorded_steps(cfg.trace_stride)
+    next_recorded = next(recorded)
     steps: list[TraceStep] = []
     x = cfg.start
+    carried = d_next = None  # x_{k+1} of the step last recorded, and d(x_{k+1}, ref)
     k = 1
     while True:
         try:
-            w = seq.factory(k).apply(x)
+            w = factory(k).apply(x)
             x_next = w if u is None else space.combine(u, w, 1.0 - anchors(k))
         except HadamardIterError as err:
             return _finish(steps, scheme, guarantee, space, cfg, x, float("nan"),
                            k - 1, StopReason.SOLVER_ERROR, k, str(err))
         res = space.distance(x, w)
-        move = res if u is None else space.distance(x, x_next)
-        if not (math.isfinite(res) and math.isfinite(move)):
+        move = res if u is None else dist(x, x_next)
+        if not (math.isfinite(res) and (move is res or math.isfinite(move))):
             return _finish(steps, scheme, guarantee, space, cfg, x, res,
                            k - 1, StopReason.SOLVER_ERROR, k,
                            f"non-finite residual at step {k}")
-        done = move <= cfg.tolerance or k >= cfg.max_iterations
-        if done or rec.want(k):
+        done = move <= tol or k >= budget
+        if done or k == next_recorded:
+            next_recorded = next(recorded)  # moot when done: the run ends here
             if ref is None:
                 steps.append(TraceStep(k, x, res, None, None))
             else:
-                dx = space.distance(x, ref)
-                steps.append(TraceStep(k, x, res, dx, dx - space.distance(x_next, ref)))
-        if move <= cfg.tolerance:
+                dx = d_next if x is carried else dist(x, ref)
+                carried, d_next = x_next, dist(x_next, ref)
+                steps.append(TraceStep(k, x, res, dx, dx - d_next))
+        if done:
             return _finish(steps, scheme, guarantee, space, cfg, x_next, res, k,
-                           StopReason.CONVERGED)
-        if k >= cfg.max_iterations:
-            return _finish(steps, scheme, guarantee, space, cfg, x_next, res, k,
-                           StopReason.BUDGET_EXHAUSTED)
+                           StopReason.CONVERGED if move <= tol else StopReason.BUDGET_EXHAUSTED)
         x = x_next
         k += 1
 

@@ -183,6 +183,20 @@ def _with(cfg, path, value):
                  id="anchor-schedule-extra-key"),
     pytest.param("schedules.alpha", {"kind": "power", "power": 2000.0},
                  "Mann weight at k=1 is 0.0", id="mann-power-overflow"),
+    pytest.param("schedules.alpha", {"kind": "power", "offset": -3, "power": 0.5},
+                 "Mann weights scale/(k+offset)^power need k + offset > 0 for every k >= 1",
+                 id="mann-power-complex-weight"),
+    pytest.param("schedules.anchor", {"kind": "power", "offset": -3, "power": 0.5},
+                 "anchor weights scale/(k+offset)^power need k + offset > 0 for every k >= 1",
+                 id="anchor-power-complex-weight"),
+    pytest.param("schedules.lambda", {"kind": "power_floor", "floor": 1, "power": -1000},
+                 "resolvent parameters floor + scale/k^power need power >= 0, got -1000.0",
+                 id="power-floor-negative-power"),
+    pytest.param("schedules.alpha", {"kind": "power", "offset": 0.5, "power": -1},
+                 "Mann weights scale/(k+offset)^power need power >= 0, got -1.0",
+                 id="mann-power-negative-power"),
+    pytest.param("schedules.alpha", {"kind": "power", "offset": -0.999, "power": 2000},
+                 "(1 + offset)^power underflows to 0", id="mann-power-underflow"),
 ])
 def test_malformed_run_config_is_a_config_error(tmp_path, path, value, message):
     proc = _run_entry_point(tmp_path, _with(BASE_RUN, path, value))

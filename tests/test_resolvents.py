@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from hadamard_iter import (
@@ -32,6 +33,7 @@ from hadamard_iter import (
     equilibrium_resolvent,
     equilibrium_resolvent_operator,
     halpern_schedule,
+    iterate_sequence,
     lipschitz_resolvent,
     lipschitz_resolvent_detailed,
     objective_fixture,
@@ -126,6 +128,119 @@ def test_recheck_catches_wrong_closed_form():
     )
     with pytest.raises(SolverError):
         convex_resolvent(broken, 1.0, E1.point([2]))
+
+
+def _numpy_recheck(f, lam, x, y):
+    """The first-order recheck on numpy arrays, as it was before it moved to
+    Python floats: the reference the float recheck must agree with."""
+    if f.gradient is None:
+        return
+    space = f.space
+    back = space.log_map(y, x)
+    g = f.gradient(y) - back / lam
+    norm = space.tangent_norm(y, g)
+    scale = 1.0 + space.tangent_norm(y, back) / lam
+    if norm > 1e-8 * scale:
+        raise SolverError(
+            f"resolvent output fails first-order optimality: |grad| = {norm:.3e} "
+            f"(lam={lam})"
+        )
+
+
+def _message(check):
+    try:
+        check()
+    except SolverError as err:
+        return str(err)
+    return None
+
+
+def _moved(space, y, direction, t):
+    """y moved the distance t along ``direction`` (spatial or ambient)."""
+    if isinstance(space, Hyperboloid):
+        raw = np.array([0.0, *direction])
+        v = raw + Hyperboloid.minkowski(y.coords, raw) * y.coords
+        return space.exp_map(y, v * (t / space.tangent_norm(y, v)))
+    u = np.asarray(direction, dtype=float)
+    return space.point(y.coords + u * (t / float(np.sqrt(u @ u))))
+
+
+# a ratio to the distance at which the gate 1e-8 * (1 + d(x, y)/lam) trips:
+# mostly either side of it, and often within 0.1% of it
+_GATE_RATIO = st.one_of(st.floats(0.25, 4.0), st.floats(0.999, 1.001))
+_DIRECTION = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2).filter(
+    lambda d: math.hypot(*d) > 0.1)
+
+
+@st.composite
+def _recheck_case(draw, space):
+    """(objective, lam, x, y) with y the closed-form resolvent moved about the
+    distance at which the recheck trips, times a drawn ratio."""
+    dim = 1 if space is E1 else 2
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    point = space.from_spatial if isinstance(space, Hyperboloid) else space.point
+    if space is E1 and draw(st.booleans()):
+        f, lam = objective_fixture(E1, "plateau_quartic"), draw(st.floats(0.001, 0.06))
+        x = E1.point([draw(st.floats(-3.0, 6.0))])
+        y = f.closed_form_resolvent(lam, x)
+        t = float(y.coords[0])
+        curvature = abs((36.0 * t - 96.0) * t + 48.0 + 1.0 / lam)  # d/dy of the gradient
+    else:
+        f, lam = objective_fixture(space, "quadratic", center=point(draw(coords))), \
+            draw(st.floats(0.05, 5.0))
+        x = point(draw(coords))
+        y = f.closed_form_resolvent(lam, x)
+        curvature = 1.0 + 1.0 / lam
+    gate = 1e-8 * (1.0 + space.distance(x, y) / lam) / curvature
+    direction = draw(_DIRECTION)[:dim]
+    if dim == 1:
+        direction = [1.0 if direction[0] >= 0 else -1.0]
+    return f, lam, x, _moved(space, y, direction, draw(_GATE_RATIO) * gate)
+
+
+@pytest.mark.parametrize("space", [E1, E2, H2], ids=lambda s: s.space_id)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_float_recheck_decides_as_the_numpy_recheck(space, data):
+    f, lam, x, y = data.draw(_recheck_case(space))
+    want = _message(lambda: _numpy_recheck(f, lam, x, y))
+    got = _message(lambda: resolvents._recheck_first_order(space, f.gradient, lam, x, y))
+    assert got == want
+
+
+@pytest.mark.parametrize("space", [E1, E2, H2], ids=lambda s: s.space_id)
+@pytest.mark.parametrize("ratio, trips", [(0.5, False), (2.0, True)])
+def test_recheck_cases_fall_on_the_side_of_the_gate_they_are_drawn_on(space, ratio, trips):
+    # the cases above straddle the gate: half the distance passes, twice trips
+    f = objective_fixture(space, "quadratic")
+    x = space.from_spatial([1.2, -0.4]) if space is H2 else space.point([1.2, -0.4][:space.dim])
+    y = f.closed_form_resolvent(0.5, x)
+    gate = 1e-8 * (1.0 + space.distance(x, y) / 0.5) / 3.0
+    moved = _moved(space, y, [0.6, 0.8][:space.dim], ratio * gate)
+    for check in (lambda: _numpy_recheck(f, 0.5, x, moved),
+                  lambda: resolvents._recheck_first_order(space, f.gradient, 0.5, x, moved)):
+        assert (_message(check) is not None) is trips
+
+
+def test_resolvent_operators_look_up_convex_resolvent_when_called(monkeypatch):
+    # a span tracer replaces the module-level name once operators exist; an
+    # operator built before must reach the replacement, in the engine too
+    f = objective_fixture(E1, "quadratic")
+    seq = resolvent_sequence(f, resolvent_constant(1.0))
+    op = seq.factory(1)
+    calls = []
+    real = resolvents.convex_resolvent
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(resolvents, "convex_resolvent", spy)
+    x = E1.point([2.0])
+    assert op.apply(x).coords[0] == 1.0
+    assert calls == [(f, 1.0, x)]
+    tr = iterate_sequence(seq, RunConfig(space=E1, start=x, max_iterations=5, tolerance=0.0))
+    assert len(calls) == 1 + tr.summary.iterations_run == 6
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +451,38 @@ def test_minimization_over_ball():
     # resolvent output stays in K and moves toward the constrained minimizer
     assert E2.contains(K, z, 1e-9)
     assert E2.distance(z, bif.equilibrium_witness) < 1.0
+
+
+def _numpy_vi_solve(vi, space, K, lam, x):
+    """The projected iteration on numpy arrays, as it was before it moved to
+    Python floats: the reference the float loop must equal bit for bit."""
+    step = 1.0 / (vi.lipschitz + lam)
+    z = space.project(K, x)
+    for j in range(resolvents.VI_BUDGET):
+        drift = vi.field(z) + lam * (z.coords - x.coords)
+        z_next = space.project(K, space.point(z.coords - step * drift))
+        move = space.distance(z_next, z)
+        z = z_next
+        if move <= resolvents.VI_TOL:
+            return z
+    raise AssertionError("the reference loop did not converge")
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2), lam=st.floats(0.5, 4.0),
+       name=st.sampled_from(["rotation_vi", "min_quadratic"]))
+def test_float_vi_loop_equals_the_numpy_loop(x, lam, name):
+    if name == "rotation_vi":
+        bif = bifunction_fixture(E2, name)
+        vi = bif.structure
+    else:  # the gradient field of a constrained minimization
+        bif = bifunction_fixture(E2, name, center=[3.0, 0.5], cset=Ball(E2.point([0, 0]), 1.0))
+        g = bif.structure.objective
+        vi = VariationalInequality(field=g.gradient, lipschitz=g.gradient_lipschitz)
+    x = E2.point(x)
+    got = resolvents._solve_vi_structure(vi, E2, bif.feasible_set, lam, x)
+    want = _numpy_vi_solve(vi, E2, bif.feasible_set, lam, x)
+    assert np.array_equal(got.coords, want.coords)
 
 
 def test_equilibrium_verification_catches_broken_solver():

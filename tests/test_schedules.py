@@ -10,7 +10,7 @@ from hadamard_iter import (
     resolvent_schedule,
     vanishing_schedule,
 )
-from hadamard_iter.schedules import inverse_power
+from hadamard_iter.schedules import check_power_term, inverse_power
 
 
 def test_halpern_default_is_one_over_k_plus_one():
@@ -75,3 +75,34 @@ def test_inverse_power_reads_an_overflowing_power_as_zero():
         assert inverse_power(scale, base, power) == scale / base ** power
     s = vanishing_schedule(1.0, 300.0)  # spot-checked at k = 1e6
     assert s(1) == 1.0 and s(10**6) == 0.0
+
+
+@pytest.mark.parametrize("offset, power", [
+    (-3.0, 0.5),   # (1 - 3) ** 0.5 is complex
+    (-1.0, 1.0),   # the weight at k = 1 divides by 0
+    (-2.0, 1.0),   # a negative weight at k = 1
+    (float("nan"), 1.0),
+])
+def test_halpern_rejects_an_offset_that_leaves_the_reals(offset, power):
+    with pytest.raises(ConfigError, match="offset > -1"):
+        halpern_schedule(scale=0.1, offset=offset, power=power)
+
+
+def test_halpern_accepts_an_offset_above_minus_one():
+    s = halpern_schedule(scale=0.25, offset=-0.5, power=1.0)
+    assert s(1) == 0.5
+    assert s(3) == 0.1
+
+
+@pytest.mark.parametrize("power", [0.0, -1.0, float("nan")])
+def test_vanishing_rejects_a_power_that_does_not_vanish(power):
+    with pytest.raises(ConfigError, match="power > 0"):
+        vanishing_schedule(power=power)
+
+
+def test_power_term_rejects_an_underflowing_first_power():
+    # 0.001 ** 2000 underflows to 0, so scale / it is undefined
+    with pytest.raises(ConfigError, match="underflows to 0"):
+        check_power_term("weights", -0.999, 2000.0)
+    check_power_term("weights", -0.999, 100.0)  # 1e-300: small, still positive
+    check_power_term("weights", 1.0, 2000.0)  # overflows: the weights read as 0

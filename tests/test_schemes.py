@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hadamard_iter import (
     ConfigError,
     DomainError,
     Euclidean,
+    Hyperboloid,
     OperatorSequence,
     OperatorSpec,
     RunConfig,
@@ -22,6 +24,7 @@ from hadamard_iter import (
     halpern_schedule,
     iterate_sequence,
     mann_constant,
+    mann_sequence,
     objective_fixture,
     resolvent_constant,
     resolvent_sequence,
@@ -31,10 +34,11 @@ from hadamard_iter import (
 from hadamard_iter.errors import HadamardIterError
 from hadamard_iter.geometry import SpacePoint
 from hadamard_iter.schedules import ScheduleClass, require_class
-from hadamard_iter.schemes import RunSummary, TraceStep, _finish, _Recorder
+from hadamard_iter.schemes import RunSummary, TraceStep, _finish, _recorded_steps
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
+H2 = Hyperboloid(2)
 
 
 def const_seq(space, p):
@@ -308,6 +312,32 @@ def test_residual_decay_for_sqn_sequence():
 # the one loop against the two loops it replaced
 # ---------------------------------------------------------------------------
 
+class _Recorder:
+    """The trace thinning policy as a per-step test, as the loops below had it."""
+
+    def __init__(self, stride):
+        self.stride = stride
+        self.next_log = 1000
+
+    def want(self, k):
+        if self.stride is not None:
+            return k == 1 or k % self.stride == 0
+        if k <= 1000:
+            return True
+        if k >= self.next_log:
+            self.next_log = max(self.next_log + 1, int(self.next_log * 1.1))
+            return True
+        return False
+
+
+@pytest.mark.parametrize("stride", [None, 1, 2, 7, 1000, 4999])
+def test_recorded_steps_follow_the_per_step_policy(stride):
+    rec = _Recorder(stride)
+    want = [k for k in range(1, 100_001) if rec.want(k)]
+    got = list(itertools.takewhile(lambda k: k <= 100_000, _recorded_steps(stride)))
+    assert got == want
+
+
 def _ref_iterate_sequence(seq, cfg, scheme="sequence", guarantee=""):
     """The plain sequence loop as it was before the two engines were merged."""
     if cfg.anchor is not None:
@@ -403,27 +433,56 @@ def _map_seq(step):
     return OperatorSequence(space=E1, factory=factory)
 
 
-# case -> (operator sequence, start, anchor, budget, tolerance,
-#          expected stop reason without and with the anchor)
+def _on_e1(start, anchor):
+    """Start, anchor and reference points of an E1 case (reference 1)."""
+    return lambda: (E1.point([start]), E1.point([anchor]), E1.point([1.0]))
+
+
+_BALL = Ball(H2.from_spatial([0.3, 0.2]), 0.4)
+_H2_ANCHOR = H2.from_spatial([-0.9, 0.8])
+
+
+def _h2_halpern_ppa_seq():
+    f = objective_fixture(H2, "dist2_to_set", cset=_BALL)
+    built = build_scheme("halpern_ppa", f, {"anchor": halpern_schedule(),
+                                            "lambda": resolvent_constant(1.0)})
+    return built.sequence
+
+
+# case -> (space, operator sequence, (start, anchor, reference), budget,
+#          tolerance, expected stop reason without and with the anchor)
 _EQUIVALENCE_CASES = {
     # constant map to 1: the plain run certifies at k = 2, the anchored run
     # (u = 1) reaches 1 at k = 2 and stops on zero movement there
-    "converged": (lambda: const_seq(E1, E1.point([1.0])), 9.0, 1.0, 50, 1e-12,
+    "converged": (E1, lambda: const_seq(E1, E1.point([1.0])), _on_e1(9.0, 1.0), 50, 1e-12,
                   (StopReason.CONVERGED, StopReason.CONVERGED)),
     # the identity: the residual is 0 at once, but the anchored run keeps
     # moving toward u, so only the movement rule tells the two apart
-    "residual_vanishes_first": (lambda: _map_seq(lambda k, x: x), 2.0, 1.0, 30, 1e-12,
-                                (StopReason.CONVERGED, StopReason.BUDGET_EXHAUSTED)),
+    "residual_vanishes_first": (E1, lambda: _map_seq(lambda k, x: x), _on_e1(2.0, 1.0), 30,
+                                1e-12, (StopReason.CONVERGED, StopReason.BUDGET_EXHAUSTED)),
     # slow contraction past the dense part of the trace
-    "budget_exhausted": (lambda: _map_seq(lambda k, x: 0.999 * x + 0.001), 9.0, 9.0, 1500, 0.0,
-                         (StopReason.BUDGET_EXHAUSTED,) * 2),
+    "budget_exhausted": (E1, lambda: _map_seq(lambda k, x: 0.999 * x + 0.001), _on_e1(9.0, 9.0),
+                         1500, 0.0, (StopReason.BUDGET_EXHAUSTED,) * 2),
     # T_50 yields a NaN coordinate, which the space rejects
-    "domain_error": (lambda: _map_seq(lambda k, x: float("nan") if k == 50 else 0.5 * x),
-                     4.0, 4.0, 100, 0.0, (StopReason.SOLVER_ERROR,) * 2),
+    "domain_error": (E1, lambda: _map_seq(lambda k, x: float("nan") if k == 50 else 0.5 * x),
+                     _on_e1(4.0, 4.0), 100, 0.0, (StopReason.SOLVER_ERROR,) * 2),
     # T_5 jumps to -1.7e308: both points are finite, their distance is not,
     # while the anchored step toward u = 0 and its movement stay finite
-    "non_finite_residual": (lambda: _map_seq(lambda k, x: -1.7e308 if k == 5 else 0.9 * x),
-                            1.7e308, 0.0, 100, 0.0, (StopReason.SOLVER_ERROR,) * 2),
+    "non_finite_residual": (E1, lambda: _map_seq(lambda k, x: -1.7e308 if k == 5 else 0.9 * x),
+                            _on_e1(1.7e308, 0.0), 100, 0.0, (StopReason.SOLVER_ERROR,) * 2),
+    # the resolvents of d^2(., ball) / 2 on H2, toward the projection of
+    # the anchor: the plain run reaches the ball to rounding, the anchored
+    # one moves on until its budget
+    "h2_halpern_ppa_ball": (H2, _h2_halpern_ppa_seq,
+                            lambda: (H2.from_spatial([1.0, -0.6]), _H2_ANCHOR,
+                                     H2.project(_BALL, _H2_ANCHOR)),
+                            1500, 0.0, (StopReason.CONVERGED, StopReason.BUDGET_EXHAUSTED)),
+    # Mann averages of a slow rotation of the plane, with reference the
+    # origin, its fixed point
+    "e2_mann_rotation": (E2, lambda: mann_sequence(catalog_operator(E2, "rotation", angle=0.1),
+                                                   mann_constant(0.5)),
+                         lambda: (E2.point([3.0, 1.0]), E2.point([1.0, 1.0]), E2.base_point()),
+                         1500, 0.0, (StopReason.BUDGET_EXHAUSTED,) * 2),
 }
 
 
@@ -440,15 +499,15 @@ def _same(a, b) -> bool:
 @pytest.mark.parametrize("case", sorted(_EQUIVALENCE_CASES))
 @pytest.mark.parametrize("engine", ["sequence", "halpern"])
 def test_one_loop_equals_the_two_loops_it_replaced(engine, case, with_reference, stride):
-    make_seq, start, anchor, budget, tol, reasons = _EQUIVALENCE_CASES[case]
-    cfg = RunConfig(space=E1, start=E1.point([start]), max_iterations=budget, tolerance=tol,
-                    reference=E1.point([1.0]) if with_reference else None,
-                    trace_stride=stride)
+    space, make_seq, points, budget, tol, reasons = _EQUIVALENCE_CASES[case]
+    start, anchor, reference = points()
+    cfg = RunConfig(space=space, start=start, max_iterations=budget, tolerance=tol,
+                    reference=reference if with_reference else None, trace_stride=stride)
     if engine == "sequence":
         got = iterate_sequence(make_seq(), cfg, "s", "g")
         want = _ref_iterate_sequence(make_seq(), cfg, "s", "g")
     else:
-        cfg = dataclasses.replace(cfg, anchor=E1.point([anchor]))
+        cfg = dataclasses.replace(cfg, anchor=anchor)
         got = halpern_iterate(make_seq(), halpern_schedule(), cfg, "h", "g")
         want = _ref_halpern_iterate(make_seq(), halpern_schedule(), cfg, "h", "g")
     assert want.summary.stop_reason is reasons[engine == "halpern"]
