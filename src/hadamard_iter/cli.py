@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import inspect
 import io
 import itertools
@@ -19,7 +20,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .diagnostics import (
     CheckReport,
@@ -74,6 +75,22 @@ def _require_keys(d: Mapping, ctx: str, required: set[str], optional: set[str]) 
         raise ConfigError(f"missing keys {sorted(missing)} in {ctx}")
 
 
+def _outputs(cfg: Mapping, defaults: dict[str, str]) -> dict[str, str]:
+    """The file names of ``cfg``'s ``outputs`` object over ``defaults``; each
+    must be a nonempty string."""
+    outputs = cfg.get("outputs", {})
+    _require_keys(outputs, "outputs", set(), set(defaults))
+    for key, name in outputs.items():
+        _file_name(name, f"output {key!r}")
+    return {**defaults, **outputs}
+
+
+def _file_name(name: Any, what: str) -> str:
+    if not (isinstance(name, str) and name):
+        raise ConfigError(f"{what} must be a file name, got {name!r}")
+    return name
+
+
 def _num(desc: Mapping, key: str, ctx: str, default: Any = None, kind: type = float):
     """``desc[key]`` as a number, or ``default`` when the key is absent; a
     missing required key or a non-numeric value is a config error."""
@@ -102,7 +119,9 @@ def _parse_source(space: ModelSpace, desc: Mapping):
 def _parse_descriptor(space: ModelSpace, kind: str, desc: Mapping):
     """An operator, objective or bifunction from its descriptor: a catalogue
     ``name`` plus the keyword parameters of that entry's builder, with
-    ``set`` read as a convex set (``cset``) and ``point`` as a point."""
+    ``set`` read as a convex set (``cset``) and ``point`` as a point. A
+    builder parameter without a default is a required key, and one
+    annotated ``float`` is read as a number."""
     factory, catalogue = {
         "operator": (catalog_operator, _OPERATORS),
         "objective": (objective_fixture, _OBJECTIVES),
@@ -113,12 +132,18 @@ def _parse_descriptor(space: ModelSpace, kind: str, desc: Mapping):
     d = dict(desc)
     name = d.pop("name")
     if name in catalogue:  # an unknown name is the factory's error
-        params = list(inspect.signature(catalogue[name]).parameters)[1:]
-        accepted = ["name", *("set" if p == "cset" else p for p in params)]
-        unknown = set(desc) - set(accepted)
+        ctx = f"{kind} {name!r}"
+        params = list(inspect.signature(catalogue[name]).parameters.values())[1:]
+        keys = {"set" if p.name == "cset" else p.name: p for p in params}
+        unknown = set(d) - set(keys)
         if unknown:
-            raise ConfigError(f"unknown keys {sorted(unknown)} in {kind} {name!r}; "
-                              f"accepted keys: {accepted}")
+            raise ConfigError(f"unknown keys {sorted(unknown)} in {ctx}; "
+                              f"accepted keys: {['name', *keys]}")
+        for key, p in keys.items():
+            if key not in d and p.default is p.empty:
+                raise ConfigError(f"missing key {key!r} in {ctx}")
+            if key in d and p.annotation in (float, "float"):
+                d[key] = _num(d, key, ctx)
     if "set" in d:
         d["cset"] = set_from_config(space, d.pop("set"))
     if "point" in d:
@@ -174,8 +199,6 @@ _SCHEDULE_KINDS = {
 
 def _parse_schedule(role: str, desc: Mapping) -> Schedule:
     ctx = f"schedule {role!r}"
-    if role not in _SCHEDULE_KINDS:
-        raise ConfigError(f"unknown schedule role {role!r}")
     what, kinds = _SCHEDULE_KINDS[role]
     if not isinstance(desc, Mapping) or not isinstance(desc.get("kind"), str):
         raise ConfigError(f"{ctx} must be an object with a string 'kind'")
@@ -202,6 +225,7 @@ def parse_run_config(cfg: Mapping, overrides: Mapping | None = None
     overrides = overrides or {}
     space = space_from_config(cfg["space"])
     source = _parse_source(space, cfg["source"])
+    _require_keys(cfg["schedules"], "schedules", set(), set(_SCHEDULE_KINDS))
     schedules = {role: _parse_schedule(role, d) for role, d in cfg["schedules"].items()}
     built = build_scheme(cfg["scheme"], source, schedules)
 
@@ -218,11 +242,8 @@ def parse_run_config(cfg: Mapping, overrides: Mapping | None = None
         trace_stride=cfg.get("trace_stride"),
         seed=_num(merged, "seed", "run config", 0, int),
     )
-    check_entry(run_cfg, built.anchor_schedule)  # what the engine rejects at entry
-    outputs = dict(cfg.get("outputs", {}))
-    _require_keys(outputs, "outputs", set(), {"trace", "summary"})
-    outputs.setdefault("trace", "trace.csv")
-    outputs.setdefault("summary", "summary.json")
+    check_entry(built.sequence, run_cfg, built.anchor_schedule)  # what the engine rejects at entry
+    outputs = _outputs(cfg, {"trace": "trace.csv", "summary": "summary.json"})
     return built, run_cfg, outputs
 
 
@@ -268,8 +289,8 @@ def summary_dict(space: ModelSpace, built: BuiltScheme, trace: IterationTrace,
                  seed: int) -> dict:
     s = trace.summary
     return {
-        "scheme": s.scheme,
-        "guarantee": s.guarantee,
+        "scheme": built.name,
+        "guarantee": built.guarantee,
         "space": space.space_id,
         "iterations": s.iterations_run,
         "stop_reason": s.stop_reason.value,
@@ -331,15 +352,23 @@ CHECK_KEYS = {
     "halpern_target": ({"name", "run", "fixed_set", "tolerance"}, set()),
 }
 
+# sqn_inequality variant -> the descriptor key it builds from
+SQN_SOURCE_KEYS = {"ishikawa": "operator", "lipschitz_resolvent": "operator",
+                   "equilibrium_resolvent": "bifunction"}
 
-def _run_embedded(space: ModelSpace, desc: Mapping, seed: int) -> tuple[IterationTrace, RunConfig]:
+
+def _parse_embedded(space: ModelSpace, desc: Mapping, seed: int) -> tuple[BuiltScheme, RunConfig]:
     built, run_cfg, _ = parse_run_config(desc, {"seed": seed})
     if run_cfg.space != space:
         raise ConfigError("embedded run uses a different space than the check config")
-    return built.run(run_cfg), run_cfg
+    return built, run_cfg
 
 
-def _build_check(space: ModelSpace, desc: Mapping, seed: int) -> CheckReport:
+def _parse_check(space: ModelSpace, desc: Mapping, seed: int) -> Callable[[], CheckReport]:
+    """The check ``desc`` names, with every field read and validated, as a
+    call that runs it."""
+    if not isinstance(desc, Mapping):
+        raise ConfigError(f"a check must be an object, got {desc!r}")
     name = desc.get("name")
     if name not in CHECK_KEYS:
         raise ConfigError(f"unknown check {name!r}; known: {sorted(CHECK_KEYS)}")
@@ -347,60 +376,72 @@ def _build_check(space: ModelSpace, desc: Mapping, seed: int) -> CheckReport:
     ctx = f"check {name!r}"
     _require_keys(desc, ctx, required, optional)
     if name == "space_axioms":
-        return check_space_axioms(space, samples=_num(desc, "samples", ctx, 1000, int),
-                                  seed=seed, scale=_num(desc, "scale", ctx, 2.0))
+        return functools.partial(check_space_axioms, space,
+                                 samples=_num(desc, "samples", ctx, 1000, int),
+                                 seed=seed, scale=_num(desc, "scale", ctx, 2.0))
     if name == "quasi_firm":
         f = _parse_descriptor(space, "objective", desc["objective"])
         witness = (point_from_config(space, desc["witness"])
                    if "witness" in desc else f.known_argmin)
         if witness is None:
             raise ConfigError("quasi_firm needs a witness or an objective with known argmin")
-        return check_quasi_firm(f, _num(desc, "lambda", ctx), witness,
-                                samples=_num(desc, "samples", ctx, 500, int), seed=seed,
-                                scale=_num(desc, "scale", ctx, 2.0))
+        return functools.partial(check_quasi_firm, f, _num(desc, "lambda", ctx), witness,
+                                 samples=_num(desc, "samples", ctx, 500, int), seed=seed,
+                                 scale=_num(desc, "scale", ctx, 2.0))
     if name == "sqn_inequality":
         variant = desc["variant"]
+        if variant not in SQN_SOURCE_KEYS:
+            raise ConfigError(f"unknown sqn variant {variant!r}")
+        source_key = SQN_SOURCE_KEYS[variant]
+        if source_key not in desc:
+            raise ConfigError(f"missing key {source_key!r} in {ctx} of variant {variant!r}")
+        source = _parse_descriptor(space, source_key, desc[source_key])
         if variant == "ishikawa":
-            base = _parse_descriptor(space, "operator", desc["operator"])
-            op = ishikawa_operator(base, _num(desc, "alpha", ctx, 0.5),
+            op = ishikawa_operator(source, _num(desc, "alpha", ctx, 0.5),
                                    _num(desc, "beta", ctx, 0.0))
         elif variant == "lipschitz_resolvent":
-            base = _parse_descriptor(space, "operator", desc["operator"])
-            op = lipschitz_resolvent_operator(base, _num(desc, "lambda", ctx))
-        elif variant == "equilibrium_resolvent":
-            f = _parse_descriptor(space, "bifunction", desc["bifunction"])
-            op = equilibrium_resolvent_operator(f, _num(desc, "lambda", ctx))
+            op = lipschitz_resolvent_operator(source, _num(desc, "lambda", ctx))
         else:
-            raise ConfigError(f"unknown sqn variant {variant!r}")
+            op = equilibrium_resolvent_operator(source, _num(desc, "lambda", ctx))
         witness = (point_from_config(space, desc["witness"])
                    if "witness" in desc else None)
-        return check_sqn_inequality(op, witness,
-                                    samples=_num(desc, "samples", ctx, 500, int), seed=seed,
-                                    scale=_num(desc, "scale", ctx, 2.0))
+        return functools.partial(check_sqn_inequality, op, witness,
+                                 samples=_num(desc, "samples", ctx, 500, int), seed=seed,
+                                 scale=_num(desc, "scale", ctx, 2.0))
     if name == "nested_fixed_sets":
         f = _parse_descriptor(space, "objective", desc["objective"])
+        if not isinstance(desc["candidates"], list):
+            raise ConfigError(f"'candidates' in {ctx} must be a list of points")
         cands = [point_from_config(space, p) for p in desc["candidates"]]
-        return check_nested_fixed_sets(f, _num(desc, "lambda", ctx), _num(desc, "mu", ctx), cands)
+        return functools.partial(check_nested_fixed_sets, f, _num(desc, "lambda", ctx),
+                                 _num(desc, "mu", ctx), cands)
+    built, run_cfg = _parse_embedded(space, desc["run"], seed)
     if name == "fejer":
-        trace, _ = _run_embedded(space, desc["run"], seed)
-        return check_fejer(space, trace, point_from_config(space, desc["witness"]))
-    trace, run_cfg = _run_embedded(space, desc["run"], seed)
-    return check_halpern_target(space, trace, run_cfg.anchor,
-                                set_from_config(space, desc["fixed_set"]),
-                                _num(desc, "tolerance", ctx))
+        witness = point_from_config(space, desc["witness"])
+        return lambda: check_fejer(space, built.run(run_cfg), witness)
+    if run_cfg.anchor is None:
+        raise ConfigError(f"{ctx} needs an embedded run with an 'anchor'")
+    fixed_set = set_from_config(space, desc["fixed_set"])
+    tolerance = _num(desc, "tolerance", ctx)
+    return lambda: check_halpern_target(space, built.run(run_cfg), run_cfg.anchor, fixed_set,
+                                        tolerance)
 
 
 def cmd_check(config_path: str, out_dir: str, overrides: Mapping | None = None) -> int:
+    """Read and validate every check of the config, then run them in order."""
     cfg = _load_json(config_path)
     _require_keys(cfg, "check config", {"space", "checks"}, {"seed", "outputs"})
     overrides = overrides or {}
     space = space_from_config(cfg["space"])
     seed = _num({**cfg, **overrides}, "seed", "check config", 0, int)
-    reports = [_build_check(space, desc, seed) for desc in cfg["checks"]]
+    if not isinstance(cfg["checks"], list):
+        raise ConfigError("'checks' in check config must be a list of checks")
+    checks = [_parse_check(space, desc, seed) for desc in cfg["checks"]]
+    out_name = _outputs(cfg, {"reports": "reports.json"})["reports"]
+    reports = [run() for run in checks]
     bundle = {"all_passed": all(r.passed for r in reports),
               "seed": seed,
               "reports": [r.to_dict() for r in reports]}
-    out_name = dict(cfg.get("outputs", {})).get("reports", "reports.json")
     _atomic_write(Path(out_dir) / out_name,
                   json.dumps(bundle, indent=2, sort_keys=True) + "\n")
     for r in reports:
@@ -470,6 +511,10 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     grid = cfg["grid"]
     if not isinstance(grid, Mapping) or not grid:
         raise ConfigError("grid must be a nonempty mapping of config paths to value lists")
+    for p, values in grid.items():
+        if not isinstance(values, list):
+            raise ConfigError(f"grid path {p!r} needs a list of values, got {values!r}")
+    out_name = _file_name(cfg.get("output", "sweep.csv"), "sweep output")
     paths = list(grid)
     cells = list(itertools.product(*(grid[p] for p in paths)))
     workers = _sweep_workers(os.environ.get("HADAMARD_ITER_THREADS"), len(cells),
@@ -508,7 +553,6 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([*paths, "iterations", "stop_reason", "final_residual", "target_distance"])
     writer.writerows(rows)
-    out_name = cfg.get("output", "sweep.csv")
     _atomic_write(Path(out_dir) / out_name, buf.getvalue())
     print(f"sweep: {len(cells)} cells -> {Path(out_dir) / out_name}")
     return EXIT_SOLVER if failed else EXIT_OK

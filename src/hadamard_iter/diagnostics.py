@@ -143,40 +143,29 @@ def check_sqn_inequality(
     seed: int = 0,
     scale: float = 2.0,
 ) -> CheckReport:
-    """The residual bound matching how the operator was built:
-
-    mann/ishikawa        ((1-a)/a) d^2(x, Sx) <= d^2(x,p) - d^2(Sx,p)
-    lipschitz_resolvent  d^2(x, Jx) <= (lam/(1+lam)) (d^2(x,p) - d^2(Jx,p))
-    equilibrium/convex   d^2(x, Jx) <= d^2(x,p) - d^2(Jx,p)
+    """The strong quasi-nonexpansiveness the operator's construction
+    guarantees, d^2(x, Tx) <= c (d^2(x,p) - d^2(Tx,p)) with
+    c = ``op.sqn_coefficient``: a/(1-a) for the mann/ishikawa composites at
+    weight a, lam/(1+lam) for the Lipschitz resolvent and 1 for the convex
+    and equilibrium resolvents.
     """
     p = witness if witness is not None else op.fixed_point_witness
     if p is None:
         raise ConfigError("check_sqn_inequality needs a fixed-point witness")
     space = op.space
     space.check_point(p)
-    tag = op.tag
-    if tag in ("mann", "ishikawa"):
-        a = op.params["alpha"]
-        coef_lhs, coef_rhs = (1.0 - a) / a, 1.0
-    elif tag == "lipschitz_resolvent":
-        lam = op.params["lam"]
-        coef_lhs, coef_rhs = 1.0, lam / (1.0 + lam)
-    elif tag in ("equilibrium_resolvent", "convex_resolvent"):
-        coef_lhs, coef_rhs = 1.0, 1.0
-    else:
-        raise ConfigError(
-            f"no residual inequality is defined for operators tagged {tag!r}"
-        )
+    c = op.sqn_coefficient
+    if c is None:
+        raise ConfigError(f"no residual inequality is defined for operators tagged {op.tag!r}")
     rng = np.random.default_rng(seed)
-    col = _Collector(f"sqn_inequality[{tag}]")
+    col = _Collector(f"sqn_inequality[{op.tag}]")
     for i in range(samples):
         x = space.project(op.domain, space.sample_point(rng, scale))
         sx = op.apply(x)
         dxs = space.distance(x, sx)
         dxp = space.distance(x, p)
         dsp = space.distance(sx, p)
-        col.check(f"sample {i}", coef_lhs * dxs * dxs,
-                  coef_rhs * (dxp * dxp - dsp * dsp), SLACK["sqn"])
+        col.check(f"sample {i}", dxs * dxs, c * (dxp * dxp - dsp * dsp), SLACK["sqn"])
     return col.report()
 
 

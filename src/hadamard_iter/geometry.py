@@ -143,7 +143,10 @@ class Halfspace:
     kind: str = field(default="halfspace", init=False)
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
+        try:
+            n = np.asarray(self.normal, dtype=float)
+        except (TypeError, ValueError):
+            raise DomainError(f"halfspace normal must be numbers, got {self.normal!r}") from None
         if n.ndim != 1 or not np.all(np.isfinite(n)) or float(n @ n) == 0.0:
             raise DomainError("halfspace normal must be a nonzero finite vector")
         object.__setattr__(self, "normal", n)
@@ -356,7 +359,10 @@ class Euclidean(ModelSpace):
         object.__setattr__(self, "_base", SpacePoint(self.space_id, z))
 
     def point(self, coords) -> SpacePoint:
-        arr = np.asarray(coords, dtype=float).reshape(-1).copy()
+        try:
+            arr = np.asarray(coords, dtype=float).reshape(-1).copy()
+        except (TypeError, ValueError):
+            raise DomainError(f"coordinates must be numbers, got {coords!r}") from None
         if arr.shape != (self.dim,):
             raise DomainError(f"expected {self.dim} coordinates, got {arr.shape}")
         # math.isfinite per coordinate: on a few entries, far cheaper than np.isfinite
@@ -510,7 +516,10 @@ class Hyperboloid(ModelSpace):
         return _mink(np.asarray(u, dtype=float).tolist(), np.asarray(v, dtype=float).tolist())
 
     def point(self, coords) -> SpacePoint:
-        arr = np.asarray(coords, dtype=float).reshape(-1).copy()
+        try:
+            arr = np.asarray(coords, dtype=float).reshape(-1).copy()
+        except (TypeError, ValueError):
+            raise DomainError(f"coordinates must be numbers, got {coords!r}") from None
         if arr.shape != (self.dim + 1,):
             raise DomainError(f"expected {self.dim + 1} ambient coordinates, got {arr.shape}")
         c = arr.tolist()
@@ -533,7 +542,10 @@ class Hyperboloid(ModelSpace):
     def from_spatial(self, spatial) -> SpacePoint:
         """Lift spatial coordinates onto the sheet: x0 = sqrt(1 + |s|^2).
         ``point`` validates the lift, the radius bound included."""
-        s = np.asarray(spatial, dtype=float).reshape(-1)
+        try:
+            s = np.asarray(spatial, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise DomainError(f"coordinates must be numbers, got {spatial!r}") from None
         if s.shape != (self.dim,):
             raise DomainError(f"expected {self.dim} spatial coordinates, got {s.shape}")
         return self.point(np.concatenate(([math.sqrt(1.0 + float(s @ s))], s)))
@@ -696,12 +708,14 @@ class Spider(ModelSpace):
         object.__setattr__(self, "space_id", f"spider:{self.num_legs}")
 
     def point(self, coords) -> SpacePoint:
-        if isinstance(coords, Mapping):
-            leg, radius = coords["leg"], coords["radius"]
-        else:
-            leg, radius = coords
-        leg = int(leg)
-        radius = float(radius)
+        try:
+            leg, radius = ((coords["leg"], coords["radius"]) if isinstance(coords, Mapping)
+                           else coords)
+            leg = int(leg)
+            radius = float(radius)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise DomainError('a spider point is {"leg": i, "radius": r} or [leg, radius], '
+                              f"got {coords!r}") from None
         if not (0 <= leg < self.num_legs):
             raise DomainError(f"leg index {leg} outside [0, {self.num_legs})")
         if not math.isfinite(radius) or radius < 0.0:
@@ -831,6 +845,8 @@ def canonical_point(space: ModelSpace, cset: ConvexSubset) -> SpacePoint:
 def space_from_config(desc: Mapping) -> ModelSpace:
     """Build a space from its config descriptor, e.g.
     {"kind": "hyperboloid", "dim": 2} or {"kind": "spider", "legs": 3}."""
+    if not isinstance(desc, Mapping):
+        raise DomainError(f"a space must be an object with a 'kind', got {desc!r}")
     kind = desc.get("kind")
     kinds = {"euclidean": (Euclidean, "dim"), "hyperboloid": (Hyperboloid, "dim"),
              "spider": (Spider, "legs")}
@@ -872,16 +888,34 @@ def point_to_config(space: ModelSpace, p: SpacePoint):
     return [float(c) for c in p.coords]
 
 
+_SET_KEYS = {"ball": ("center", "radius"), "segment": ("a", "b"), "halfspace": ("normal", "offset")}
+
+
 def set_from_config(space: ModelSpace, desc: Mapping) -> ConvexSubset:
+    """Sets in configs: {"kind": "whole_space"}, a ball (``center``,
+    ``radius``), a segment (``a``, ``b``) or a Euclidean halfspace
+    (``normal``, ``offset``)."""
+    if not isinstance(desc, Mapping):
+        raise DomainError(f"a set must be an object with a 'kind', got {desc!r}")
     kind = desc.get("kind")
+    for key in _SET_KEYS.get(kind, ()):
+        if key not in desc:
+            raise DomainError(f"a {kind} set needs {key!r}")
     if kind == "whole_space":
         return WholeSpace(space.space_id)
     if kind == "ball":
-        return Ball(point_from_config(space, desc["center"]), float(desc["radius"]))
+        return Ball(point_from_config(space, desc["center"]), _real(desc["radius"], "ball radius"))
     if kind == "segment":
         return Segment(point_from_config(space, desc["a"]), point_from_config(space, desc["b"]))
     if kind == "halfspace":
         if not isinstance(space, Euclidean):
             raise UnsupportedOperationError("halfspaces exist only in Euclidean spaces")
-        return Halfspace(space.space_id, np.asarray(desc["normal"], dtype=float), float(desc["offset"]))
+        return Halfspace(space.space_id, desc["normal"], _real(desc["offset"], "halfspace offset"))
     raise DomainError(f"unknown set kind {kind!r}")
+
+
+def _real(v, what: str) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a number, got {v!r}") from None

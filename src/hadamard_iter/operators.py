@@ -13,15 +13,15 @@ The averaged composites used by Mann and Ishikawa iterations live here:
     ishikawa:  x  ->  (1-a) x (+) a T((1-b) x (+) b T x)
 
 Both preserve the witness and remain quasi-nonexpansive; for a in (0, 1)
-the composite additionally satisfies the residual bound
-((1-a)/a) d^2(x, Sx) <= d^2(x, p) - d^2(Sx, p) at every witness p.
+the composite is strongly quasi-nonexpansive with coefficient a/(1-a):
+d^2(x, Sx) <= (a/(1-a)) (d^2(x, p) - d^2(Sx, p)) at every witness p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,9 +44,10 @@ class OperatorSpec:
     """A self-map of the convex set ``domain`` inside ``space``.
 
     ``apply`` must be pure and reentrant; operator values are immutable and
-    safe to share across threads. ``tag``/``params`` identify how the
-    operator was constructed so diagnostics can pick the matching residual
-    inequality.
+    safe to share across threads. ``sqn_coefficient`` is the c of the
+    strong quasi-nonexpansiveness the construction guarantees,
+    d^2(x, Tx) <= c (d^2(x, p) - d^2(Tx, p)) at every fixed point p, or None
+    when it guarantees none; ``tag`` names the construction in reports.
     """
 
     space: ModelSpace
@@ -56,16 +57,16 @@ class OperatorSpec:
     fixed_point_witness: SpacePoint | None = None
     quasi_nonexpansive: bool = False
     tag: str = ""
-    params: Mapping[str, float] = field(default_factory=dict)
+    sqn_coefficient: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorSequence:
-    """An index -> operator factory with a common fixed-point witness."""
+    """An index -> operator factory on ``space``; the operators' witnesses
+    are common fixed points of the family."""
 
     space: ModelSpace
     factory: Callable[[int], OperatorSpec]
-    common_fixed_point_witness: SpacePoint | None = None
 
 
 def _require_quasi_with_witness(T: OperatorSpec, what: str) -> None:
@@ -87,7 +88,7 @@ def mann_operator(T: OperatorSpec, alpha: float) -> OperatorSpec:
         space=space, apply=apply, domain=T.domain,
         fixed_point_witness=T.fixed_point_witness,
         quasi_nonexpansive=T.quasi_nonexpansive,
-        tag="mann", params={"alpha": alpha},
+        tag="mann", sqn_coefficient=alpha / (1.0 - alpha),
     )
 
 
@@ -113,7 +114,7 @@ def ishikawa_operator(T: OperatorSpec, alpha: float, beta: float) -> OperatorSpe
         space=space, apply=apply, domain=T.domain,
         fixed_point_witness=T.fixed_point_witness,
         quasi_nonexpansive=T.quasi_nonexpansive,
-        tag="ishikawa", params={"alpha": alpha, "beta": beta},
+        tag="ishikawa", sqn_coefficient=alpha / (1.0 - alpha),
     )
 
 
@@ -127,21 +128,14 @@ def ishikawa_sequence(T: OperatorSpec, alphas: Schedule, betas: Schedule) -> Ope
     _require_quasi_with_witness(T, "ishikawa_sequence")
     require_class(alphas, ScheduleClass.MANN_PARAM, "alpha")
     require_class(betas, ScheduleClass.VANISHING_PARAM, "beta")
-    return OperatorSequence(
-        space=T.space,
-        factory=lambda k: ishikawa_operator(T, alphas(k), betas(k)),
-        common_fixed_point_witness=T.fixed_point_witness,
-    )
+    return OperatorSequence(space=T.space,
+                            factory=lambda k: ishikawa_operator(T, alphas(k), betas(k)))
 
 
 def mann_sequence(T: OperatorSpec, alphas: Schedule) -> OperatorSequence:
     _require_quasi_with_witness(T, "mann_sequence")
     require_class(alphas, ScheduleClass.MANN_PARAM, "alpha")
-    return OperatorSequence(
-        space=T.space,
-        factory=lambda k: mann_operator(T, alphas(k)),
-        common_fixed_point_witness=T.fixed_point_witness,
-    )
+    return OperatorSequence(space=T.space, factory=lambda k: mann_operator(T, alphas(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +190,7 @@ def _build_rotation(space: ModelSpace, angle: float) -> OperatorSpec:
         space=space, apply=apply, domain=WholeSpace(space.space_id),
         lipschitz_const=1.0, fixed_point_witness=space.base_point(),
         quasi_nonexpansive=True,
-        tag="rotation", params={"angle": angle},
+        tag="rotation",
     )
 
 
@@ -213,7 +207,7 @@ def _build_scaled_reflection(space: ModelSpace, factor: float) -> OperatorSpec:
         space=space, apply=apply, domain=WholeSpace(space.space_id),
         lipschitz_const=factor, fixed_point_witness=space.base_point(),
         quasi_nonexpansive=True,
-        tag="scaled_reflection", params={"factor": factor},
+        tag="scaled_reflection",
     )
 
 

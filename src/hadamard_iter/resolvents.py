@@ -245,7 +245,7 @@ def convex_resolvent_operator(f: ObjectiveFunction, lam: float) -> OperatorSpec:
         domain=WholeSpace(f.space.space_id),
         fixed_point_witness=witness,
         quasi_nonexpansive=True,
-        tag="convex_resolvent", params={"lam": lam},
+        tag="convex_resolvent", sqn_coefficient=1.0,
     )
 
 
@@ -335,7 +335,7 @@ def lipschitz_resolvent_operator(T: OperatorSpec, lam: float) -> OperatorSpec:
         domain=T.domain,
         fixed_point_witness=T.fixed_point_witness,
         quasi_nonexpansive=True,
-        tag="lipschitz_resolvent", params={"lam": lam},
+        tag="lipschitz_resolvent", sqn_coefficient=lam / (1.0 + lam),
     )
 
 
@@ -524,7 +524,7 @@ def equilibrium_resolvent_operator(
         domain=f.feasible_set,
         fixed_point_witness=f.equilibrium_witness,
         quasi_nonexpansive=True,
-        tag="equilibrium_resolvent", params={"lam": lam},
+        tag="equilibrium_resolvent", sqn_coefficient=1.0,
     )
 
 
@@ -555,7 +555,6 @@ def resolvent_sequence(
         return OperatorSequence(
             space=source.space,
             factory=_cached_factory(lambdas, lambda lam: convex_resolvent_operator(source, lam)),
-            common_fixed_point_witness=_argmin_witness(source),
         )
     if isinstance(source, OperatorSpec):
         a = source.lipschitz_const
@@ -570,7 +569,6 @@ def resolvent_sequence(
         return OperatorSequence(
             space=source.space,
             factory=_cached_factory(lambdas, lambda lam: lipschitz_resolvent_operator(source, lam)),
-            common_fixed_point_witness=source.fixed_point_witness,
         )
     if isinstance(source, Bifunction):
         if not (lambdas.lower_bound > source.theta):
@@ -583,7 +581,6 @@ def resolvent_sequence(
         return OperatorSequence(
             space=source.space,
             factory=_cached_factory(lambdas, lambda lam: equilibrium_resolvent_operator(source, lam)),
-            common_fixed_point_witness=source.equilibrium_witness,
         )
     raise ConfigError(f"cannot build resolvents from {type(source).__name__}")
 

@@ -55,8 +55,6 @@ class TraceStep:
 
 @dataclass(frozen=True, eq=False)
 class RunSummary:
-    scheme: str
-    guarantee: str
     iterations_run: int
     final_residual: float
     final_point: SpacePoint
@@ -109,35 +107,28 @@ def _recorded_steps(stride: int | None) -> Iterator[int]:
             yield k
 
 
-def iterate_sequence(
-    seq: OperatorSequence,
-    cfg: RunConfig,
-    scheme: str = "sequence",
-    guarantee: str = "",
-) -> IterationTrace:
+def iterate_sequence(seq: OperatorSequence, cfg: RunConfig) -> IterationTrace:
     """Run x_{k+1} = T_k x_k until the residual meets the tolerance."""
-    check_entry(cfg, None)
-    return _iterate(seq, None, cfg, scheme, guarantee)
+    check_entry(seq, cfg, None)
+    return _iterate(seq, None, cfg)
 
 
-def halpern_iterate(
-    seq: OperatorSequence,
-    anchors: Schedule,
-    cfg: RunConfig,
-    scheme: str = "halpern",
-    guarantee: str = "",
-) -> IterationTrace:
+def halpern_iterate(seq: OperatorSequence, anchors: Schedule, cfg: RunConfig) -> IterationTrace:
     """Run x_{k+1} = a_k u (+) (1 - a_k) T_k x_k; stop on step movement."""
-    check_entry(cfg, anchors)
-    return _iterate(seq, anchors, cfg, scheme, guarantee)
+    check_entry(seq, cfg, anchors)
+    return _iterate(seq, anchors, cfg)
 
 
-def check_entry(cfg: RunConfig, anchors: Schedule | None) -> None:
-    """Raise what the loop raises before its first step: anchor weights
-    (``anchors``) need an anchor point and a plain run takes none, the trace
-    stride is None or a positive int, and the start, anchor and reference
-    points belong to the run's space. Callers that validate configs before
-    running any (``cli.parse_run_config``) call it too."""
+def check_entry(seq: OperatorSequence, cfg: RunConfig, anchors: Schedule | None) -> None:
+    """Raise what the loop raises before its first step: the sequence acts
+    on the run's space, anchor weights (``anchors``) need an anchor point
+    and a plain run takes none, the trace stride is None or a positive int,
+    and the start, anchor and reference points belong to the run's space.
+    Callers that validate configs before running any
+    (``cli.parse_run_config``) call it too."""
+    if seq.space != cfg.space:
+        raise ConfigError(f"the operator sequence acts on {seq.space.space_id!r}, "
+                          f"but the run is on {cfg.space.space_id!r}")
     if anchors is None:
         if cfg.anchor is not None:
             raise ConfigError("anchor point given, but the plain sequence iteration has no anchor")
@@ -153,7 +144,7 @@ def check_entry(cfg: RunConfig, anchors: Schedule | None) -> None:
             cfg.space.check_point(p)
 
 
-def _iterate(seq, anchors, cfg, scheme, guarantee) -> IterationTrace:
+def _iterate(seq, anchors, cfg) -> IterationTrace:
     """The one loop: x_{k+1} = a_k u (+) (1 - a_k) T_k x_k, or T_k x_k when
     the config has no anchor. It stops when the step movement d(x_k, x_{k+1})
     meets the tolerance; without an anchor that movement is the residual.
@@ -180,13 +171,12 @@ def _iterate(seq, anchors, cfg, scheme, guarantee) -> IterationTrace:
             w = factory(k).apply(x)
             x_next = w if u is None else space.combine(u, w, 1.0 - anchors(k))
         except HadamardIterError as err:
-            return _finish(steps, scheme, guarantee, space, cfg, x, float("nan"),
-                           k - 1, StopReason.SOLVER_ERROR, k, str(err))
+            return _finish(steps, space, cfg, x, float("nan"), k - 1, StopReason.SOLVER_ERROR,
+                           k, str(err))
         res = space.distance(x, w)
         move = res if u is None else dist(x, x_next)
         if not (math.isfinite(res) and (move is res or math.isfinite(move))):
-            return _finish(steps, scheme, guarantee, space, cfg, x, res,
-                           k - 1, StopReason.SOLVER_ERROR, k,
+            return _finish(steps, space, cfg, x, res, k - 1, StopReason.SOLVER_ERROR, k,
                            f"non-finite residual at step {k}")
         done = move <= tol or k >= budget
         if done or k == next_recorded:
@@ -198,21 +188,20 @@ def _iterate(seq, anchors, cfg, scheme, guarantee) -> IterationTrace:
                 carried, d_next = x_next, dist(x_next, ref)
                 steps.append(TraceStep(k, x, res, dx, dx - d_next))
         if done:
-            return _finish(steps, scheme, guarantee, space, cfg, x_next, res, k,
+            return _finish(steps, space, cfg, x_next, res, k,
                            StopReason.CONVERGED if move <= tol else StopReason.BUDGET_EXHAUSTED)
         x = x_next
         k += 1
 
 
-def _finish(steps, scheme, guarantee, space, cfg, final, res, iterations, reason,
+def _finish(steps, space, cfg, final, res, iterations, reason,
             error_step=None, error_message=None) -> IterationTrace:
     target = space.distance(final, cfg.reference) if cfg.reference is not None else None
     return IterationTrace(
         steps=steps,
         summary=RunSummary(
-            scheme=scheme, guarantee=guarantee, iterations_run=iterations,
-            final_residual=res, final_point=final, stop_reason=reason,
-            error_step=error_step, error_message=error_message,
+            iterations_run=iterations, final_residual=res, final_point=final,
+            stop_reason=reason, error_step=error_step, error_message=error_message,
             target_distance=target,
         ),
     )
@@ -229,16 +218,10 @@ class BuiltScheme:
     anchor_schedule: Schedule | None
     guarantee: str
 
-    @property
-    def engine(self) -> str:
-        return "sequence" if self.anchor_schedule is None else "halpern"
-
     def run(self, cfg: RunConfig) -> IterationTrace:
         if self.anchor_schedule is not None:
-            return halpern_iterate(self.sequence, self.anchor_schedule, cfg,
-                                   scheme=self.name, guarantee=self.guarantee)
-        return iterate_sequence(self.sequence, cfg,
-                                scheme=self.name, guarantee=self.guarantee)
+            return halpern_iterate(self.sequence, self.anchor_schedule, cfg)
+        return iterate_sequence(self.sequence, cfg)
 
 
 _ROLE_CLASSES = {

@@ -329,6 +329,7 @@ def test_check_negative_fixture_fails(tmp_path, capsys):
     (1, "lambda", "abc", "'lambda' in check 'quasi_firm' must be a number, got 'abc'"),
     (2, "operator", {"name": "rotation", "angel": 1.0},
      "unknown keys ['angel'] in operator 'rotation'; accepted keys: ['name', 'angle']"),
+    (3, "candidates", 3, "'candidates' in check 'nested_fixed_sets' must be a list of points"),
 ])
 def test_check_malformed_field_is_a_config_error(tmp_path, capsys, index, key, value, message):
     cfg = json.loads(json.dumps(CHECK_CFG))
@@ -336,6 +337,101 @@ def test_check_malformed_field_is_a_config_error(tmp_path, capsys, index, key, v
     assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+E2_RUN = dict(BASE_RUN, space={"kind": "euclidean", "dim": 2}, start=[8.0, 1.0],
+              reference=[0.0, 0.0])
+MANN_E2_RUN = dict(E2_RUN, scheme="mann", schedules={"alpha": {"kind": "constant", "value": 0.5}})
+E1_CHECK = {"space": {"kind": "euclidean", "dim": 1},
+            "checks": [{"name": "space_axioms", "samples": 10}]}
+SPIDER = {"kind": "spider", "legs": 3}
+SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    # descriptor parameters: required keys and numbers
+    pytest.param("run", _with(MANN_E2_RUN, "source", {"operator": {"name": "rotation"}}),
+                 "missing key 'angle' in operator 'rotation'", id="rotation-without-angle"),
+    pytest.param("run", _with(MANN_E2_RUN, "source", {"operator": {"name": "constant"}}),
+                 "missing key 'point' in operator 'constant'", id="constant-without-point"),
+    pytest.param("run", _with(BASE_RUN, "source.objective", {"name": "dist2_to_set"}),
+                 "missing key 'set' in objective 'dist2_to_set'", id="dist2-without-set"),
+    pytest.param("run", _with(MANN_E2_RUN, "source",
+                              {"operator": {"name": "rotation", "angle": "x"}}),
+                 "'angle' in operator 'rotation' must be a number, got 'x'", id="non-numeric-angle"),
+    pytest.param("run", _with(MANN_E2_RUN, "source",
+                              {"operator": {"name": "scaled_reflection", "factor": "x"}}),
+                 "'factor' in operator 'scaled_reflection' must be a number, got 'x'",
+                 id="non-numeric-factor"),
+    pytest.param("run", _with(dict(E2_RUN, scheme="ppa_equilibrium"), "source",
+                              {"bifunction": {"name": "rotation_vi", "radius": "x"}}),
+                 "'radius' in bifunction 'rotation_vi' must be a number, got 'x'",
+                 id="non-numeric-radius"),
+    # geometry shapes
+    pytest.param("run", _with(BASE_RUN, "space", 3), "a space must be an object", id="space-3"),
+    pytest.param("run", _with(BASE_RUN, "source.objective", {"name": "dist2_to_set", "set": 5}),
+                 "a set must be an object", id="set-5"),
+    pytest.param("run", _with(BASE_RUN, "source.objective",
+                              {"name": "dist2_to_set", "set": {"kind": "ball", "center": [0.0]}}),
+                 "a ball set needs 'radius'", id="ball-without-radius"),
+    pytest.param("run", _with(BASE_RUN, "source.objective",
+                              {"name": "dist2_to_set",
+                               "set": {"kind": "halfspace", "offset": 0.0}}),
+                 "a halfspace set needs 'normal'", id="halfspace-without-normal"),
+    pytest.param("run", _with(BASE_RUN, "source.objective", {
+        "name": "dist2_to_set", "set": {"kind": "ball", "center": [0.0], "radius": "abc"}}),
+                 "ball radius must be a number, got 'abc'", id="non-numeric-ball-radius"),
+    pytest.param("run", _with(BASE_RUN, "start", "ab"), "coordinates must be numbers, got 'ab'",
+                 id="string-start"),
+    pytest.param("run", _with(BASE_RUN, "source.objective", {"name": "quadratic", "center": "zz"}),
+                 "coordinates must be numbers, got 'zz'", id="string-center"),
+    pytest.param("run", _with(_with(BASE_RUN, "space", SPIDER), "start", [1, 1, 1]),
+                 "a spider point is", id="spider-point-of-three"),
+    # run, check and sweep shapes
+    pytest.param("run", _with(BASE_RUN, "schedules", [1]), "schedules must be an object",
+                 id="schedules-list"),
+    pytest.param("run", dict(BASE_RUN, outputs=5), "outputs must be an object", id="run-outputs-5"),
+    pytest.param("run", dict(BASE_RUN, outputs={"trace": 5}),
+                 "output 'trace' must be a file name, got 5", id="run-output-name-5"),
+    pytest.param("check", dict(E1_CHECK, checks=5), "'checks' in check config must be a list",
+                 id="checks-5"),
+    pytest.param("check", dict(E1_CHECK, checks=[{"name": "space_axioms"}, 5]),
+                 "a check must be an object, got 5", id="check-5"),
+    pytest.param("check", dict(CHECK_CFG, checks=[
+        {"name": "sqn_inequality", "variant": "ishikawa", "alpha": 0.5}]),
+                 "missing key 'operator' in check 'sqn_inequality' of variant 'ishikawa'",
+                 id="sqn-without-operator"),
+    pytest.param("check", dict(E1_CHECK, checks=[
+        {"name": "halpern_target", "run": BASE_RUN, "fixed_set": {"kind": "whole_space"},
+         "tolerance": 1e-3}]),
+                 "check 'halpern_target' needs an embedded run with an 'anchor'",
+                 id="halpern-target-without-anchor"),
+    pytest.param("check", dict(E1_CHECK, outputs=5), "outputs must be an object",
+                 id="check-outputs-5"),
+    pytest.param("check", dict(E1_CHECK, outputs={"reports": 5}),
+                 "output 'reports' must be a file name, got 5", id="check-output-name-5"),
+    pytest.param("sweep", dict(SHAPE_SWEEP, output=5), "sweep output must be a file name, got 5",
+                 id="sweep-output-5"),
+    pytest.param("sweep", dict(SHAPE_SWEEP, grid={"max_iterations": 1.0}),
+                 "grid path 'max_iterations' needs a list of values, got 1.0", id="grid-value-1.0"),
+])
+def test_malformed_config_shape_is_a_config_error(tmp_path, capsys, command, cfg, message):
+    # in-process: an uncaught exception fails the test, as a traceback would
+    code = run_cli(command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_check_config_is_validated_before_any_check_runs(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "check_space_axioms", lambda *a, **k: ran.append(a))
+    cfg = dict(CHECK_CFG, checks=[CHECK_CFG["checks"][0], {"name": "nested_fixed_sets",
+               "objective": {"name": "quadratic"}, "lambda": 1.0, "mu": 0.5, "candidates": 3}])
+    assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 1
+    assert ran == []
 
 
 def test_check_unknown_name(tmp_path):

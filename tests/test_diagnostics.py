@@ -21,12 +21,14 @@ from hadamard_iter import (
     check_quasi_firm,
     check_space_axioms,
     check_sqn_inequality,
+    convex_resolvent_operator,
     equilibrium_resolvent_operator,
     halpern_iterate,
     halpern_schedule,
     ishikawa_operator,
     iterate_sequence,
     lipschitz_resolvent_operator,
+    mann_operator,
     objective_fixture,
     resolvent_constant,
     resolvent_sequence,
@@ -66,7 +68,7 @@ def test_fejer_passes_on_ppa():
 def test_fejer_constant_trace_zero_gaps():
     p = E2.point([1, 1])
     op = catalog_operator(E2, "constant", point=p)
-    seq = OperatorSequence(space=E2, factory=lambda k: op, common_fixed_point_witness=p)
+    seq = OperatorSequence(space=E2, factory=lambda k: op)
     tr = iterate_sequence(seq, RunConfig(space=E2, start=p, max_iterations=5, tolerance=1e-15))
     rep = check_fejer(E2, tr, p)
     assert rep.passed
@@ -161,6 +163,49 @@ def test_sqn_unknown_tag_rejected():
     rot = catalog_operator(E2, "rotation", angle=1.0)
     with pytest.raises(ConfigError):
         check_sqn_inequality(rot, samples=5)
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.8])
+def test_averaged_composites_state_their_sqn_coefficient(a):
+    rot = catalog_operator(E2, "rotation", angle=1.0)
+    assert mann_operator(rot, a).sqn_coefficient == a / (1.0 - a)
+    assert ishikawa_operator(rot, a, 0.3).sqn_coefficient == a / (1.0 - a)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 4.0])
+def test_resolvents_state_their_sqn_coefficient(lam):
+    refl = catalog_operator(E1, "scaled_reflection", factor=0.5)
+    assert lipschitz_resolvent_operator(refl, lam).sqn_coefficient == lam / (1.0 + lam)
+    q = objective_fixture(E1, "quadratic")
+    assert convex_resolvent_operator(q, lam).sqn_coefficient == 1.0
+    vi = bifunction_fixture(E2, "rotation_vi")
+    assert equilibrium_resolvent_operator(vi, lam).sqn_coefficient == 1.0
+
+
+def test_catalogue_operators_state_no_sqn_coefficient():
+    ops = [catalog_operator(E2, "rotation", angle=1.0),
+           catalog_operator(E2, "scaled_reflection", factor=0.5),
+           catalog_operator(E2, "constant", point=E2.point([1.0, 0.0])),
+           catalog_operator(E2, "projection", cset=Segment(E2.point([0, 0]), E2.point([1, 0]))),
+           catalog_operator(H2, "hyperbolic_projection",
+                            cset=Segment(H2.base_point(), H2.from_spatial([1.0, 0.0])))]
+    assert [op.sqn_coefficient for op in ops] == [None] * 5
+
+
+@pytest.mark.parametrize("make_op", [
+    pytest.param(lambda: mann_operator(catalog_operator(E2, "rotation", angle=2.0), 0.3),
+                 id="mann-rotation"),
+    pytest.param(lambda: lipschitz_resolvent_operator(
+        catalog_operator(E1, "scaled_reflection", factor=1.0), 2.0), id="lipschitz-reflection"),
+])
+def test_sqn_check_is_tight_at_the_stated_coefficient(make_op):
+    # both maps meet their inequality with equality at the witness 0, so the
+    # check passes at the stated coefficient and fails at 0.9 times it
+    op = make_op()
+    assert check_sqn_inequality(op, samples=100, seed=9).passed
+    smaller = dataclasses.replace(op, sqn_coefficient=0.9 * op.sqn_coefficient)
+    rep = check_sqn_inequality(smaller, samples=100, seed=9)
+    assert len(rep.violations) >= 90
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +370,7 @@ def test_reports_are_deterministic():
 def _halpern_const_zero_trace(steps=400):
     zero = E1.point([0.0])
     op = catalog_operator(E1, "constant", point=zero)
-    seq = OperatorSequence(space=E1, factory=lambda k: op, common_fixed_point_witness=zero)
+    seq = OperatorSequence(space=E1, factory=lambda k: op)
     cfg = RunConfig(space=E1, start=E1.point([1.0]), anchor=E1.point([1.0]),
                     max_iterations=steps, tolerance=0.0)
     return halpern_iterate(seq, halpern_schedule(), cfg)

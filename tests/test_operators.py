@@ -185,4 +185,4 @@ def test_catalog_unknown_name():
 def test_mann_sequence_factory():
     seq = mann_sequence(reflection(), mann_constant(0.5))
     assert seq.factory(5).apply(E1.point([6])).coords[0] == pytest.approx(0.0)
-    assert seq.common_fixed_point_witness is not None
+    assert seq.factory(5).fixed_point_witness is not None

@@ -715,7 +715,7 @@ def test_sequence_constant_lambda_valid():
     q = objective_fixture(E1, "quadratic")
     seq = resolvent_sequence(q, resolvent_constant(1.0))
     assert seq.factory(10).apply(E1.point([4])).coords[0] == pytest.approx(2.0)
-    assert seq.common_fixed_point_witness is not None
+    assert seq.factory(10).fixed_point_witness is not None
 
 
 def test_sequence_rejects_vanishing_lambda():
@@ -757,7 +757,7 @@ def test_sequence_equilibrium_margin_rules():
         resolvent_sequence(vi, resolvent_schedule(lambda k: 1.0, lower=1.0))
     seq = resolvent_sequence(shifted, resolvent_schedule(
         lambda k: 0.6 + 1.0 / k, lower=0.6, upper=1.6))
-    assert seq.common_fixed_point_witness is vi.equilibrium_witness
+    assert seq.factory(1).fixed_point_witness is vi.equilibrium_witness
 
 
 def test_dist2_to_set_closed_form_matches_descent():

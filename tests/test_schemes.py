@@ -43,8 +43,7 @@ H2 = Hyperboloid(2)
 
 def const_seq(space, p):
     op = catalog_operator(space, "constant", point=p)
-    return OperatorSequence(space=space, factory=lambda k: op,
-                            common_fixed_point_witness=p)
+    return OperatorSequence(space=space, factory=lambda k: op)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +169,7 @@ def test_halpern_anchored_at_fixed_start_stays_put():
     # start = u and T u = u: every iterate equals u
     p = E2.point([0.5, 0.5])
     ident = catalog_operator(E2, "projection", cset=Ball(p, 1e6))
-    seq = OperatorSequence(space=E2, factory=lambda k: ident,
-                           common_fixed_point_witness=p)
+    seq = OperatorSequence(space=E2, factory=lambda k: ident)
     tr = halpern_iterate(seq, halpern_schedule(),
                          RunConfig(space=E2, start=p, anchor=p, max_iterations=30,
                                    tolerance=1e-15))
@@ -271,11 +269,11 @@ def test_build_scheme_valid_wirings():
     b = build_scheme("halpern_ishikawa", rot,
                      {"anchor": halpern_schedule(), "alpha": mann_constant(0.5),
                       "beta": vanishing_schedule()})
-    assert b.engine == "halpern" and b.anchor_schedule is not None
+    assert b.anchor_schedule is not None
 
     vi = bifunction_fixture(E2, "rotation_vi")
     b2 = build_scheme("ppa_equilibrium", vi, {"lambda": resolvent_constant(1.0)})
-    assert b2.engine == "sequence"
+    assert b2.anchor_schedule is None
     assert "equilibrium" in b2.guarantee
 
 
@@ -338,7 +336,7 @@ def test_recorded_steps_follow_the_per_step_policy(stride):
     assert got == want
 
 
-def _ref_iterate_sequence(seq, cfg, scheme="sequence", guarantee=""):
+def _ref_iterate_sequence(seq, cfg):
     """The plain sequence loop as it was before the two engines were merged."""
     if cfg.anchor is not None:
         raise ConfigError("anchor point given, but the plain sequence iteration has no anchor")
@@ -355,11 +353,11 @@ def _ref_iterate_sequence(seq, cfg, scheme="sequence", guarantee=""):
         try:
             w = seq.factory(k).apply(x)
         except HadamardIterError as err:
-            return _finish(steps, scheme, guarantee, space, cfg, x, float("nan"),
+            return _finish(steps, space, cfg, x, float("nan"),
                            k - 1, StopReason.SOLVER_ERROR, k, str(err))
         res = space.distance(x, w)
         if not math.isfinite(res):
-            return _finish(steps, scheme, guarantee, space, cfg, x, res,
+            return _finish(steps, space, cfg, x, res,
                            k - 1, StopReason.SOLVER_ERROR, k,
                            f"non-finite residual at step {k}")
         done = res <= cfg.tolerance or k >= cfg.max_iterations
@@ -370,16 +368,16 @@ def _ref_iterate_sequence(seq, cfg, scheme="sequence", guarantee=""):
                 dx = space.distance(x, ref)
                 steps.append(TraceStep(k, x, res, dx, dx - space.distance(w, ref)))
         if res <= cfg.tolerance:
-            return _finish(steps, scheme, guarantee, space, cfg, w, res, k,
+            return _finish(steps, space, cfg, w, res, k,
                            StopReason.CONVERGED)
         if k >= cfg.max_iterations:
-            return _finish(steps, scheme, guarantee, space, cfg, w, res, k,
+            return _finish(steps, space, cfg, w, res, k,
                            StopReason.BUDGET_EXHAUSTED)
         x = w
         k += 1
 
 
-def _ref_halpern_iterate(seq, anchors, cfg, scheme="halpern", guarantee=""):
+def _ref_halpern_iterate(seq, anchors, cfg):
     """The Halpern loop as it was before the two engines were merged."""
     require_class(anchors, ScheduleClass.HALPERN_ANCHOR, "anchor")
     if cfg.anchor is None:
@@ -400,12 +398,12 @@ def _ref_halpern_iterate(seq, anchors, cfg, scheme="halpern", guarantee=""):
             w = seq.factory(k).apply(x)
             x_next = space.combine(u, w, 1.0 - anchors(k))
         except HadamardIterError as err:
-            return _finish(steps, scheme, guarantee, space, cfg, x, float("nan"),
+            return _finish(steps, space, cfg, x, float("nan"),
                            k - 1, StopReason.SOLVER_ERROR, k, str(err))
         res = space.distance(x, w)
         move = space.distance(x, x_next)
         if not (math.isfinite(res) and math.isfinite(move)):
-            return _finish(steps, scheme, guarantee, space, cfg, x, res,
+            return _finish(steps, space, cfg, x, res,
                            k - 1, StopReason.SOLVER_ERROR, k,
                            f"non-finite residual at step {k}")
         done = move <= cfg.tolerance or k >= cfg.max_iterations
@@ -416,10 +414,10 @@ def _ref_halpern_iterate(seq, anchors, cfg, scheme="halpern", guarantee=""):
                 dx = space.distance(x, ref)
                 steps.append(TraceStep(k, x, res, dx, dx - space.distance(x_next, ref)))
         if move <= cfg.tolerance:
-            return _finish(steps, scheme, guarantee, space, cfg, x_next, res, k,
+            return _finish(steps, space, cfg, x_next, res, k,
                            StopReason.CONVERGED)
         if k >= cfg.max_iterations:
-            return _finish(steps, scheme, guarantee, space, cfg, x_next, res, k,
+            return _finish(steps, space, cfg, x_next, res, k,
                            StopReason.BUDGET_EXHAUSTED)
         x = x_next
         k += 1
@@ -504,12 +502,12 @@ def test_one_loop_equals_the_two_loops_it_replaced(engine, case, with_reference,
     cfg = RunConfig(space=space, start=start, max_iterations=budget, tolerance=tol,
                     reference=reference if with_reference else None, trace_stride=stride)
     if engine == "sequence":
-        got = iterate_sequence(make_seq(), cfg, "s", "g")
-        want = _ref_iterate_sequence(make_seq(), cfg, "s", "g")
+        got = iterate_sequence(make_seq(), cfg)
+        want = _ref_iterate_sequence(make_seq(), cfg)
     else:
         cfg = dataclasses.replace(cfg, anchor=anchor)
-        got = halpern_iterate(make_seq(), halpern_schedule(), cfg, "h", "g")
-        want = _ref_halpern_iterate(make_seq(), halpern_schedule(), cfg, "h", "g")
+        got = halpern_iterate(make_seq(), halpern_schedule(), cfg)
+        want = _ref_halpern_iterate(make_seq(), halpern_schedule(), cfg)
     assert want.summary.stop_reason is reasons[engine == "halpern"]
     if case == "non_finite_residual":
         assert want.summary.error_message == "non-finite residual at step 5"
@@ -539,4 +537,23 @@ def test_bad_trace_stride_is_rejected_at_entry(engine, stride):
         else:
             halpern_iterate(seq, halpern_schedule(),
                             dataclasses.replace(cfg, anchor=E1.point([1.0])))
+    assert calls == []  # rejected before the first step
+
+
+@pytest.mark.parametrize("engine", ["sequence", "halpern"])
+def test_sequence_on_another_space_is_rejected_at_entry(engine):
+    calls = []
+
+    def factory(k):
+        calls.append(k)
+        return catalog_operator(E2, "constant", point=E2.point([0.0, 0.0]))
+
+    seq = OperatorSequence(space=E2, factory=factory)
+    cfg = RunConfig(space=H2, start=H2.base_point(), max_iterations=10, tolerance=0.0)
+    with pytest.raises(ConfigError, match="'euclidean:2', but the run is on 'hyperboloid:2'"):
+        if engine == "sequence":
+            iterate_sequence(seq, cfg)
+        else:
+            halpern_iterate(seq, halpern_schedule(),
+                            dataclasses.replace(cfg, anchor=H2.base_point()))
     assert calls == []  # rejected before the first step
