@@ -70,9 +70,10 @@ def _require_keys(d: Mapping, ctx: str, required: set[str], optional: set[str]) 
     unknown = set(d) - required - optional
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {ctx}")
-    missing = required - set(d)
+    missing = sorted(required - set(d))
     if missing:
-        raise ConfigError(f"missing keys {sorted(missing)} in {ctx}")
+        what = f"key {missing[0]!r}" if len(missing) == 1 else f"keys {missing}"
+        raise ConfigError(f"missing {what} in {ctx}")
 
 
 def _outputs(cfg: Mapping, defaults: dict[str, str]) -> dict[str, str]:
@@ -258,7 +259,7 @@ def _fmt(v: float | None) -> str:
 def _coord_header(space: ModelSpace) -> list[str]:
     if isinstance(space, Spider):
         return ["leg", "radius"]
-    n = space.base_point().coords.shape[0]
+    n = len(space.base_point().xs)
     return [f"x{i}" for i in range(n)]
 
 
@@ -266,7 +267,7 @@ def trace_csv_lines(space: ModelSpace, trace: IterationTrace) -> list[str]:
     header = ["k", *_coord_header(space), "residual", "dist_to_reference", "fejer_gap"]
     lines = [",".join(header)]
     for s in trace.steps:
-        coords = [_fmt(float(c)) for c in s.point.coords]
+        coords = [_fmt(c) for c in s.point.xs]
         lines.append(",".join([str(s.k), *coords, _fmt(s.residual),
                                _fmt(s.dist_to_reference), _fmt(s.fejer_gap)]))
     return lines
@@ -344,17 +345,17 @@ def cmd_run(config_path: str, out_dir: str, overrides: Mapping | None = None) ->
 CHECK_KEYS = {
     "space_axioms": ({"name"}, {"samples", "scale"}),
     "quasi_firm": ({"name", "objective", "lambda"}, {"witness", "samples", "scale"}),
-    "sqn_inequality": ({"name", "variant"},
-                       {"operator", "bifunction", "alpha", "beta", "lambda",
-                        "witness", "samples", "scale"}),
+    "sqn_inequality": ({"name", "variant"}, {"witness", "samples", "scale"}),
     "nested_fixed_sets": ({"name", "objective", "lambda", "mu", "candidates"}, set()),
     "fejer": ({"name", "run", "witness"}, set()),
     "halpern_target": ({"name", "run", "fixed_set", "tolerance"}, set()),
 }
 
-# sqn_inequality variant -> the descriptor key it builds from
-SQN_SOURCE_KEYS = {"ishikawa": "operator", "lipschitz_resolvent": "operator",
-                   "equilibrium_resolvent": "bifunction"}
+# sqn_inequality variant -> (the descriptor key it builds from, the keys it
+# accepts besides those of every sqn_inequality check)
+SQN_VARIANT_KEYS = {"ishikawa": ("operator", {"alpha", "beta"}),
+                    "lipschitz_resolvent": ("operator", {"lambda"}),
+                    "equilibrium_resolvent": ("bifunction", {"lambda"})}
 
 
 def _parse_embedded(space: ModelSpace, desc: Mapping, seed: int) -> tuple[BuiltScheme, RunConfig]:
@@ -374,7 +375,15 @@ def _parse_check(space: ModelSpace, desc: Mapping, seed: int) -> Callable[[], Ch
         raise ConfigError(f"unknown check {name!r}; known: {sorted(CHECK_KEYS)}")
     required, optional = CHECK_KEYS[name]
     ctx = f"check {name!r}"
-    _require_keys(desc, ctx, required, optional)
+    if name == "sqn_inequality" and "variant" in desc:
+        variant = desc["variant"]
+        if variant not in SQN_VARIANT_KEYS:
+            raise ConfigError(f"unknown sqn variant {variant!r}")
+        source_key, extra = SQN_VARIANT_KEYS[variant]
+        _require_keys(desc, f"{ctx} of variant {variant!r}", required | {source_key},
+                      optional | extra)
+    else:
+        _require_keys(desc, ctx, required, optional)
     if name == "space_axioms":
         return functools.partial(check_space_axioms, space,
                                  samples=_num(desc, "samples", ctx, 1000, int),
@@ -389,12 +398,6 @@ def _parse_check(space: ModelSpace, desc: Mapping, seed: int) -> Callable[[], Ch
                                  samples=_num(desc, "samples", ctx, 500, int), seed=seed,
                                  scale=_num(desc, "scale", ctx, 2.0))
     if name == "sqn_inequality":
-        variant = desc["variant"]
-        if variant not in SQN_SOURCE_KEYS:
-            raise ConfigError(f"unknown sqn variant {variant!r}")
-        source_key = SQN_SOURCE_KEYS[variant]
-        if source_key not in desc:
-            raise ConfigError(f"missing key {source_key!r} in {ctx} of variant {variant!r}")
         source = _parse_descriptor(space, source_key, desc[source_key])
         if variant == "ishikawa":
             op = ishikawa_operator(source, _num(desc, "alpha", ctx, 0.5),
@@ -514,6 +517,8 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     for p, values in grid.items():
         if not isinstance(values, list):
             raise ConfigError(f"grid path {p!r} needs a list of values, got {values!r}")
+        if not values:
+            raise ConfigError(f"grid path {p!r} has an empty list of values")
     out_name = _file_name(cfg.get("output", "sweep.csv"), "sweep output")
     paths = list(grid)
     cells = list(itertools.product(*(grid[p] for p in paths)))

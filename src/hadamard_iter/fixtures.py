@@ -106,16 +106,16 @@ def plateau_quartic(space: ModelSpace) -> ObjectiveFunction:
         raise ConfigError("plateau_quartic lives on the Euclidean line")
 
     def val(y: SpacePoint) -> float:
-        t = float(y.coords[0])
+        t = y.xs[0]
         return ((3.0 * t - 16.0) * t + 24.0) * t * t
 
     def grad(y: SpacePoint) -> np.ndarray:
-        t = float(y.coords[0])
+        t = y.xs[0]
         return np.array([12.0 * t * (t - 2.0) ** 2])
 
     def prox(lam: float, x: SpacePoint) -> SpacePoint:
         # _wrap skips re-validation; the safeguarded solve cannot leave R
-        return space._wrap(np.array((_quartic_prox(lam, float(x.coords[0])),)))
+        return space._wrap((_quartic_prox(lam, x.xs[0]),))
 
     return ObjectiveFunction(
         space=space, eval=val, gradient=grad,

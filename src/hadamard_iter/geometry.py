@@ -16,20 +16,20 @@ z with d(x, z) = t * d(x, y), i.e. t is the fraction of the way from x to y.
 The scalar methods on ``SpacePoint`` values serve the iteration engines and
 the inner solvers, one point at a time. The package serves small dimensions
 (the plane, 3-space, the hyperbolic plane), where one numpy operation on a
-2- or 3-entry vector costs several times the float arithmetic it does; so
-the Euclidean and hyperboloid primitives read ``coords.tolist()`` once,
-compute on Python floats and build one array per output point. Besides them,
-each space has array kernels over (N, d) coordinate blocks, one point per
-row: ``sample_many``, ``distance_many`` and ``combine_many``. They stay on
-numpy, compute the scalar formulas row by row and serve the batched
-checkers.
+2- or 3-entry vector costs several times the float arithmetic it does; so a
+point stores its coordinates as a tuple of Python floats (``xs``), the
+primitives compute on those floats, and ``coords`` builds a read-only array
+on demand for callers that want numpy. Besides the primitives, each space
+has array kernels over (N, d) coordinate blocks, one point per row:
+``sample_many``, ``distance_many`` and ``combine_many``. They stay on numpy,
+compute the scalar formulas row by row and serve the batched checkers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Mapping
 
 import numpy as np
@@ -84,13 +84,20 @@ def _snap_unit_many(t) -> np.ndarray:
 class SpacePoint:
     """A point of a model space, tagged with the id of its owning space.
 
-    ``coords`` is the ambient coordinate vector (n entries Euclidean, n+1
-    hyperboloid) or ``[leg, radius]`` for the spider tree. Points are value
-    data; compare them with ``space.distance(p, q) == 0``, not ``==``.
+    ``xs`` holds the ambient coordinates as floats (n entries Euclidean, n+1
+    hyperboloid) or ``(leg, radius)`` for the spider tree; ``coords`` builds
+    them as a read-only float64 array on each read. Points are value data;
+    compare them with ``space.distance(p, q) == 0``, not ``==``.
     """
 
     space_id: str
-    coords: np.ndarray
+    xs: tuple[float, ...]
+
+    @property
+    def coords(self) -> np.ndarray:
+        arr = np.array(self.xs, dtype=float)
+        arr.setflags(write=False)
+        return arr
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -192,9 +199,9 @@ class ModelSpace:
                 f"point belongs to space {p.space_id!r}, expected {self.space_id!r}"
             )
 
-    def _wrap(self, coords: np.ndarray) -> SpacePoint:
-        # internal fast constructor; coords already valid
-        return SpacePoint(self.space_id, coords)
+    def _wrap(self, xs: tuple[float, ...]) -> SpacePoint:
+        # internal fast constructor; xs already valid
+        return SpacePoint(self.space_id, xs)
 
     # -- metric and geodesics ----------------------------------------------
 
@@ -227,19 +234,21 @@ class ModelSpace:
     def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
         """``n`` random points, distributed as ``sample_point``'s, as the
         rows of an (n, d) coordinate block."""
-        rows = [self.sample_point(rng, scale).coords for _ in range(n)]
-        return np.array(rows, dtype=float).reshape(n, self.base_point().coords.shape[0])
+        rows = [self.sample_point(rng, scale).xs for _ in range(n)]
+        return np.array(rows, dtype=float).reshape(n, len(self.base_point().xs))
 
     def distance_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise distances d(X[i], Y[i]) of two coordinate blocks."""
         wrap = self._wrap
-        return np.array([self._distance(wrap(x), wrap(y)) for x, y in zip(X, Y)], dtype=float)
+        return np.array([self._distance(wrap(tuple(x)), wrap(tuple(y)))
+                         for x, y in zip(X.tolist(), Y.tolist())], dtype=float)
 
     def combine_many(self, X: np.ndarray, Y: np.ndarray, t) -> np.ndarray:
         """Row-wise ``combine(X[i], Y[i], t[i])``, with the same rule for t."""
         t = _snap_unit_many(t)
         wrap = self._wrap
-        rows = [self.combine(wrap(x), wrap(y), float(ti)).coords for x, y, ti in zip(X, Y, t)]
+        rows = [self.combine(wrap(tuple(x)), wrap(tuple(y)), ti).xs
+                for x, y, ti in zip(X.tolist(), Y.tolist(), t.tolist())]
         return np.array(rows, dtype=float).reshape(X.shape)
 
     def quasilin(self, a: SpacePoint, b: SpacePoint, c: SpacePoint, d: SpacePoint) -> float:
@@ -260,6 +269,12 @@ class ModelSpace:
     def log_map(self, base: SpacePoint, target: SpacePoint) -> np.ndarray:
         """Tangent vector at ``base`` pointing to ``target`` with norm equal
         to d(base, target). Inverse of exp_map."""
+        self.check_point(base)
+        self.check_point(target)
+        return np.array(self._log(base, target))
+
+    def _log(self, base: SpacePoint, target: SpacePoint) -> list:
+        # log_map without checks, as a list of floats
         raise UnsupportedOperationError(f"{self.space_id} has no tangent structure")
 
     def exp_map(self, base: SpacePoint, v: np.ndarray) -> SpacePoint:
@@ -354,40 +369,38 @@ class Euclidean(ModelSpace):
         if self.dim < 1:
             raise DomainError("dimension must be >= 1")
         object.__setattr__(self, "space_id", f"euclidean:{self.dim}")
-        z = np.zeros(self.dim)
-        z.setflags(write=False)
-        object.__setattr__(self, "_base", SpacePoint(self.space_id, z))
+        object.__setattr__(self, "_base", SpacePoint(self.space_id, (0.0,) * self.dim))
 
     def point(self, coords) -> SpacePoint:
         try:
-            arr = np.asarray(coords, dtype=float).reshape(-1).copy()
+            arr = np.asarray(coords, dtype=float).reshape(-1)
         except (TypeError, ValueError):
             raise DomainError(f"coordinates must be numbers, got {coords!r}") from None
         if arr.shape != (self.dim,):
             raise DomainError(f"expected {self.dim} coordinates, got {arr.shape}")
+        xs = tuple(arr.tolist())
         # math.isfinite per coordinate: on a few entries, far cheaper than np.isfinite
-        if not all(map(math.isfinite, arr.tolist())):
+        if not all(map(math.isfinite, xs)):
             raise DomainError("coordinates must be finite")
-        arr.setflags(write=False)
-        return SpacePoint(self.space_id, arr)
+        return SpacePoint(self.space_id, xs)
 
     def base_point(self) -> SpacePoint:
         return self._base
 
     def _distance(self, x: SpacePoint, y: SpacePoint) -> float:
-        if self.dim == 1:  # tiny-array numpy overhead dominates 1-d runs
-            return abs(float(x.coords[0]) - float(y.coords[0]))
+        if self.dim == 1:  # |a - b|, without the loop
+            return abs(x.xs[0] - y.xs[0])
         # the square root of the plain sum of squares, as distance_many
         # takes it, not math.dist: that one is exact where the squares
         # underflow or overflow, so the two would part at the float extremes
         s = 0.0
-        for a, b in zip(x.coords.tolist(), y.coords.tolist()):
+        for a, b in zip(x.xs, y.xs):
             s += (a - b) * (a - b)
         return math.sqrt(s)
 
     def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
         s = 1.0 - t
-        return self._wrap(np.array([s * a + t * b for a, b in zip(x.coords.tolist(), y.coords.tolist())]))
+        return self._wrap(tuple([s * a + t * b for a, b in zip(x.xs, y.xs)]))
 
     def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
         Z = rng.normal(size=(n, self.dim))
@@ -402,14 +415,15 @@ class Euclidean(ModelSpace):
         t = _snap_unit_many(t)[:, None]
         return (1.0 - t) * X + t * Y
 
-    def log_map(self, base: SpacePoint, target: SpacePoint) -> np.ndarray:
-        self.check_point(base)
-        self.check_point(target)
-        return target.coords - base.coords
+    def _log(self, base: SpacePoint, target: SpacePoint) -> list:
+        return list(map(sub, target.xs, base.xs))
 
     def exp_map(self, base: SpacePoint, v: np.ndarray) -> SpacePoint:
         self.check_point(base)
-        return self._wrap(base.coords + np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.dim,):
+            raise DomainError(f"tangent vector must have {self.dim} entries")
+        return self._wrap(tuple(map(add, base.xs, v.tolist())))
 
     def tangent_norm(self, base: SpacePoint, v: np.ndarray | list) -> float:
         if self.dim == 1:
@@ -419,29 +433,29 @@ class Euclidean(ModelSpace):
         return math.sqrt(sum(map(mul, v, v)))
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
-        al, bl = a.coords.tolist(), b.coords.tolist()
+        al, bl = a.xs, b.xs
         ab = list(map(sub, bl, al))
-        t = sum(map(mul, map(sub, x.coords.tolist(), al), ab)) / sum(map(mul, ab, ab))
+        t = sum(map(mul, map(sub, x.xs, al), ab)) / sum(map(mul, ab, ab))
         t = min(1.0, max(0.0, t))
         s = 1.0 - t
-        return self._wrap(np.array([s * p + t * q for p, q in zip(al, bl)]))
+        return self._wrap(tuple([s * p + t * q for p, q in zip(al, bl)]))
 
     def _project_halfspace(self, cset: Halfspace, x: SpacePoint) -> SpacePoint:
-        n = cset.normal
-        excess = float(n @ x.coords) - cset.offset
+        n, c = cset.normal, x.coords
+        excess = float(n @ c) - cset.offset
         if excess <= 0.0:
             return x
-        return self._wrap(x.coords - (excess / float(n @ n)) * n)
+        return self._wrap(tuple((c - (excess / float(n @ n)) * n).tolist()))
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0) -> SpacePoint:
-        return self._wrap(rng.normal(size=self.dim) * scale)
+        return self._wrap(tuple((rng.normal(size=self.dim) * scale).tolist()))
 
     def perturb(self, p: SpacePoint, rng: np.random.Generator, scale: float) -> SpacePoint:
-        return self._wrap(p.coords + rng.normal(size=self.dim) * scale)
+        return self._wrap(tuple(map(add, p.xs, (rng.normal(size=self.dim) * scale).tolist())))
 
 
-# Hyperboloid float primitives on coordinate lists. Products and sums of
-# floats overflow to inf as numpy's do; math.sinh and math.cosh raise
+# Hyperboloid float primitives on coordinate tuples or lists. Products and sums
+# of floats overflow to inf as numpy's do; math.sinh and math.cosh raise
 # OverflowError instead, so their callers turn it into non-finite
 # coordinates, which the engines report as a solver error.
 
@@ -468,9 +482,9 @@ def _h_distance(x: list, y: list, m: float | None = None) -> float:
     return 2.0 * math.asinh(0.5 * math.sqrt(q))
 
 
-def _lift(spatial: list) -> np.ndarray:
+def _lift(spatial: list) -> tuple[float, ...]:
     # the point of the sheet with these spatial coordinates: x0 = sqrt(1 + |s|^2)
-    return np.array([math.sqrt(1.0 + sum(map(mul, spatial, spatial))), *spatial])
+    return (math.sqrt(1.0 + sum(map(mul, spatial, spatial))), *spatial)
 
 
 @dataclass(frozen=True, eq=True)
@@ -501,10 +515,7 @@ class Hyperboloid(ModelSpace):
         if self.dim < 1:
             raise DomainError("dimension must be >= 1")
         object.__setattr__(self, "space_id", f"hyperboloid:{self.dim}")
-        e0 = np.zeros(self.dim + 1)
-        e0[0] = 1.0
-        e0.setflags(write=False)
-        object.__setattr__(self, "_base", SpacePoint(self.space_id, e0))
+        object.__setattr__(self, "_base", SpacePoint(self.space_id, (1.0,) + (0.0,) * self.dim))
         sig = np.ones(self.dim + 1)  # the Minkowski form: u @ diag(sig) @ v
         sig[0] = -1.0
         sig.setflags(write=False)
@@ -517,12 +528,12 @@ class Hyperboloid(ModelSpace):
 
     def point(self, coords) -> SpacePoint:
         try:
-            arr = np.asarray(coords, dtype=float).reshape(-1).copy()
+            arr = np.asarray(coords, dtype=float).reshape(-1)
         except (TypeError, ValueError):
             raise DomainError(f"coordinates must be numbers, got {coords!r}") from None
         if arr.shape != (self.dim + 1,):
             raise DomainError(f"expected {self.dim + 1} ambient coordinates, got {arr.shape}")
-        c = arr.tolist()
+        c = tuple(arr.tolist())
         if not all(map(math.isfinite, c)):
             raise DomainError("coordinates must be finite")
         # on the sheet |xi| <= x0, so this bounds x0 and keeps the squares
@@ -536,8 +547,7 @@ class Hyperboloid(ModelSpace):
             raise DomainError(f"not on the hyperboloid: <x,x>_M = {m}")
         if c[0] < 1.0 - POINT_TOL:
             raise DomainError("point lies on the lower sheet (x0 < 1)")
-        arr.setflags(write=False)
-        return SpacePoint(self.space_id, arr)
+        return SpacePoint(self.space_id, c)
 
     def from_spatial(self, spatial) -> SpacePoint:
         """Lift spatial coordinates onto the sheet: x0 = sqrt(1 + |s|^2).
@@ -554,10 +564,10 @@ class Hyperboloid(ModelSpace):
         return self._base
 
     def _distance(self, x: SpacePoint, y: SpacePoint) -> float:
-        return _h_distance(x.coords.tolist(), y.coords.tolist())
+        return _h_distance(x.xs, y.xs)
 
-    def _tangent_toward(self, x: list, y: list) -> tuple[list, float]:
-        # unit tangent at x toward y and the distance, from coordinate lists;
+    def _tangent_toward(self, x, y) -> tuple[list, float]:
+        # unit tangent at x toward y and the distance, from coordinate tuples;
         # (zero, 0) if x == y
         m = _mink(x, y)
         d = _h_distance(x, y, -m)
@@ -575,7 +585,7 @@ class Hyperboloid(ModelSpace):
         # positive combination of the endpoints, so no cancellation on long
         # geodesics (unlike the cosh/sinh tangent form). The time coordinate
         # is recomputed, so only the spatial part is combined.
-        xs, ys = x.coords.tolist(), y.coords.tolist()
+        xs, ys = x.xs, y.xs
         if d is None:
             d = _h_distance(xs, ys)
         if d < 1e-14:
@@ -628,18 +638,16 @@ class Hyperboloid(ModelSpace):
         Z[:, 0] = np.sqrt(1.0 + np.einsum("ij,ij->i", Z[:, 1:], Z[:, 1:]))
         return Z
 
-    def log_map(self, base: SpacePoint, target: SpacePoint) -> np.ndarray:
-        self.check_point(base)
-        self.check_point(target)
-        v, d = self._tangent_toward(base.coords.tolist(), target.coords.tolist())
-        return np.array([c * d for c in v])
+    def _log(self, base: SpacePoint, target: SpacePoint) -> list:
+        v, d = self._tangent_toward(base.xs, target.xs)
+        return [c * d for c in v]
 
     def exp_map(self, base: SpacePoint, v: np.ndarray) -> SpacePoint:
         self.check_point(base)
         v = np.asarray(v, dtype=float)
         if v.shape != (self.dim + 1,):
             raise DomainError(f"tangent vector must have {self.dim + 1} entries")
-        b = base.coords.tolist()
+        b = base.xs
         v = v.tolist()
         # re-orthogonalize against the base point (absorbs drift <= 1e-8)
         m = _mink(b, v)
@@ -664,8 +672,8 @@ class Hyperboloid(ModelSpace):
         # minimize cosh d(x, gamma(s)) = A cosh s + B sinh s over s in [0, L]
         # where gamma is the unit-speed geodesic from a to b; the unconstrained
         # minimizer is s* = artanh(-B/A), then clamp.
-        al, xl = a.coords.tolist(), x.coords.tolist()
-        v, L = self._tangent_toward(al, b.coords.tolist())
+        al, xl = a.xs, x.xs
+        v, L = self._tangent_toward(al, b.xs)
         A = -_mink(xl, al)
         B = -_mink(xl, v)
         ratio = -B / A  # |B| < A for any point x and unit-speed geodesic
@@ -681,14 +689,15 @@ class Hyperboloid(ModelSpace):
         # Gaussian tangent at p: project a raw draw onto the tangent space,
         # then give it the length of an independent Gaussian displacement
         draw = rng.normal(size=2 * self.dim + 1)
-        raw = draw[: self.dim + 1]
-        v = raw + self.minkowski(p.coords, raw) * p.coords
+        raw = draw[: self.dim + 1].tolist()
+        m = _mink(p.xs, raw)
+        v = [r + m * c for r, c in zip(raw, p.xs)]
         n = self.tangent_norm(p, v)
         g = draw[self.dim + 1:]
         length = math.sqrt(float(g @ g)) * scale
         if n < 1e-15 or length == 0.0:
             return p
-        return self.exp_map(p, v * (length / n))
+        return self.exp_map(p, [c * (length / n) for c in v])
 
 
 @dataclass(frozen=True, eq=True)
@@ -711,45 +720,46 @@ class Spider(ModelSpace):
         try:
             leg, radius = ((coords["leg"], coords["radius"]) if isinstance(coords, Mapping)
                            else coords)
-            leg = int(leg)
-            radius = float(radius)
+            index, radius = int(leg), float(radius)
+            integral = not isinstance(leg, bool) and index == float(leg)
         except (KeyError, TypeError, ValueError, OverflowError):
             raise DomainError('a spider point is {"leg": i, "radius": r} or [leg, radius], '
                               f"got {coords!r}") from None
+        if not integral:
+            raise DomainError(f"leg index must be an integer, got {leg!r}")
+        leg = index
         if not (0 <= leg < self.num_legs):
             raise DomainError(f"leg index {leg} outside [0, {self.num_legs})")
         if not math.isfinite(radius) or radius < 0.0:
             raise DomainError(f"radius must be finite and >= 0, got {radius}")
         return self._pt(leg, radius)
 
-    def _pt(self, leg: int, radius: float) -> SpacePoint:
+    def _pt(self, leg: float, radius: float) -> SpacePoint:
         if radius <= 0.0:
-            leg, radius = 0, 0.0  # the hub lies on every leg
-        arr = np.array([float(leg), radius])
-        arr.setflags(write=False)
-        return SpacePoint(self.space_id, arr)
+            return SpacePoint(self.space_id, (0.0, 0.0))  # the hub lies on every leg
+        return SpacePoint(self.space_id, (float(leg), radius))
 
     def base_point(self) -> SpacePoint:
         return self._pt(0, 0.0)
 
     @staticmethod
     def leg_of(p: SpacePoint) -> int:
-        return int(p.coords[0])
+        return int(p.xs[0])
 
     @staticmethod
     def radius_of(p: SpacePoint) -> float:
-        return float(p.coords[1])
+        return p.xs[1]
 
     def _distance(self, x: SpacePoint, y: SpacePoint) -> float:
-        lx, rx = int(x.coords[0]), float(x.coords[1])
-        ly, ry = int(y.coords[0]), float(y.coords[1])
+        lx, rx = x.xs
+        ly, ry = y.xs
         if lx == ly or rx == 0.0 or ry == 0.0:
             return abs(rx - ry)
         return rx + ry
 
     def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
-        lx, rx = int(x.coords[0]), float(x.coords[1])
-        ly, ry = int(y.coords[0]), float(y.coords[1])
+        lx, rx = x.xs
+        ly, ry = y.xs
         if rx == 0.0:
             lx = ly
         if ry == 0.0:
@@ -792,9 +802,9 @@ class Spider(ModelSpace):
         return np.stack([np.where(hub, 0.0, legs), np.where(hub, 0.0, radii)], axis=1)
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
-        la, ra = int(a.coords[0]), float(a.coords[1])
-        lb, rb = int(b.coords[0]), float(b.coords[1])
-        lx, rx = int(x.coords[0]), float(x.coords[1])
+        la, ra = a.xs
+        lb, rb = b.xs
+        lx, rx = x.xs
         if ra == 0.0:
             la = lb
         if rb == 0.0:
@@ -885,7 +895,7 @@ def point_from_config(space: ModelSpace, desc) -> SpacePoint:
 def point_to_config(space: ModelSpace, p: SpacePoint):
     if isinstance(space, Spider):
         return {"leg": Spider.leg_of(p), "radius": Spider.radius_of(p)}
-    return [float(c) for c in p.coords]
+    return list(p.xs)
 
 
 _SET_KEYS = {"ball": ("center", "radius"), "segment": ("a", "b"), "halfspace": ("normal", "offset")}

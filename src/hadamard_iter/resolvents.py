@@ -160,7 +160,8 @@ def _recheck_first_order(
     # on Python floats: the vectors have a few entries, and each float
     # operation rounds as numpy's elementwise one does, so this is the
     # gradient of the subproblem, |g| and the scale to the bit
-    back = space.log_map(y, x).tolist()  # |back| = d(x, y), reused for the scale
+    space.check_point(y)
+    back = space._log(y, x)  # |back| = d(x, y), reused for the scale
     g = [a - b / lam for a, b in zip(gradient(y).tolist(), back)]
     norm = space.tangent_norm(y, g)
     scale = 1.0 + space.tangent_norm(y, back) / lam
@@ -419,11 +420,10 @@ def _solve_vi_structure(
     field = vi.field
     step = 1.0 / (vi.lipschitz + lam)
     z = space.project(K, x)
-    xl = x.coords.tolist()
+    xl = x.xs
     for j in range(VI_BUDGET):
-        zl = z.coords.tolist()
         z_next = space.project(K, space.point(
-            [c - step * (fc + lam * (c - a)) for c, fc, a in zip(zl, field(z).tolist(), xl)]))
+            [c - step * (fc + lam * (c - a)) for c, fc, a in zip(z.xs, field(z).tolist(), xl)]))
         move = space._distance(z_next, z)
         if not math.isfinite(move):
             raise SolverError(f"projected iteration diverged at inner step {j + 1}")
@@ -493,7 +493,7 @@ def _radial_grid(
         pts.append(space.base_point() if K.kind != "ball" else space.project(K, space.base_point()))
         return tuple(pts)
     rng = np.random.default_rng(271828)  # fixed: verification must be reproducible
-    dim = anchor.coords.shape[0] - (1 if isinstance(space, Hyperboloid) else 0)
+    dim = len(anchor.xs) - (1 if isinstance(space, Hyperboloid) else 0)
     for _ in range(n_dir):
         d = rng.normal(size=dim)
         d /= math.sqrt(float(d @ d))

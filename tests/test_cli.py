@@ -414,6 +414,17 @@ SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
                  id="sweep-output-5"),
     pytest.param("sweep", dict(SHAPE_SWEEP, grid={"max_iterations": 1.0}),
                  "grid path 'max_iterations' needs a list of values, got 1.0", id="grid-value-1.0"),
+    pytest.param("sweep", dict(SHAPE_SWEEP, grid={"max_iterations": []}),
+                 "grid path 'max_iterations' has an empty list of values", id="grid-empty-list"),
+    pytest.param("run", _with(_with(_with(BASE_RUN, "space", SPIDER), "start",
+                                    {"leg": 1.7, "radius": 2.0}), "reference", {"leg": 0, "radius": 0.0}),
+                 "leg index must be an integer, got 1.7", id="spider-leg-1.7"),
+    pytest.param("check", dict(CHECK_CFG, checks=[
+        {"name": "sqn_inequality", "variant": "equilibrium_resolvent",
+         "bifunction": {"name": "rotation_vi"}, "lambda": 1.0, "samples": 20,
+         "alpha": 0.5, "operator": {"name": "nonsense"}}]),
+                 "unknown keys ['alpha', 'operator'] in check 'sqn_inequality' of variant "
+                 "'equilibrium_resolvent'", id="sqn-keys-of-another-variant"),
 ])
 def test_malformed_config_shape_is_a_config_error(tmp_path, capsys, command, cfg, message):
     # in-process: an uncaught exception fails the test, as a traceback would

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from hadamard_iter import (
     space_from_config,
     space_to_config,
 )
-from hadamard_iter.geometry import HYPERBOLOID_MAX_RADIUS, POINT_TOL
+from hadamard_iter.geometry import HYPERBOLOID_MAX_RADIUS, POINT_TOL, _h_distance, _mink
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
@@ -978,3 +979,221 @@ def test_overflowing_runs_end_as_solver_errors():
     s = iterate_sequence(OperatorSequence(space=H2, factory=lambda k: op), cfg).summary
     assert s.stop_reason is StopReason.SOLVER_ERROR
     assert s.error_message == "non-finite residual at step 1"
+
+
+# ---------------------------------------------------------------------------
+# points store a tuple of floats; coords builds a read-only array from it
+# ---------------------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(v) -> bytes:
+    # the exact float64 bytes: tells -0.0 from 0.0 and any last-bit move
+    return np.asarray(v, dtype=float).tobytes()
+
+
+@st.composite
+def raw_coords(draw, space):
+    """Raw coordinates that ``space.point`` accepts, as a list."""
+    if isinstance(space, Euclidean):
+        return draw(st.lists(FINITE, min_size=space.dim, max_size=space.dim))
+    if isinstance(space, Hyperboloid):
+        s = draw(st.lists(st.floats(-1e3, 1e3), min_size=space.dim, max_size=space.dim))
+        return space.from_spatial(s).coords.tolist()
+    return [draw(st.integers(0, space.num_legs - 1)),
+            draw(st.one_of(st.just(0.0), st.floats(0.0, 1e300)))]
+
+
+@pytest.mark.parametrize("space", [E1, E2, H2, S3], ids=lambda s: s.space_id)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_points_store_floats_and_coords_is_a_read_only_copy(space, data):
+    c = data.draw(raw_coords(space))
+    p = space.point(c)
+    want = np.asarray(c, dtype=float)
+    if isinstance(space, Spider) and c[1] <= 0.0:
+        want = np.zeros(2)  # the hub is canonicalized to leg 0
+    assert type(p.xs) is tuple and all(type(v) is float for v in p.xs)
+    assert _bits(p.xs) == _bits(want)
+    arr = p.coords
+    assert arr.dtype == np.float64 and arr.shape == want.shape
+    assert _bits(arr) == _bits(want)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.xs = (1.0,) * len(p.xs)
+    # other names raise too; a frozen slots dataclass raises TypeError for
+    # them on Python 3.10 and 3.11
+    with pytest.raises((AttributeError, TypeError)):
+        p.coords = want
+    with pytest.raises((AttributeError, TypeError)):
+        p.extra = 1
+    assert _bits(p.xs) == _bits(want)
+
+
+@pytest.mark.parametrize("space", [E1, E2, H2], ids=lambda s: s.space_id)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_private_log_is_log_map_as_a_list(space, data):
+    x = space.point(data.draw(raw_coords(space)))
+    y = space.point(data.draw(raw_coords(space)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = space._log(x, y)
+        want = space.log_map(x, y)
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert _bits(got) == _bits(want.tolist())
+
+
+def test_spider_has_no_private_log():
+    with pytest.raises(UnsupportedOperationError):
+        S3._log(S3.base_point(), S3.point((1, 1.0)))
+
+
+# Reference copies of the earlier point code on ndarray coordinates: the
+# spider primitives and the segment projections. The primitives on float
+# tuples must reproduce them bit for bit.
+
+def ref_spider_pt(leg, radius):
+    if radius <= 0.0:
+        leg, radius = 0, 0.0
+    return np.array([float(leg), radius])
+
+
+def ref_spider_distance(X, Y):
+    lx, rx = int(X[0]), float(X[1])
+    ly, ry = int(Y[0]), float(Y[1])
+    if lx == ly or rx == 0.0 or ry == 0.0:
+        return abs(rx - ry)
+    return rx + ry
+
+
+def ref_spider_combine(X, Y, t):
+    if t == 0.0:
+        return X
+    if t == 1.0:
+        return Y
+    lx, rx = int(X[0]), float(X[1])
+    ly, ry = int(Y[0]), float(Y[1])
+    if rx == 0.0:
+        lx = ly
+    if ry == 0.0:
+        ly = lx
+    if lx == ly:
+        return ref_spider_pt(lx, (1.0 - t) * rx + t * ry)
+    s = t * (rx + ry)
+    if s <= rx:
+        return ref_spider_pt(lx, rx - s)
+    return ref_spider_pt(ly, s - rx)
+
+
+def ref_spider_project_segment(A, B, X):
+    la, ra = int(A[0]), float(A[1])
+    lb, rb = int(B[0]), float(B[1])
+    lx, rx = int(X[0]), float(X[1])
+    if ra == 0.0:
+        la = lb
+    if rb == 0.0:
+        lb = la
+    if la == lb:
+        lo, hi = min(ra, rb), max(ra, rb)
+        if lx == la and rx > 0.0:
+            return ref_spider_pt(la, min(hi, max(lo, rx)))
+        return ref_spider_pt(la, lo)
+    if lx == la and rx > 0.0:
+        return ref_spider_pt(la, min(ra, rx))
+    if lx == lb and rx > 0.0:
+        return ref_spider_pt(lb, min(rb, rx))
+    return ref_spider_pt(0, 0.0)
+
+
+def ref_e_project_segment(A, B, X):
+    al, bl = A.tolist(), B.tolist()
+    ab = [q - p for p, q in zip(al, bl)]
+    t = sum((c - p) * e for c, p, e in zip(X.tolist(), al, ab)) / sum(e * e for e in ab)
+    t = min(1.0, max(0.0, t))
+    s = 1.0 - t
+    return np.array([s * p + t * q for p, q in zip(al, bl)])
+
+
+def ref_h_combine_lists(X, Y, t):
+    if t == 0.0:
+        return X
+    if t == 1.0:
+        return Y
+    xs, ys = X.tolist(), Y.tolist()
+    d = _h_distance(xs, ys)
+    if d < 1e-14:
+        return X
+    s = t * d
+    sd = math.sinh(d)
+    a, b = math.sinh(d - s) / sd, math.sinh(s) / sd
+    sp = [a * p + b * q for p, q in zip(xs[1:], ys[1:])]
+    return np.array([math.sqrt(1.0 + sum(v * v for v in sp)), *sp])
+
+
+def ref_h_project_segment(A, B, X):
+    al, xl = A.tolist(), X.tolist()
+    v, L = H2._tangent_toward(al, B.tolist())
+    a_, b_ = -_mink(xl, al), -_mink(xl, v)
+    ratio = min(1.0 - 1e-16, max(-1.0 + 1e-16, -b_ / a_))
+    t = min(1.0, max(0.0, math.atanh(ratio) / L))
+    return ref_h_combine_lists(A, B, t)
+
+
+@st.composite
+def spider_points(draw):
+    leg = draw(st.integers(0, 2))
+    r = draw(st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 1e6)))
+    return S3.point((leg, r))
+
+
+@given(x=spider_points(), y=spider_points(), z=spider_points(), t=UNIT_T)
+@settings(max_examples=400, deadline=None)
+def test_spider_float_primitives_equal_the_ndarray_reference(x, y, z, t):
+    X, Y, Z = x.coords, y.coords, z.coords
+    assert _bits(S3.distance(x, y)) == _bits(ref_spider_distance(X, Y))
+    assert _bits(S3.combine(x, y, t).coords) == _bits(ref_spider_combine(X, Y, t))
+    if S3.distance(x, y) >= 1e-15:
+        assert _bits(S3._project_segment(x, y, z).coords) == \
+            _bits(ref_spider_project_segment(X, Y, Z))
+    assert Spider.leg_of(x) == int(X[0]) and type(Spider.leg_of(x)) is int
+    assert _bits(Spider.radius_of(x)) == _bits(float(X[1]))
+
+
+@given(a=coords2, b=coords2, x=coords2)
+@settings(max_examples=300, deadline=None)
+def test_euclidean_segment_projection_equals_the_ndarray_reference(a, b, x):
+    pa, pb, px = E2.point(a), E2.point(b), E2.point(x)
+    if E2.distance(pa, pb) >= 1e-15:
+        assert _bits(E2._project_segment(pa, pb, px).coords) == \
+            _bits(ref_e_project_segment(pa.coords, pb.coords, px.coords))
+
+
+NEAR_SPATIAL = st.lists(st.floats(-10, 10), min_size=2, max_size=2)
+
+
+@given(a=NEAR_SPATIAL, b=NEAR_SPATIAL, x=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_hyperboloid_segment_projection_equals_the_list_reference(a, b, x):
+    # segment ends within distance 3 of the apex: at a far end the unit
+    # tangent toward the other cancels in any formula
+    pa, pb, px = H2.from_spatial(a), H2.from_spatial(b), H2.from_spatial(x)
+    if H2.distance(pa, pb) >= 1e-15:
+        assert _bits(H2._project_segment(pa, pb, px).coords) == \
+            _bits(ref_h_project_segment(pa.coords, pb.coords, px.coords))
+
+
+@pytest.mark.parametrize("leg", [1.7, math.nan, True, False, -0.5, "1.5"])
+def test_spider_leg_must_be_an_integer(leg):
+    with pytest.raises(DomainError):
+        S3.point([leg, 2.0])
+    with pytest.raises(DomainError):
+        S3.point({"leg": leg, "radius": 2.0})
+
+
+@pytest.mark.parametrize("leg", [1, 1.0, np.int64(1), np.float64(1.0), "1"])
+def test_spider_integral_legs_are_accepted(leg):
+    p = S3.point([leg, 2.0])
+    assert p.xs == (1.0, 2.0) and Spider.leg_of(p) == 1
