@@ -21,6 +21,8 @@ from .geometry import (
     Spider,
     WholeSpace,
     canonical_point,
+)
+from .config import (
     point_from_config,
     point_to_config,
     set_from_config,

@@ -12,7 +12,6 @@ import argparse
 import copy
 import csv
 import functools
-import inspect
 import io
 import itertools
 import json
@@ -22,6 +21,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+from .config import READERS, pick, point_to_config, read, reads
 from .diagnostics import (
     CheckReport,
     check_fejer,
@@ -33,17 +33,11 @@ from .diagnostics import (
 )
 from .errors import ConfigError, DomainError, HadamardIterError, UnsupportedOperationError
 from .fixtures import _BIFUNCTIONS, _OBJECTIVES, bifunction_fixture, objective_fixture
-from .geometry import (
-    ModelSpace,
-    Spider,
-    point_from_config,
-    point_to_config,
-    set_from_config,
-    space_from_config,
-)
+from .geometry import ConvexSubset, ModelSpace, SpacePoint, Spider
 from .operators import _CATALOG as _OPERATORS
-from .operators import catalog_operator, ishikawa_operator
-from .resolvents import equilibrium_resolvent_operator, lipschitz_resolvent_operator
+from .operators import OperatorSpec, catalog_operator, ishikawa_operator
+from .resolvents import (Bifunction, ObjectiveFunction, equilibrium_resolvent_operator,
+                         lipschitz_resolvent_operator)
 from .schedules import (
     Schedule,
     ScheduleClass,
@@ -64,92 +58,31 @@ EXIT_BUDGET = 2
 EXIT_SOLVER = 3
 
 
-def _require_keys(d: Mapping, ctx: str, required: set[str], optional: set[str]) -> None:
-    if not isinstance(d, Mapping):
-        raise ConfigError(f"{ctx} must be an object, got {type(d).__name__}")
-    unknown = set(d) - required - optional
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {ctx}")
-    missing = sorted(required - set(d))
-    if missing:
-        what = f"key {missing[0]!r}" if len(missing) == 1 else f"keys {missing}"
-        raise ConfigError(f"missing {what} in {ctx}")
-
-
-def _outputs(cfg: Mapping, defaults: dict[str, str]) -> dict[str, str]:
-    """The file names of ``cfg``'s ``outputs`` object over ``defaults``; each
-    must be a nonempty string."""
-    outputs = cfg.get("outputs", {})
-    _require_keys(outputs, "outputs", set(), set(defaults))
-    for key, name in outputs.items():
-        _file_name(name, f"output {key!r}")
-    return {**defaults, **outputs}
-
-
-def _file_name(name: Any, what: str) -> str:
-    if not (isinstance(name, str) and name):
-        raise ConfigError(f"{what} must be a file name, got {name!r}")
-    return name
-
-
-def _num(desc: Mapping, key: str, ctx: str, default: Any = None, kind: type = float):
-    """``desc[key]`` as a number, or ``default`` when the key is absent; a
-    missing required key or a non-numeric value is a config error."""
-    if key not in desc:
-        if default is None:
-            raise ConfigError(f"missing key {key!r} in {ctx}")
-        return default
-    try:
-        return kind(desc[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key!r} in {ctx} must be a number, got {desc[key]!r}") from None
-
-
 # ---------------------------------------------------------------------------
-# descriptor parsing
+# config objects: each is read against the signature of the function that
+# builds it (config.read); tables pick the function by a discriminator key
 # ---------------------------------------------------------------------------
 
-def _parse_source(space: ModelSpace, desc: Mapping):
-    _require_keys(desc, "source", set(), {"operator", "objective", "bifunction"})
-    if len(desc) != 1:
-        raise ConfigError("source must contain exactly one of operator/objective/bifunction")
-    (kind, d), = desc.items()
-    return _parse_descriptor(space, kind, d)
-
-
-def _parse_descriptor(space: ModelSpace, kind: str, desc: Mapping):
+def _descriptor(kind: str, desc: Any, key: str, ctx: str, space: ModelSpace):
     """An operator, objective or bifunction from its descriptor: a catalogue
-    ``name`` plus the keyword parameters of that entry's builder, with
-    ``set`` read as a convex set (``cset``) and ``point`` as a point. A
-    builder parameter without a default is a required key, and one
-    annotated ``float`` is read as a number."""
+    ``name`` plus the keys of that entry's builder, built by the catalogue's
+    factory."""
     factory, catalogue = {
         "operator": (catalog_operator, _OPERATORS),
         "objective": (objective_fixture, _OBJECTIVES),
         "bifunction": (bifunction_fixture, _BIFUNCTIONS),
     }[kind]
-    if not isinstance(desc, Mapping) or not isinstance(desc.get("name"), str):
-        raise ConfigError(f"{kind} descriptor must be an object with a string 'name'")
-    d = dict(desc)
-    name = d.pop("name")
-    if name in catalogue:  # an unknown name is the factory's error
-        ctx = f"{kind} {name!r}"
-        params = list(inspect.signature(catalogue[name]).parameters.values())[1:]
-        keys = {"set" if p.name == "cset" else p.name: p for p in params}
-        unknown = set(d) - set(keys)
-        if unknown:
-            raise ConfigError(f"unknown keys {sorted(unknown)} in {ctx}; "
-                              f"accepted keys: {['name', *keys]}")
-        for key, p in keys.items():
-            if key not in d and p.default is p.empty:
-                raise ConfigError(f"missing key {key!r} in {ctx}")
-            if key in d and p.annotation in (float, "float"):
-                d[key] = _num(d, key, ctx)
-    if "set" in d:
-        d["cset"] = set_from_config(space, d.pop("set"))
-    if "point" in d:
-        d["point"] = point_from_config(space, d["point"])
-    return factory(space, name, **d)
+    name, builder, sub = pick(catalogue, desc, key, ctx, kind, by="name")
+    return factory(space, name, **read(builder, desc, sub, space, skip=1, known=("name",)))
+
+
+_SOURCES = {kind: functools.partial(_descriptor, kind)
+            for kind in ("operator", "objective", "bifunction")}
+
+
+def _source(desc: Any, key: str, ctx: str, space: ModelSpace):
+    kind, read_kind, _ = pick(_SOURCES, desc, key, ctx, "source", by=None)
+    return read_kind(desc[kind], kind, "source", space)
 
 
 def _anchor_constant(value: float) -> Schedule:
@@ -159,7 +92,11 @@ def _anchor_constant(value: float) -> Schedule:
     )
 
 
-def _mann_power(scale: float, offset: float, power: float) -> Schedule:
+def _mann_constant(value: float) -> Schedule:
+    return mann_constant(value)
+
+
+def _mann_power(scale: float = 0.5, offset: float = 1.0, power: float = 1.0) -> Schedule:
     # the first weight is the bound: the weights must not grow
     check_power_term("Mann weights scale/(k+offset)^power", offset, power)
     return Schedule(lambda k: inverse_power(scale, k + offset, power), ScheduleClass.MANN_PARAM,
@@ -173,79 +110,85 @@ def _vanishing_constant(value: float) -> Schedule:
     return vanishing_schedule(0.0)
 
 
-def _power_floor(floor: float, scale: float, power: float) -> Schedule:
+def _resolvent_constant(value: float) -> Schedule:
+    return resolvent_constant(value)
+
+
+def _power_floor(floor: float = 0.0, scale: float = 1.0, power: float = 1.0) -> Schedule:
     # the parameters must stay between floor and floor + scale
     check_power_term("resolvent parameters floor + scale/k^power", 0.0, power)
     return resolvent_schedule(lambda k: floor + inverse_power(scale, k, power),
                               lower=floor, upper=floor + scale)
 
 
-# role -> (what the role's weights are, kind -> (builder, the keys it reads
-# with their defaults; None marks a required key))
+# role -> the schedule kinds that can serve in it
 _SCHEDULE_KINDS = {
-    "anchor": ("anchor weights", {
-        "power": (halpern_schedule, {"scale": 1.0, "offset": 1.0, "power": 1.0}),
-        "constant": (_anchor_constant, {"value": None})}),
-    "alpha": ("Mann weights", {
-        "constant": (mann_constant, {"value": None}),
-        "power": (_mann_power, {"scale": 0.5, "offset": 1.0, "power": 1.0})}),
-    "beta": ("vanishing weights", {
-        "constant": (_vanishing_constant, {"value": None}),
-        "inverse_k": (vanishing_schedule, {"scale": 1.0, "power": 1.0})}),
-    "lambda": ("resolvent parameters", {
-        "constant": (resolvent_constant, {"value": None}),
-        "power_floor": (_power_floor, {"floor": 0.0, "scale": 1.0, "power": 1.0})}),
+    "anchor": {"power": halpern_schedule, "constant": _anchor_constant},
+    "alpha": {"constant": _mann_constant, "power": _mann_power},
+    "beta": {"constant": _vanishing_constant, "inverse_k": vanishing_schedule},
+    "lambda": {"constant": _resolvent_constant, "power_floor": _power_floor},
 }
 
 
-def _parse_schedule(role: str, desc: Mapping) -> Schedule:
-    ctx = f"schedule {role!r}"
-    what, kinds = _SCHEDULE_KINDS[role]
-    if not isinstance(desc, Mapping) or not isinstance(desc.get("kind"), str):
-        raise ConfigError(f"{ctx} must be an object with a string 'kind'")
-    kind = desc["kind"]
-    if kind not in kinds:
-        raise ConfigError(f"schedule kind {kind!r} cannot serve as {what}")
-    build, keys = kinds[kind]
-    accepted = ["kind", *keys]
-    unknown = set(desc) - set(accepted)
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {ctx} of kind {kind!r}; "
-                          f"accepted keys: {accepted}")
-    return build(*(_num(desc, key, ctx, default) for key, default in keys.items()))
+def _schedule(desc: Any, role: str, ctx: str, space: ModelSpace) -> Schedule:
+    _, build, sub = pick(_SCHEDULE_KINDS[role], desc, role, ctx, f"schedule {role!r}")
+    return build(**read(build, desc, sub, known=("kind",)))
 
 
-RUN_KEYS_REQUIRED = {"space", "scheme", "source", "schedules", "start"}
-RUN_KEYS_OPTIONAL = {"anchor", "max_iterations", "tolerance", "reference",
-                     "trace_stride", "seed", "outputs"}
+def _schedules(anchor: Schedule | None = None, alpha: Schedule | None = None,
+               beta: Schedule | None = None, lam: Schedule | None = None
+               ) -> dict[str, Schedule]:
+    roles = {"anchor": anchor, "alpha": alpha, "beta": beta, "lambda": lam}
+    return {role: s for role, s in roles.items() if s is not None}
 
 
-def parse_run_config(cfg: Mapping, overrides: Mapping | None = None
-                     ) -> tuple[BuiltScheme, RunConfig, dict]:
-    _require_keys(cfg, "run config", RUN_KEYS_REQUIRED, RUN_KEYS_OPTIONAL)
-    overrides = overrides or {}
-    space = space_from_config(cfg["space"])
-    source = _parse_source(space, cfg["source"])
-    _require_keys(cfg["schedules"], "schedules", set(), set(_SCHEDULE_KINDS))
-    schedules = {role: _parse_schedule(role, d) for role, d in cfg["schedules"].items()}
-    built = build_scheme(cfg["scheme"], source, schedules)
+def _run_outputs(trace: str = "trace.csv", summary: str = "summary.json") -> dict[str, str]:
+    return {"trace": trace, "summary": summary}
 
-    anchor = cfg.get("anchor")
-    reference = cfg.get("reference")
-    merged = {**cfg, **overrides}
+
+def _check_outputs(reports: str = "reports.json") -> dict[str, str]:
+    return {"reports": reports}
+
+
+# the annotations that name the objects above, and their readers
+Source = OperatorSpec | ObjectiveFunction | Bifunction
+Schedules = RunOutputs = CheckOutputs = dict
+READERS.update(
+    OperatorSpec=_SOURCES["operator"], ObjectiveFunction=_SOURCES["objective"],
+    Bifunction=_SOURCES["bifunction"], Source=_source, Schedule=_schedule,
+    Schedules=reads(_schedules), RunOutputs=reads(_run_outputs),
+    CheckOutputs=reads(_check_outputs),
+)
+
+
+def _run(overrides: Mapping, space: ModelSpace, scheme: str, source: Source,
+         schedules: Schedules, start: SpacePoint, anchor: SpacePoint | None = None,
+         max_iterations: int = RunConfig.max_iterations,
+         tolerance: float = RunConfig.tolerance, reference: SpacePoint | None = None,
+         trace_stride: int | None = None, seed: int = RunConfig.seed,
+         outputs: RunOutputs | None = None) -> tuple[BuiltScheme, RunConfig, dict[str, str]]:
+    """A run config: the scheme, the run's settings (the command's
+    ``overrides`` of ``seed`` and ``max_iterations`` win) and the output
+    names, checked as the engine checks them at entry."""
+    built = build_scheme(scheme, source, schedules)
     run_cfg = RunConfig(
-        space=space,
-        start=point_from_config(space, cfg["start"]),
-        anchor=point_from_config(space, anchor) if anchor is not None else None,
-        max_iterations=_num(merged, "max_iterations", "run config", 100_000, int),
-        tolerance=_num(cfg, "tolerance", "run config", 1e-10),
-        reference=point_from_config(space, reference) if reference is not None else None,
-        trace_stride=cfg.get("trace_stride"),
-        seed=_num(merged, "seed", "run config", 0, int),
+        space=space, start=start, anchor=anchor,
+        max_iterations=overrides.get("max_iterations", max_iterations),
+        tolerance=tolerance, reference=reference, trace_stride=trace_stride,
+        seed=overrides.get("seed", seed),
     )
-    check_entry(built.sequence, run_cfg, built.anchor_schedule)  # what the engine rejects at entry
-    outputs = _outputs(cfg, {"trace": "trace.csv", "summary": "summary.json"})
-    return built, run_cfg, outputs
+    check_entry(built.sequence, run_cfg, built.anchor_schedule)
+    return built, run_cfg, outputs or _run_outputs()
+
+
+def _parse(entry: Callable, cfg: Any, ctx: str, overrides: Mapping | None):
+    # a run, check or sweep config: ``entry`` takes the command's overrides first
+    return entry(overrides or {}, **read(entry, cfg, ctx, skip=1))
+
+
+def parse_run_config(cfg: Any, overrides: Mapping | None = None
+                     ) -> tuple[BuiltScheme, RunConfig, dict[str, str]]:
+    return _parse(_run, cfg, "run config", overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -342,105 +285,111 @@ def cmd_run(config_path: str, out_dir: str, overrides: Mapping | None = None) ->
     return _stop_exit_code(trace.summary.stop_reason)
 
 
-CHECK_KEYS = {
-    "space_axioms": ({"name"}, {"samples", "scale"}),
-    "quasi_firm": ({"name", "objective", "lambda"}, {"witness", "samples", "scale"}),
-    "sqn_inequality": ({"name", "variant"}, {"witness", "samples", "scale"}),
-    "nested_fixed_sets": ({"name", "objective", "lambda", "mu", "candidates"}, set()),
-    "fejer": ({"name", "run", "witness"}, set()),
-    "halpern_target": ({"name", "run", "fixed_set", "tolerance"}, set()),
-}
-
-# sqn_inequality variant -> (the descriptor key it builds from, the keys it
-# accepts besides those of every sqn_inequality check)
-SQN_VARIANT_KEYS = {"ishikawa": ("operator", {"alpha", "beta"}),
-                    "lipschitz_resolvent": ("operator", {"lambda"}),
-                    "equilibrium_resolvent": ("bifunction", {"lambda"})}
-
-
-def _parse_embedded(space: ModelSpace, desc: Mapping, seed: int) -> tuple[BuiltScheme, RunConfig]:
-    built, run_cfg, _ = parse_run_config(desc, {"seed": seed})
+def _parse_embedded(space: ModelSpace, desc: Any, overrides: Mapping
+                    ) -> tuple[BuiltScheme, RunConfig]:
+    built, run_cfg, _ = parse_run_config(desc, overrides)
     if run_cfg.space != space:
         raise ConfigError("embedded run uses a different space than the check config")
     return built, run_cfg
 
 
-def _parse_check(space: ModelSpace, desc: Mapping, seed: int) -> Callable[[], CheckReport]:
-    """The check ``desc`` names, with every field read and validated, as a
-    call that runs it."""
-    if not isinstance(desc, Mapping):
-        raise ConfigError(f"a check must be an object, got {desc!r}")
-    name = desc.get("name")
-    if name not in CHECK_KEYS:
-        raise ConfigError(f"unknown check {name!r}; known: {sorted(CHECK_KEYS)}")
-    required, optional = CHECK_KEYS[name]
-    ctx = f"check {name!r}"
-    if name == "sqn_inequality" and "variant" in desc:
-        variant = desc["variant"]
-        if variant not in SQN_VARIANT_KEYS:
-            raise ConfigError(f"unknown sqn variant {variant!r}")
-        source_key, extra = SQN_VARIANT_KEYS[variant]
-        _require_keys(desc, f"{ctx} of variant {variant!r}", required | {source_key},
-                      optional | extra)
-    else:
-        _require_keys(desc, ctx, required, optional)
-    if name == "space_axioms":
-        return functools.partial(check_space_axioms, space,
-                                 samples=_num(desc, "samples", ctx, 1000, int),
-                                 seed=seed, scale=_num(desc, "scale", ctx, 2.0))
-    if name == "quasi_firm":
-        f = _parse_descriptor(space, "objective", desc["objective"])
-        witness = (point_from_config(space, desc["witness"])
-                   if "witness" in desc else f.known_argmin)
-        if witness is None:
-            raise ConfigError("quasi_firm needs a witness or an objective with known argmin")
-        return functools.partial(check_quasi_firm, f, _num(desc, "lambda", ctx), witness,
-                                 samples=_num(desc, "samples", ctx, 500, int), seed=seed,
-                                 scale=_num(desc, "scale", ctx, 2.0))
-    if name == "sqn_inequality":
-        source = _parse_descriptor(space, source_key, desc[source_key])
-        if variant == "ishikawa":
-            op = ishikawa_operator(source, _num(desc, "alpha", ctx, 0.5),
-                                   _num(desc, "beta", ctx, 0.0))
-        elif variant == "lipschitz_resolvent":
-            op = lipschitz_resolvent_operator(source, _num(desc, "lambda", ctx))
-        else:
-            op = equilibrium_resolvent_operator(source, _num(desc, "lambda", ctx))
-        witness = (point_from_config(space, desc["witness"])
-                   if "witness" in desc else None)
-        return functools.partial(check_sqn_inequality, op, witness,
-                                 samples=_num(desc, "samples", ctx, 500, int), seed=seed,
-                                 scale=_num(desc, "scale", ctx, 2.0))
-    if name == "nested_fixed_sets":
-        f = _parse_descriptor(space, "objective", desc["objective"])
-        if not isinstance(desc["candidates"], list):
-            raise ConfigError(f"'candidates' in {ctx} must be a list of points")
-        cands = [point_from_config(space, p) for p in desc["candidates"]]
-        return functools.partial(check_nested_fixed_sets, f, _num(desc, "lambda", ctx),
-                                 _num(desc, "mu", ctx), cands)
-    built, run_cfg = _parse_embedded(space, desc["run"], seed)
-    if name == "fejer":
-        witness = point_from_config(space, desc["witness"])
-        return lambda: check_fejer(space, built.run(run_cfg), witness)
+# Each check is read against the parameters of its entry after (space,
+# overrides): the check config's space, and the seed and iteration budget
+# that the command and the check config give its embedded runs.
+
+def _space_axioms(space, overrides, samples: int = 1000, scale: float = 2.0):
+    return functools.partial(check_space_axioms, space, samples=samples,
+                             seed=overrides["seed"], scale=scale)
+
+
+def _quasi_firm(space, overrides, objective: ObjectiveFunction, lam: float,
+                witness: SpacePoint | None = None, samples: int = 500, scale: float = 2.0):
+    witness = objective.known_argmin if witness is None else witness
+    if witness is None:
+        raise ConfigError("quasi_firm needs a witness or an objective with known argmin")
+    return functools.partial(check_quasi_firm, objective, lam, witness, samples=samples,
+                             seed=overrides["seed"], scale=scale)
+
+
+def _sqn(op: OperatorSpec, overrides, witness, samples, scale):
+    return functools.partial(check_sqn_inequality, op, witness, samples=samples,
+                             seed=overrides["seed"], scale=scale)
+
+
+def _sqn_ishikawa(space, overrides, operator: OperatorSpec, alpha: float = 0.5,
+                  beta: float = 0.0, witness: SpacePoint | None = None, samples: int = 500,
+                  scale: float = 2.0):
+    return _sqn(ishikawa_operator(operator, alpha, beta), overrides, witness, samples, scale)
+
+
+def _sqn_lipschitz_resolvent(space, overrides, operator: OperatorSpec, lam: float,
+                             witness: SpacePoint | None = None, samples: int = 500,
+                             scale: float = 2.0):
+    return _sqn(lipschitz_resolvent_operator(operator, lam), overrides, witness, samples, scale)
+
+
+def _sqn_equilibrium_resolvent(space, overrides, bifunction: Bifunction, lam: float,
+                               witness: SpacePoint | None = None, samples: int = 500,
+                               scale: float = 2.0):
+    return _sqn(equilibrium_resolvent_operator(bifunction, lam), overrides, witness, samples,
+                scale)
+
+
+def _nested_fixed_sets(space, overrides, objective: ObjectiveFunction, lam: float, mu: float,
+                       candidates: list[SpacePoint]):
+    return functools.partial(check_nested_fixed_sets, objective, lam, mu, candidates)
+
+
+def _fejer(space, overrides, run: dict, witness: SpacePoint):
+    built, run_cfg = _parse_embedded(space, run, overrides)
+    return lambda: check_fejer(space, built.run(run_cfg), witness)
+
+
+def _halpern_target(space, overrides, run: dict, fixed_set: ConvexSubset, tolerance: float):
+    built, run_cfg = _parse_embedded(space, run, overrides)
     if run_cfg.anchor is None:
-        raise ConfigError(f"{ctx} needs an embedded run with an 'anchor'")
-    fixed_set = set_from_config(space, desc["fixed_set"])
-    tolerance = _num(desc, "tolerance", ctx)
+        raise ConfigError("check 'halpern_target' needs an embedded run with an 'anchor'")
     return lambda: check_halpern_target(space, built.run(run_cfg), run_cfg.anchor, fixed_set,
                                         tolerance)
 
 
+_CHECKS = {
+    "space_axioms": _space_axioms,
+    "quasi_firm": _quasi_firm,
+    "sqn_inequality": {"ishikawa": _sqn_ishikawa,  # by variant
+                       "lipschitz_resolvent": _sqn_lipschitz_resolvent,
+                       "equilibrium_resolvent": _sqn_equilibrium_resolvent},
+    "nested_fixed_sets": _nested_fixed_sets,
+    "fejer": _fejer,
+    "halpern_target": _halpern_target,
+}
+
+
+def _check(desc: Any, key: str, space: ModelSpace, overrides: Mapping
+           ) -> Callable[[], CheckReport]:
+    """The check ``desc`` names, with every field read and validated, as a
+    call that runs it."""
+    _, entry, ctx = pick(_CHECKS, desc, key, "check config", "check", by="name")
+    known = ("name",)
+    if isinstance(entry, dict):
+        _, entry, ctx = pick(entry, desc, key, "check config", ctx, by="variant")
+        known = ("name", "variant")
+    return entry(space, overrides, **read(entry, desc, ctx, space, skip=2, known=known))
+
+
+def _check_config(overrides: Mapping, space: ModelSpace, checks: list[dict], seed: int = 0,
+                  outputs: CheckOutputs | None = None
+                  ) -> tuple[list[Callable[[], CheckReport]], int, str]:
+    seed = overrides.get("seed", seed)
+    overrides = {**overrides, "seed": seed}
+    return ([_check(desc, f"checks[{i}]", space, overrides) for i, desc in enumerate(checks)],
+            seed, (outputs or _check_outputs())["reports"])
+
+
 def cmd_check(config_path: str, out_dir: str, overrides: Mapping | None = None) -> int:
     """Read and validate every check of the config, then run them in order."""
-    cfg = _load_json(config_path)
-    _require_keys(cfg, "check config", {"space", "checks"}, {"seed", "outputs"})
-    overrides = overrides or {}
-    space = space_from_config(cfg["space"])
-    seed = _num({**cfg, **overrides}, "seed", "check config", 0, int)
-    if not isinstance(cfg["checks"], list):
-        raise ConfigError("'checks' in check config must be a list of checks")
-    checks = [_parse_check(space, desc, seed) for desc in cfg["checks"]]
-    out_name = _outputs(cfg, {"reports": "reports.json"})["reports"]
+    checks, seed, out_name = _parse(_check_config, _load_json(config_path), "check config",
+                                    overrides)
     reports = [run() for run in checks]
     bundle = {"all_passed": all(r.passed for r in reports),
               "seed": seed,
@@ -500,6 +449,22 @@ def _run_cell(cell_cfg: dict, overrides: Mapping | None) -> list:
             _fmt(s.target_distance)]
 
 
+def _sweep(overrides: Mapping, base: dict, grid: dict[str, list[Any]],
+           output: str = "sweep.csv") -> tuple[list[str], list[tuple], list[dict], str]:
+    """A sweep config: its grid paths, the grid's cells and their run configs,
+    every one read and validated before anything runs, and the CSV name."""
+    paths = list(grid)
+    cells = list(itertools.product(*grid.values()))
+    cell_cfgs = []
+    for values in cells:
+        cell = copy.deepcopy(base)
+        for p, v in zip(paths, values):
+            _set_by_path(cell, p, v)
+        parse_run_config(cell, overrides)
+        cell_cfgs.append(cell)
+    return paths, cells, cell_cfgs, output
+
+
 def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) -> int:
     """Run every cell of the grid and write one CSV row per cell, in grid order.
 
@@ -509,30 +474,10 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     worker dies, gets a ``solver_error`` row with empty numeric fields and a
     message on stderr; the sweep then exits 3 after writing the whole CSV.
     """
-    cfg = _load_json(config_path)
-    _require_keys(cfg, "sweep config", {"base", "grid"}, {"output"})
-    grid = cfg["grid"]
-    if not isinstance(grid, Mapping) or not grid:
-        raise ConfigError("grid must be a nonempty mapping of config paths to value lists")
-    for p, values in grid.items():
-        if not isinstance(values, list):
-            raise ConfigError(f"grid path {p!r} needs a list of values, got {values!r}")
-        if not values:
-            raise ConfigError(f"grid path {p!r} has an empty list of values")
-    out_name = _file_name(cfg.get("output", "sweep.csv"), "sweep output")
-    paths = list(grid)
-    cells = list(itertools.product(*(grid[p] for p in paths)))
+    paths, cells, cell_cfgs, out_name = _parse(_sweep, _load_json(config_path), "sweep config",
+                                               overrides)
     workers = _sweep_workers(os.environ.get("HADAMARD_ITER_THREADS"), len(cells),
                              os.cpu_count())
-
-    # validate every cell before running anything
-    cell_cfgs = []
-    for values in cells:
-        cell = copy.deepcopy(cfg["base"])
-        for p, v in zip(paths, values):
-            _set_by_path(cell, p, v)
-        parse_run_config(cell, overrides)  # raises ConfigError on any bad cell
-        cell_cfgs.append(cell)
 
     # imported here: the process machinery is not needed by run or check.
     # fork, not the platform default: spawn and forkserver would re-import

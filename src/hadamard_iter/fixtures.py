@@ -46,12 +46,17 @@ def bifunction_fixture(space: ModelSpace, name: str, **params) -> Bifunction:
 # objectives
 # ---------------------------------------------------------------------------
 
-def quadratic(space: ModelSpace, center=None) -> ObjectiveFunction:
+def _center(space: ModelSpace, center) -> SpacePoint:
+    # a point, its coordinates, or None for the base point
+    if center is None:
+        return space.base_point()
+    return center if isinstance(center, SpacePoint) else space.point(center)
+
+
+def quadratic(space: ModelSpace, center: SpacePoint | None = None) -> ObjectiveFunction:
     """f(y) = d^2(y, a) / 2. Its resolvent is the geodesic point at
     parameter lam/(1+lam) from x toward a, in any of the model spaces."""
-    a = center if isinstance(center, SpacePoint) else (
-        space.base_point() if center is None else space.point(center)
-    )
+    a = _center(space, center)
 
     def val(y: SpacePoint) -> float:
         d = space.distance(y, a)
@@ -151,14 +156,15 @@ def _quartic_prox(lam: float, x: float) -> float:
     return y
 
 
-def expanding_quadratic(space: ModelSpace, center=None) -> ObjectiveFunction:
+def expanding_quadratic(space: ModelSpace, center: SpacePoint | None = None
+                        ) -> ObjectiveFunction:
     """Negative-control fixture: claims to be the quadratic around a but its
     "resolvent" reflects past the minimizer with factor 1.5, so distances to
     a grow and the resolvent inequalities fail. No gradient on purpose, so
     the broken closed form is not caught by the optimality recheck."""
     if not isinstance(space, Euclidean):
         raise ConfigError("expanding_quadratic is Euclidean only")
-    a = space.base_point() if center is None else space.point(center)
+    a = _center(space, center)
 
     def val(y: SpacePoint) -> float:
         d = space.distance(y, a)
@@ -203,7 +209,8 @@ def rotation_vi(space: ModelSpace, radius: float = 1.0) -> Bifunction:
     )
 
 
-def min_quadratic(space: ModelSpace, center=None, cset: ConvexSubset | None = None) -> Bifunction:
+def min_quadratic(space: ModelSpace, center: SpacePoint | None = None,
+                  cset: ConvexSubset | None = None) -> Bifunction:
     """Minimization bifunction f(x, y) = g(y) - g(x) for the quadratic g
     around ``center``, over ``cset`` (whole space by default). Equilibrium
     points are the minimizers of g over the set, i.e. the projection of the

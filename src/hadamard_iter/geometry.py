@@ -61,6 +61,19 @@ _KERNEL_PRIMITIVES = {
 }
 
 
+def integral(v) -> int | None:
+    """``v`` as an int if it has an integer value (``int(v) == float(v)``),
+    else None; a bool has none. The one rule for spider legs and for the
+    integers of a config."""
+    if isinstance(v, bool):
+        return None
+    try:
+        n = int(v)
+        return n if n == float(v) else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _snap_unit(t: float) -> float:
     # t lies outside [0, 1]: snap rounding error to the nearest end, else raise
     if 1.0 < t <= 1.0 + T_SNAP:
@@ -549,7 +562,7 @@ class Hyperboloid(ModelSpace):
             raise DomainError("point lies on the lower sheet (x0 < 1)")
         return SpacePoint(self.space_id, c)
 
-    def from_spatial(self, spatial) -> SpacePoint:
+    def from_spatial(self, spatial: list[float]) -> SpacePoint:
         """Lift spatial coordinates onto the sheet: x0 = sqrt(1 + |s|^2).
         ``point`` validates the lift, the radius bound included."""
         try:
@@ -568,7 +581,7 @@ class Hyperboloid(ModelSpace):
 
     def _tangent_toward(self, x, y) -> tuple[list, float]:
         # unit tangent at x toward y and the distance, from coordinate tuples;
-        # (zero, 0) if x == y
+        # (zero, 0) if d < 1e-14, and (zero, d) if the tangent form cancels
         m = _mink(x, y)
         d = _h_distance(x, y, -m)
         if d < 1e-14:
@@ -577,7 +590,7 @@ class Hyperboloid(ModelSpace):
         nw = _mink(w, w)                       # = sinh^2 d
         nw = math.sqrt(nw) if nw > 0 else 0.0
         if nw == 0.0:
-            return [0.0] * len(x), 0.0
+            return [0.0] * len(x), d
         return [c / nw for c in w], d
 
     def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
@@ -671,9 +684,17 @@ class Hyperboloid(ModelSpace):
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
         # minimize cosh d(x, gamma(s)) = A cosh s + B sinh s over s in [0, L]
         # where gamma is the unit-speed geodesic from a to b; the unconstrained
-        # minimizer is s* = artanh(-B/A), then clamp.
+        # minimizer is s* = artanh(-B/A), then clamp. The geodesic starts at
+        # the endpoint nearer the apex: at a far base point the tangent form
+        # can cancel, so that the direction toward the other end reads as 0.
+        if a.xs[0] > b.xs[0]:
+            a, b = b, a
         al, xl = a.xs, x.xs
         v, L = self._tangent_toward(al, b.xs)
+        if L == 0.0:  # shorter than 1e-14: the nearer end is the projection
+            return a
+        if not any(v):
+            raise DomainError("the direction of the segment cancels in floating point")
         A = -_mink(xl, al)
         B = -_mink(xl, v)
         ratio = -B / A  # |B| < A for any point x and unit-speed geodesic
@@ -720,12 +741,12 @@ class Spider(ModelSpace):
         try:
             leg, radius = ((coords["leg"], coords["radius"]) if isinstance(coords, Mapping)
                            else coords)
-            index, radius = int(leg), float(radius)
-            integral = not isinstance(leg, bool) and index == float(leg)
-        except (KeyError, TypeError, ValueError, OverflowError):
+            radius = float(radius)
+        except (KeyError, TypeError, ValueError):
             raise DomainError('a spider point is {"leg": i, "radius": r} or [leg, radius], '
                               f"got {coords!r}") from None
-        if not integral:
+        index = integral(leg)
+        if index is None:
             raise DomainError(f"leg index must be an integer, got {leg!r}")
         leg = index
         if not (0 <= leg < self.num_legs):
@@ -846,86 +867,3 @@ def canonical_point(space: ModelSpace, cset: ConvexSubset) -> SpacePoint:
         n = cset.normal
         return space.point(n * (cset.offset / float(n @ n)))
     return space.base_point()
-
-
-# ---------------------------------------------------------------------------
-# config-format (de)serialization
-# ---------------------------------------------------------------------------
-
-def space_from_config(desc: Mapping) -> ModelSpace:
-    """Build a space from its config descriptor, e.g.
-    {"kind": "hyperboloid", "dim": 2} or {"kind": "spider", "legs": 3}."""
-    if not isinstance(desc, Mapping):
-        raise DomainError(f"a space must be an object with a 'kind', got {desc!r}")
-    kind = desc.get("kind")
-    kinds = {"euclidean": (Euclidean, "dim"), "hyperboloid": (Hyperboloid, "dim"),
-             "spider": (Spider, "legs")}
-    if kind not in kinds:
-        raise DomainError(f"unknown space kind {kind!r}")
-    cls, size = kinds[kind]
-    try:
-        n = int(desc[size])
-    except (KeyError, TypeError, ValueError):
-        raise DomainError(f"a {kind} space needs an integer {size!r}") from None
-    return cls(n)
-
-
-def space_to_config(space: ModelSpace) -> dict:
-    if isinstance(space, Euclidean):
-        return {"kind": "euclidean", "dim": space.dim}
-    if isinstance(space, Hyperboloid):
-        return {"kind": "hyperboloid", "dim": space.dim}
-    if isinstance(space, Spider):
-        return {"kind": "spider", "legs": space.num_legs}
-    raise DomainError(f"unknown space type {type(space).__name__}")
-
-
-def point_from_config(space: ModelSpace, desc) -> SpacePoint:
-    """Points in configs: a coordinate list (ambient), {"spatial": [...]}
-    for the hyperboloid, or {"leg": i, "radius": r} for the spider."""
-    if isinstance(space, Spider):
-        return space.point(desc)
-    if isinstance(desc, Mapping):
-        if isinstance(space, Hyperboloid) and "spatial" in desc:
-            return space.from_spatial(desc["spatial"])
-        raise DomainError(f"cannot read a point of {space.space_id} from {desc!r}")
-    return space.point(desc)
-
-
-def point_to_config(space: ModelSpace, p: SpacePoint):
-    if isinstance(space, Spider):
-        return {"leg": Spider.leg_of(p), "radius": Spider.radius_of(p)}
-    return list(p.xs)
-
-
-_SET_KEYS = {"ball": ("center", "radius"), "segment": ("a", "b"), "halfspace": ("normal", "offset")}
-
-
-def set_from_config(space: ModelSpace, desc: Mapping) -> ConvexSubset:
-    """Sets in configs: {"kind": "whole_space"}, a ball (``center``,
-    ``radius``), a segment (``a``, ``b``) or a Euclidean halfspace
-    (``normal``, ``offset``)."""
-    if not isinstance(desc, Mapping):
-        raise DomainError(f"a set must be an object with a 'kind', got {desc!r}")
-    kind = desc.get("kind")
-    for key in _SET_KEYS.get(kind, ()):
-        if key not in desc:
-            raise DomainError(f"a {kind} set needs {key!r}")
-    if kind == "whole_space":
-        return WholeSpace(space.space_id)
-    if kind == "ball":
-        return Ball(point_from_config(space, desc["center"]), _real(desc["radius"], "ball radius"))
-    if kind == "segment":
-        return Segment(point_from_config(space, desc["a"]), point_from_config(space, desc["b"]))
-    if kind == "halfspace":
-        if not isinstance(space, Euclidean):
-            raise UnsupportedOperationError("halfspaces exist only in Euclidean spaces")
-        return Halfspace(space.space_id, desc["normal"], _real(desc["offset"], "halfspace offset"))
-    raise DomainError(f"unknown set kind {kind!r}")
-
-
-def _real(v, what: str) -> float:
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} must be a number, got {v!r}") from None

@@ -1,16 +1,21 @@
+import contextlib
 import csv
 import dataclasses
+import functools
+import io
 import itertools
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hadamard_iter import cli, objective_fixture
+from hadamard_iter import Halfspace, WholeSpace, cli, config, objective_fixture
 from hadamard_iter.cli import main
 
 BASE_RUN = {
@@ -130,7 +135,7 @@ def test_run_rejects_inverse_k_resolvent_parameters(tmp_path, capsys):
     # 1/k has no positive lower bound, so it is not a resolvent-class schedule
     cfg = dict(BASE_RUN, schedules={"lambda": {"kind": "inverse_k", "scale": 2.0}})
     assert run_cli("run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 1
-    assert ("schedule kind 'inverse_k' cannot serve as resolvent parameters"
+    assert ("unknown schedule 'lambda' kind 'inverse_k'; known: ['constant', 'power_floor']"
             in capsys.readouterr().err)
 
 
@@ -165,10 +170,10 @@ def _with(cfg, path, value):
                  "accepted keys: ['name', 'center']", id="builder-name-for-set"),
     pytest.param("schedules.lambda.value", _DROP, "missing key 'value' in schedule 'lambda'",
                  id="constant-schedule-without-value"),
-    pytest.param("space.dim", _DROP, "a euclidean space needs an integer 'dim'",
+    pytest.param("space.dim", _DROP, "missing key 'dim' in space of kind 'euclidean'",
                  id="space-without-dim"),
     pytest.param("max_iterations", "abc",
-                 "'max_iterations' in run config must be a number, got 'abc'",
+                 "'max_iterations' in run config must be an integer, got 'abc'",
                  id="non-numeric-budget"),
     pytest.param("trace_stride", 0, "trace_stride must be a positive integer or None, got 0",
                  id="zero-stride"),
@@ -329,7 +334,8 @@ def test_check_negative_fixture_fails(tmp_path, capsys):
     (1, "lambda", "abc", "'lambda' in check 'quasi_firm' must be a number, got 'abc'"),
     (2, "operator", {"name": "rotation", "angel": 1.0},
      "unknown keys ['angel'] in operator 'rotation'; accepted keys: ['name', 'angle']"),
-    (3, "candidates", 3, "'candidates' in check 'nested_fixed_sets' must be a list of points"),
+    (3, "candidates", 3,
+     "'candidates' in check 'nested_fixed_sets' must be a nonempty list, got 3"),
 ])
 def test_check_malformed_field_is_a_config_error(tmp_path, capsys, index, key, value, message):
     cfg = json.loads(json.dumps(CHECK_CFG))
@@ -368,23 +374,28 @@ SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
                  "'radius' in bifunction 'rotation_vi' must be a number, got 'x'",
                  id="non-numeric-radius"),
     # geometry shapes
-    pytest.param("run", _with(BASE_RUN, "space", 3), "a space must be an object", id="space-3"),
+    pytest.param("run", _with(BASE_RUN, "space", 3),
+                 "'space' in run config must be an object, got 3",
+                 id="space-3"),
     pytest.param("run", _with(BASE_RUN, "source.objective", {"name": "dist2_to_set", "set": 5}),
-                 "a set must be an object", id="set-5"),
+                 "'set' in objective 'dist2_to_set' must be an object, got 5", id="set-5"),
     pytest.param("run", _with(BASE_RUN, "source.objective",
                               {"name": "dist2_to_set", "set": {"kind": "ball", "center": [0.0]}}),
-                 "a ball set needs 'radius'", id="ball-without-radius"),
+                 "missing key 'radius' in set of kind 'ball'", id="ball-without-radius"),
     pytest.param("run", _with(BASE_RUN, "source.objective",
                               {"name": "dist2_to_set",
                                "set": {"kind": "halfspace", "offset": 0.0}}),
-                 "a halfspace set needs 'normal'", id="halfspace-without-normal"),
+                 "missing key 'normal' in set of kind 'halfspace'", id="halfspace-without-normal"),
     pytest.param("run", _with(BASE_RUN, "source.objective", {
         "name": "dist2_to_set", "set": {"kind": "ball", "center": [0.0], "radius": "abc"}}),
-                 "ball radius must be a number, got 'abc'", id="non-numeric-ball-radius"),
-    pytest.param("run", _with(BASE_RUN, "start", "ab"), "coordinates must be numbers, got 'ab'",
+                 "'radius' in set of kind 'ball' must be a number, got 'abc'",
+                 id="non-numeric-ball-radius"),
+    pytest.param("run", _with(BASE_RUN, "start", "ab"),
+                 "'start' in run config must be a nonempty list, got 'ab'",
                  id="string-start"),
     pytest.param("run", _with(BASE_RUN, "source.objective", {"name": "quadratic", "center": "zz"}),
-                 "coordinates must be numbers, got 'zz'", id="string-center"),
+                 "'center' in objective 'quadratic' must be a nonempty list, got 'zz'",
+                 id="string-center"),
     pytest.param("run", _with(_with(BASE_RUN, "space", SPIDER), "start", [1, 1, 1]),
                  "a spider point is", id="spider-point-of-three"),
     # run, check and sweep shapes
@@ -392,11 +403,12 @@ SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
                  id="schedules-list"),
     pytest.param("run", dict(BASE_RUN, outputs=5), "outputs must be an object", id="run-outputs-5"),
     pytest.param("run", dict(BASE_RUN, outputs={"trace": 5}),
-                 "output 'trace' must be a file name, got 5", id="run-output-name-5"),
-    pytest.param("check", dict(E1_CHECK, checks=5), "'checks' in check config must be a list",
+                 "'trace' in outputs must be a nonempty string, got 5", id="run-output-name-5"),
+    pytest.param("check", dict(E1_CHECK, checks=5),
+                 "'checks' in check config must be a nonempty list, got 5",
                  id="checks-5"),
     pytest.param("check", dict(E1_CHECK, checks=[{"name": "space_axioms"}, 5]),
-                 "a check must be an object, got 5", id="check-5"),
+                 "'checks[1]' in check config must be an object, got 5", id="check-5"),
     pytest.param("check", dict(CHECK_CFG, checks=[
         {"name": "sqn_inequality", "variant": "ishikawa", "alpha": 0.5}]),
                  "missing key 'operator' in check 'sqn_inequality' of variant 'ishikawa'",
@@ -409,16 +421,23 @@ SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
     pytest.param("check", dict(E1_CHECK, outputs=5), "outputs must be an object",
                  id="check-outputs-5"),
     pytest.param("check", dict(E1_CHECK, outputs={"reports": 5}),
-                 "output 'reports' must be a file name, got 5", id="check-output-name-5"),
-    pytest.param("sweep", dict(SHAPE_SWEEP, output=5), "sweep output must be a file name, got 5",
+                 "'reports' in outputs must be a nonempty string, got 5", id="check-output-name-5"),
+    pytest.param("sweep", dict(SHAPE_SWEEP, output=5),
+                 "'output' in sweep config must be a nonempty string, got 5",
                  id="sweep-output-5"),
     pytest.param("sweep", dict(SHAPE_SWEEP, grid={"max_iterations": 1.0}),
-                 "grid path 'max_iterations' needs a list of values, got 1.0", id="grid-value-1.0"),
+                 "'max_iterations' in 'grid' in sweep config must be a nonempty list, got 1.0",
+                 id="grid-value-1.0"),
     pytest.param("sweep", dict(SHAPE_SWEEP, grid={"max_iterations": []}),
-                 "grid path 'max_iterations' has an empty list of values", id="grid-empty-list"),
+                 "'max_iterations' in 'grid' in sweep config must be a nonempty list, got []",
+                 id="grid-empty-list"),
     pytest.param("run", _with(_with(_with(BASE_RUN, "space", SPIDER), "start",
                                     {"leg": 1.7, "radius": 2.0}), "reference", {"leg": 0, "radius": 0.0}),
-                 "leg index must be an integer, got 1.7", id="spider-leg-1.7"),
+                 "'leg' in 'start' in run config must be an integer, got 1.7",
+                 id="spider-leg-1.7"),
+    pytest.param("check", dict(CHECK_CFG, checks=[
+        {"name": "sqn_inequality", "operator": {"name": "rotation", "angle": 1.0}}]),
+                 "missing key 'variant' in check 'sqn_inequality'", id="sqn-without-variant"),
     pytest.param("check", dict(CHECK_CFG, checks=[
         {"name": "sqn_inequality", "variant": "equilibrium_resolvent",
          "bifunction": {"name": "rotation_vi"}, "lambda": 1.0, "samples": 20,
@@ -472,6 +491,21 @@ def test_check_embedded_run_fejer_and_target(tmp_path):
         ],
     }
     assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 0
+
+
+def test_check_max_iters_caps_embedded_runs(tmp_path):
+    run_desc = dict(E2_RUN, source={"objective": {"name": "dist2_to_set", "set": {
+        "kind": "segment", "a": [0.0, 0.0], "b": [1.0, 0.0]}}}, start=[2.0, 1.5],
+        max_iterations=5000, tolerance=1e-300)
+    del run_desc["reference"]
+    cfg = write_cfg(tmp_path, {"space": E2_RUN["space"], "checks": [
+        {"name": "fejer", "run": run_desc, "witness": [0.5, 0.0]}]})
+    samples = []
+    for flags in ([], ["--max-iters", "3"]):
+        assert run_cli("check", "--config", cfg, "--out", str(tmp_path / "o"), *flags) == 0
+        bundle = json.loads((tmp_path / "o" / "reports.json").read_text())
+        samples.append(bundle["reports"][0]["samples_tested"])
+    assert samples[1] == 3 < samples[0]  # three steps, one Fejer comparison each
 
 
 # ---------------------------------------------------------------------------
@@ -658,3 +692,312 @@ def test_sweep_dead_worker_gets_error_row(tmp_path, monkeypatch, capsys):
     rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 3
     assert rows[2] == "10,,solver_error,,"
+
+
+# ---------------------------------------------------------------------------
+# the reader's tables: the README lists them, and a fuzzer mutates configs
+# along them
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _table_entries():
+    """(object, entry) -> (the callable an object is read by, the number of
+    leading parameters its caller supplies), for every config object."""
+    rows = {("run config", ""): (cli._run, 1), ("check config", ""): (cli._check_config, 1),
+            ("sweep config", ""): (cli._sweep, 1), ("run outputs", ""): (cli._run_outputs, 0),
+            ("check outputs", ""): (cli._check_outputs, 0), ("schedules", ""): (cli._schedules, 0)}
+    rows.update({("space", k): (cls, 0) for k, cls in config._SPACES.items()})
+    rows.update({("point", cls.__name__.lower()): (f, 1)
+                 for cls, f in config._POINT_OBJECTS.items()})
+    # a whole space and a halfspace take the space's id first
+    rows.update({("set", k): (cls, int(cls in (WholeSpace, Halfspace)))
+                 for k, cls in config._SETS.items()})
+    for role, kinds in cli._SCHEDULE_KINDS.items():
+        rows.update({(f"schedule {role}", k): (f, 0) for k, f in kinds.items()})
+    for kind, catalogue in (("operator", cli._OPERATORS), ("objective", cli._OBJECTIVES),
+                            ("bifunction", cli._BIFUNCTIONS)):
+        rows.update({(kind, k): (f, 1) for k, f in catalogue.items()})
+    for name, entry in cli._CHECKS.items():
+        variants = entry.items() if isinstance(entry, dict) else [(name, entry)]
+        obj = f"check {name}" if isinstance(entry, dict) else "check"
+        rows.update({(obj, k): (f, 2) for k, f in variants})
+    return rows
+
+
+def _readme_rows():
+    lines = README.read_text().splitlines()
+    start = lines.index("| object | entry | keys |") + 2
+    rows = {}
+    for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start:]):
+        obj, entry, keys = (c.strip() for c in line.strip("|").split("|"))
+        keys = [] if keys == "(none)" else [k.strip() for k in keys.split(",")]
+        rows[(obj, entry.strip("`"))] = keys
+    return rows
+
+
+def test_readme_lists_the_keys_of_every_table_entry():
+    readme, entries = _readme_rows(), _table_entries()
+    assert sorted(readme) == sorted(entries)
+    for row, (fn, skip) in entries.items():
+        listed = [f"**{key}**" if required else key
+                  for key, _, required, *_ in config.params(fn, skip)]
+        assert readme[row] == listed, row
+
+
+def test_readme_config_example_parses():
+    (example,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    built, run_cfg, _ = cli.parse_run_config(json.loads(example))
+    assert built.name == "halpern_ppa" and run_cfg.seed == 7
+
+
+E2S, H2S, SPIDER3 = {"kind": "euclidean", "dim": 2}, {"kind": "hyperboloid", "dim": 2}, SPIDER
+SEGMENT = {"kind": "segment", "a": [0.0, 0.0], "b": [1.0, 0.0]}
+LAM = {"lambda": {"kind": "constant", "value": 1.0}}
+FEJER_RUN = dict(E2_RUN, source={"objective": {"name": "dist2_to_set", "set": SEGMENT}},
+                 reference=[1.0, 0.0])
+HALPERN_RUN = dict(FEJER_RUN, scheme="halpern_ppa", anchor=[0.3, 2.0],
+                   schedules={"anchor": {"kind": "power"}, **LAM})
+
+# valid configs that together read every entry of every table
+VALID = {
+    "run": [
+        BASE_RUN,
+        dict(HALPERN_RUN, trace_stride=2, outputs={"trace": "t.csv", "summary": "s.json"},
+             schedules={"anchor": {"kind": "power", "scale": 1.0, "offset": 1.0, "power": 1.0},
+                        "lambda": {"kind": "power_floor", "floor": 0.5, "scale": 1.0,
+                                   "power": 1.0}}),
+        dict(MANN_E2_RUN, source={"operator": {"name": "rotation", "angle": 1.0}}),
+        dict(E2_RUN, scheme="ishikawa",
+             source={"operator": {"name": "scaled_reflection", "factor": 0.5}},
+             schedules={"alpha": {"kind": "power", "scale": 0.5, "offset": 1.0, "power": 1.0},
+                        "beta": {"kind": "inverse_k", "scale": 1.0, "power": 1.0}}),
+        dict(E2_RUN, scheme="halpern_ishikawa", anchor=[2.0, 1.0],
+             source={"operator": {"name": "projection", "set": {
+                 "kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.5}}},
+             schedules={"anchor": {"kind": "power"}, "alpha": {"kind": "constant", "value": 0.5},
+                        "beta": {"kind": "constant", "value": 0.0}}),
+        dict(E2_RUN, scheme="ppa_lipschitz",
+             source={"operator": {"name": "constant", "point": [0.5, 0.5]}}),
+        {"space": H2S, "scheme": "halpern_mann",
+         "source": {"operator": {"name": "hyperbolic_projection", "set": {
+             "kind": "ball", "center": {"spatial": [0.3, 0.2]}, "radius": 0.4}}},
+         "schedules": {"anchor": {"kind": "power"}, "alpha": {"kind": "constant", "value": 0.5}},
+         "start": {"spatial": [-0.5, 1.0]}, "anchor": [1.0, 0.0, 0.0], "max_iterations": 10},
+        dict(E2_RUN, scheme="ppa_equilibrium",
+             source={"bifunction": {"name": "rotation_vi", "radius": 1.0}}, start=[0.5, 0.2]),
+        dict(E2_RUN, scheme="halpern_ppa_equilibrium", anchor=[0.0, 1.0],
+             source={"bifunction": {"name": "min_quadratic", "center": [1.0, 0.0],
+                                    "set": {"kind": "whole_space"}}},
+             schedules={"anchor": {"kind": "power"}, **LAM}),
+        {"space": SPIDER3, "scheme": "ppa", "schedules": LAM,
+         "source": {"objective": {"name": "quadratic", "center": {"leg": 1, "radius": 2.0}}},
+         "start": {"leg": 2, "radius": 1.0}, "reference": [1, 2.0]},
+        dict(BASE_RUN, source={"objective": {"name": "plateau_quartic"}},
+             schedules={"lambda": {"kind": "constant", "value": 0.01}}),
+        dict(BASE_RUN, source={"objective": {"name": "expanding_quadratic", "center": [0.0]}}),
+    ],
+    "check": [
+        dict(CHECK_CFG, outputs={"reports": "r.json"}),
+        {"space": E2S, "checks": [
+            {"name": "sqn_inequality", "variant": "lipschitz_resolvent",
+             "operator": {"name": "rotation", "angle": 1.0}, "lambda": 1.0,
+             "witness": [0.0, 0.0], "samples": 5, "scale": 1.0},
+            {"name": "sqn_inequality", "variant": "equilibrium_resolvent",
+             "bifunction": {"name": "rotation_vi"}, "lambda": 1.0, "samples": 5},
+            {"name": "quasi_firm", "objective": {"name": "quadratic"}, "lambda": 1.0,
+             "witness": [0.0, 0.0]},
+            {"name": "fejer", "run": FEJER_RUN, "witness": [0.5, 0.0]},
+            {"name": "halpern_target", "run": HALPERN_RUN, "fixed_set": SEGMENT,
+             "tolerance": 1e-3}]},
+    ],
+    "sweep": [
+        SHAPE_SWEEP,
+        {"base": dict(HALPERN_RUN, start={"spatial": [0.9, 0.0]}, anchor=[1.0, 0.0, 0.0],
+                      reference=[1.0, 0.0, 0.0], space=H2S,
+                      source={"objective": {"name": "quadratic"}}),
+         "grid": {"start": [{"spatial": [0.9, 0.0]}], "schedules.lambda.value": [1.0, 2.0]},
+         "output": "grid.csv"},
+    ],
+}
+TOP = {"run": (cli._run, "run config"), "check": (cli._check_config, "check config"),
+       "sweep": (cli._sweep, "sweep config")}
+
+
+def _parse(command, cfg):
+    entry, ctx = TOP[command]
+    cli._parse(entry, cfg, ctx, {})
+    if command == "sweep":  # the cells are copies; read the base itself too
+        cli.parse_run_config(cfg["base"])
+
+
+def _read_objects(command, cfg, monkeypatch):
+    """Each object the reader reads in ``cfg``, by its path: the callable
+    and leading-parameter count it is read by, its discriminator keys, and
+    the tables it is picked from."""
+    reads, picks = [], []
+    read, pick = config.read, config.pick
+
+    def recording_read(fn, desc, ctx, space=None, skip=0, known=()):
+        reads.append((desc, fn, skip, known))
+        return read(fn, desc, ctx, space, skip, known)
+
+    def recording_pick(table, desc, key, ctx, noun, by="kind"):
+        picks.append((desc, table, by))
+        return pick(table, desc, key, ctx, noun, by)
+
+    with monkeypatch.context() as m:
+        for module in (config, cli):
+            m.setattr(module, "read", recording_read)
+            m.setattr(module, "pick", recording_pick)
+        _parse(command, cfg)
+    paths = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            paths[id(node)] = path
+            for k, v in node.items():
+                walk(v, (*path, k))
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                walk(v, (*path, i))
+
+    walk(cfg, ())
+    objects = {}
+    for desc, fn, skip, known in reads:
+        if id(desc) in paths:  # not a sweep cell's copy
+            objects.setdefault(paths[id(desc)], {"tables": []}).update(
+                fn=fn, skip=skip, known=known)
+    for desc, table, by in picks:
+        if id(desc) in paths:
+            objects.setdefault(paths[id(desc)], {"tables": []})["tables"].append((table, by))
+    return objects
+
+
+def _bad_values(annotation, value):
+    """Values of the wrong type for a parameter annotated ``annotation``."""
+    annotation = annotation.removesuffix(" | None")
+    if annotation == "float":
+        return ["1.0", True, [1.0]]
+    if annotation == "int":
+        return [2.5, "2", True]
+    if annotation == "str":
+        return [[value], True, 5]
+    if annotation == "Any":
+        return []
+    if annotation.startswith(("list[", "dict[str, ")):
+        inner = annotation[annotation.index("[") + 1:-1].removeprefix("str, ")
+        first = 0 if isinstance(value, list) else next(iter(value))
+        nested = []
+        for bad in _bad_values(inner, value[first]):
+            nested.append(json.loads(json.dumps(value)))
+            nested[-1][first] = bad
+        return [type(value)(), 5, *nested]
+    if annotation == "SpacePoint":
+        return ["ab", True, ["1", "2"], []]
+    return [5, "x", True, []]  # an object
+
+
+def _entry_keys(entry, skip):
+    entries = entry.values() if isinstance(entry, dict) else [entry]
+    return {key for e in entries if not isinstance(e, functools.partial)
+            for key, *_ in config.params(e, skip)}
+
+
+def _mutations(command, cfg, monkeypatch):
+    """(label, config) for every single mutation the reader's tables give
+    ``cfg``: a dropped required key, an unknown key, a key of another entry
+    of the same table, a value of the wrong type, or an object replaced by
+    a non-object."""
+    grid = [tuple(p.split(".")) for p in cfg.get("grid", {})] if command == "sweep" else []
+    out = []
+
+    def mutate(path, label, change, key=None):
+        at = path if key is None else (*path, key)
+        if any(at[1:len(p) + 1] == p for p in grid):
+            return  # a grid value replaces it in every cell
+        new = json.loads(json.dumps(cfg))
+        *parents, last = path if path else (None,)
+        node = new
+        for k in parents:
+            node = node[k]
+        if path:
+            node[last] = change(node[last])
+        else:
+            new = change(new)
+        out.append((f"{command} {'.'.join(map(str, path))}: {label}", new))
+
+    def without(key):
+        return lambda d: {k: v for k, v in d.items() if k != key}
+
+    for path, obj in _read_objects(command, json.loads(json.dumps(cfg)), monkeypatch).items():
+        desc = functools.reduce(lambda node, k: node[k], path, cfg)
+        fn, skip = obj.get("fn"), obj.get("skip", 0)
+        table = config.params(fn, skip) if fn else ()
+        names = [by for _, by in obj["tables"] if by] + list(obj.get("known", ()))
+        accepted = {key for key, *_ in table} | set(names)
+        for key in sorted(set(names) | {k for k, _, required, *_ in table if required}):
+            mutate(path, f"drop {key!r}", without(key))
+        mutate(path, "add an unknown key", lambda d: {**d, "zz_unknown": 1})
+        for tbl, by in obj["tables"]:
+            for key in sorted(set().union(*(_entry_keys(e, skip) for e in tbl.values()))
+                              - accepted):
+                mutate(path, f"add {key!r} of another entry", lambda d, k=key: {**d, k: 1.0})
+            if by is None:  # the single key names the entry
+                other = sorted(set(tbl) - set(desc))[0]
+                mutate(path, f"add {other!r}", lambda d, k=other: {**d, k: {"name": "x"}})
+        bad = [(key, annotation) for key, _, _, annotation, _ in table if key in desc]
+        for key, annotation in bad + [(name, "name") for name in sorted(set(names) & set(desc))]:
+            values = (_bad_values(annotation, desc[key]) if annotation != "name"
+                      else [[desc[key]], True, 5, "zz_unknown"])
+            for v in values:
+                mutate(path, f"{key!r} = {v!r}", lambda d, k=key, v=v: {**d, k: v}, key)
+        for v in (5, "x", [desc]):
+            mutate(path, f"the object = {v!r}", lambda d, v=v: v)
+    return out
+
+
+@pytest.mark.parametrize("command, cfg", [(c, cfg) for c, cfgs in VALID.items() for cfg in cfgs])
+def test_valid_configs_parse(command, cfg):
+    _parse(command, json.loads(json.dumps(cfg)))
+
+
+def test_valid_configs_read_every_table_entry(monkeypatch):
+    read = set()
+    for command, cfgs in VALID.items():
+        for cfg in cfgs:
+            read |= {obj.get("fn") for obj in _read_objects(command, cfg, monkeypatch).values()}
+    # a constant anchor schedule is always refused, so no valid config reads it
+    assert {fn for fn, _ in _table_entries().values()} - read == {cli._anchor_constant}
+
+
+@pytest.fixture(scope="module")
+def mutated_configs():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return [m for c, cfgs in VALID.items() for cfg in cfgs
+                for m in _mutations(c, cfg, monkeypatch)]
+
+
+def test_fuzzer_mutates_along_every_finding(mutated_configs):
+    labels = "\n".join(label for label, _ in mutated_configs)
+    for wanted in ("'kind' = ['euclidean']", "'dim' = 2.5", "'tolerance' = True",
+                   "'leg' = 2.5", "'grid' = {'max_iterations': []}",
+                   "add 'alpha' of another entry"):
+        assert wanted in labels
+
+
+@given(data=st.data())
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_configs_are_config_errors(mutated_configs, tmp_path, data):
+    label, cfg = data.draw(st.sampled_from(mutated_configs))
+    command = label.split()[0]
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "fuzz-out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", path, "--out", str(out)])
+    assert code == 1, label
+    assert err.getvalue().startswith("config error:"), (label, err.getvalue())
+    assert not out.exists(), label

@@ -492,6 +492,52 @@ def test_set_config_parsing():
         set_from_config(H2, {"kind": "halfspace", "normal": [1, 0, 0], "offset": 0.0})
 
 
+ROUND_TRIP_SPACES = [E1, E2, E3, H2, H3, S3]
+
+
+@given(space=st.sampled_from(ROUND_TRIP_SPACES), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 8.0), hub=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_config_round_trips_are_exact(space, seed, scale, hub):
+    assert space_from_config(space_to_config(space)) == space
+    p = space.sample_point(np.random.default_rng(seed), scale)
+    if hub:
+        p = space.base_point()
+    q = point_from_config(space, point_to_config(space, p))
+    assert q.space_id == p.space_id and q.xs == p.xs
+
+
+# ---------------------------------------------------------------------------
+# hyperboloid segments with a far end
+# ---------------------------------------------------------------------------
+
+FAR_A = [89241150.48159365, 89241150.48159364, 0.0]  # distance 19 from the apex
+
+
+@pytest.mark.parametrize("spatial", [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-3.0, 2.0]])
+@pytest.mark.parametrize("far_first", [True, False])
+def test_hyperboloid_segment_with_a_far_end_projects(spatial, far_first):
+    # from the far end the tangent toward the apex cancels to zero; the
+    # geodesic starts at the nearer end instead
+    a, o = H2.point(FAR_A), H2.base_point()
+    assert H2.distance(a, o) == pytest.approx(19.0)
+    x = H2.from_spatial(spatial)
+    p = H2.project(Segment(a, o) if far_first else Segment(o, a), x)
+    d = H2.distance(p, x)
+    for t in np.linspace(0.0, 1.0, 401):
+        assert d <= H2.distance(H2.combine(o, a, float(t)), x) + 1e-9
+
+
+def test_hyperboloid_segment_whose_direction_cancels_is_a_domain_error():
+    # both ends 19 from the apex, 1e-9 apart in angle (0.09 apart): the
+    # tangent form cancels at either end
+    r = math.sinh(19.0)
+    a = H2.from_spatial([r, 0.0])
+    b = H2.from_spatial([r * math.cos(1e-9), r * math.sin(1e-9)])
+    with pytest.raises(DomainError, match="cancels"):
+        H2.project(Segment(a, b), H2.base_point())
+
+
 # ---------------------------------------------------------------------------
 # array kernels: pinned row by row to the scalar methods
 # ---------------------------------------------------------------------------
@@ -1134,8 +1180,12 @@ def ref_h_combine_lists(X, Y, t):
 
 
 def ref_h_project_segment(A, B, X):
+    if A[0] > B[0]:  # the geodesic starts at the end nearer the apex
+        A, B = B, A
     al, xl = A.tolist(), X.tolist()
     v, L = H2._tangent_toward(al, B.tolist())
+    if L == 0.0:
+        return A
     a_, b_ = -_mink(xl, al), -_mink(xl, v)
     ratio = min(1.0 - 1e-16, max(-1.0 + 1e-16, -b_ / a_))
     t = min(1.0, max(0.0, math.atanh(ratio) / L))
