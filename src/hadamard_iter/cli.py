@@ -1,7 +1,8 @@
 """Experiment runner: ``run``, ``check`` and ``sweep`` subcommands.
 
 Configs are single JSON files. Exit codes: 0 converged (or all checks
-passed), 1 config error, 2 iteration budget exhausted, 3 solver error.
+passed), 1 config error, 2 iteration budget exhausted, 3 solver error,
+4 a check failed.
 Trace CSVs are written with 17 significant digits so reruns with the same
 config and seed are byte-identical.
 """
@@ -56,6 +57,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BUDGET = 2
 EXIT_SOLVER = 3
+EXIT_CHECK_FAILED = 4
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +402,7 @@ def cmd_check(config_path: str, out_dir: str, overrides: Mapping | None = None) 
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.check_name}: samples={r.samples_tested} "
               f"max_violation={r.max_violation:.3e} violations={len(r.violations)}")
-    return EXIT_OK if bundle["all_passed"] else EXIT_CONFIG
+    return EXIT_OK if bundle["all_passed"] else EXIT_CHECK_FAILED
 
 
 def _set_by_path(cfg: dict, dotted: str, value: Any) -> None:

@@ -5,12 +5,14 @@ the leading ones the caller supplies (such as the space), named as in
 required key, and any other key is an error. Each signature is read once.
 
 A parameter's annotation picks the reader of its value: ``float`` a JSON
-number (not a bool or a string), ``int`` an exact integer (an int, or a
-float with an integer value), ``str`` a nonempty string, ``dict`` an object
-its own table reads later, ``Any`` any value, ``ModelSpace`` a space (the
-points and sets after it live there), ``SpacePoint`` a point whose
-coordinates are numbers, ``ConvexSubset`` a set, ``list[X]`` a nonempty
-list of X, ``dict[str, X]`` a nonempty object of X, ``X | None`` X or null.
+number with a finite float value (not a bool, a string, the NaN and
+Infinity tokens that Python's json accepts, or an integer beyond the float
+range), ``int`` an exact integer (an int, or a float with an integer
+value), ``str`` a nonempty string, ``dict`` an object its own table reads
+later, ``Any`` any value, ``ModelSpace`` a space (the points and sets after
+it live there), ``SpacePoint`` a point whose coordinates are numbers,
+``ConvexSubset`` a set, ``list[X]`` a nonempty list of X, ``dict[str, X]``
+a nonempty object of X, ``X | None`` X or null.
 Other names are readers in ``READERS``, which the command line extends.
 ``pick`` chooses the table entry an object names by a discriminator key.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import sys
 from collections.abc import Mapping
 from typing import Any, Callable
 
@@ -53,7 +56,8 @@ def _checked(what: str, convert: Callable[[Any], Any]) -> Reader:
 
 
 READERS: dict[str, Reader] = {
-    "float": _checked("a number", lambda v: float(v) if _is_number(v) else None),
+    "float": _checked("a finite number", lambda v: float(v) if _is_number(v)
+                      and abs(v) <= sys.float_info.max else None),
     "int": _checked("an integer", lambda v: integral(v) if _is_number(v) else None),
     "str": _checked("a nonempty string", lambda v: v if isinstance(v, str) and v else None),
     "dict": _checked("an object", lambda v: v if isinstance(v, Mapping) else None),

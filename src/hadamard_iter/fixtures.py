@@ -62,7 +62,8 @@ def quadratic(space: ModelSpace, center: SpacePoint | None = None) -> ObjectiveF
         d = space.distance(y, a)
         return 0.5 * d * d
 
-    grad = None if isinstance(space, Spider) else (lambda y: -space.log_map(y, a))
+    grad = None if isinstance(space, Spider) else (
+        lambda y: tuple([-c for c in space.log_map(y, a)]))
     return ObjectiveFunction(
         space=space, eval=val, gradient=grad, gradient_lipschitz=1.0,
         weak_convexity_alpha=0.0,
@@ -82,8 +83,7 @@ def dist2_to_set(space: ModelSpace, cset: ConvexSubset) -> ObjectiveFunction:
         return 0.5 * d * d
 
     grad = None if isinstance(space, Spider) else (
-        lambda y: -space.log_map(y, space.project(cset, y))
-    )
+        lambda y: tuple([-c for c in space.log_map(y, space.project(cset, y))]))
     return ObjectiveFunction(
         space=space, eval=val, gradient=grad, gradient_lipschitz=1.0,
         weak_convexity_alpha=0.0,
@@ -114,9 +114,9 @@ def plateau_quartic(space: ModelSpace) -> ObjectiveFunction:
         t = y.xs[0]
         return ((3.0 * t - 16.0) * t + 24.0) * t * t
 
-    def grad(y: SpacePoint) -> np.ndarray:
+    def grad(y: SpacePoint) -> tuple[float]:
         t = y.xs[0]
-        return np.array([12.0 * t * (t - 2.0) ** 2])
+        return (12.0 * t * (t - 2.0) ** 2,)
 
     def prox(lam: float, x: SpacePoint) -> SpacePoint:
         # _wrap skips re-validation; the safeguarded solve cannot leave R
@@ -174,7 +174,8 @@ def expanding_quadratic(space: ModelSpace, center: SpacePoint | None = None
         space=space, eval=val,
         weak_convexity_alpha=0.0,
         known_argmin=a,
-        closed_form_resolvent=lambda lam, x: space.point(a.coords - 1.5 * (x.coords - a.coords)),
+        closed_form_resolvent=lambda lam, x: space.point(
+            [p - 1.5 * (q - p) for p, q in zip(a.xs, x.xs)]),
         name="expanding_quadratic",
     )
 
@@ -201,7 +202,7 @@ def rotation_vi(space: ModelSpace, radius: float = 1.0) -> Bifunction:
     return Bifunction(
         space=space, eval=val, theta=0.0,
         structure=VariationalInequality(
-            field=lambda x: _ROTATION_MATRIX @ x.coords, lipschitz=1.0
+            field=lambda x: (_ROTATION_MATRIX @ x.coords).tolist(), lipschitz=1.0
         ),
         feasible_set=K,
         equilibrium_witness=space.base_point(),

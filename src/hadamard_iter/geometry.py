@@ -279,21 +279,32 @@ class ModelSpace:
 
     # -- tangent maps (Euclidean / hyperboloid only) -------------------------
 
-    def log_map(self, base: SpacePoint, target: SpacePoint) -> np.ndarray:
+    def log_map(self, base: SpacePoint, target: SpacePoint) -> tuple[float, ...]:
         """Tangent vector at ``base`` pointing to ``target`` with norm equal
-        to d(base, target). Inverse of exp_map."""
+        to d(base, target), a tuple of floats. Inverse of exp_map."""
         self.check_point(base)
         self.check_point(target)
-        return np.array(self._log(base, target))
+        return self._log(base, target)
 
-    def _log(self, base: SpacePoint, target: SpacePoint) -> list:
-        # log_map without checks, as a list of floats
+    def _log(self, base: SpacePoint, target: SpacePoint) -> tuple[float, ...]:
+        # log_map without checks
         raise UnsupportedOperationError(f"{self.space_id} has no tangent structure")
 
-    def exp_map(self, base: SpacePoint, v: np.ndarray) -> SpacePoint:
+    def exp_map(self, base: SpacePoint, v) -> SpacePoint:
         raise UnsupportedOperationError(f"{self.space_id} has no tangent structure")
 
-    def tangent_norm(self, base: SpacePoint, v: np.ndarray) -> float:
+    def _exp_entry(self, base: SpacePoint, v) -> tuple[float, ...]:
+        # exp_map's checks; v, any sequence of numbers, is read once as floats
+        self.check_point(base)
+        try:
+            xs = tuple(map(float, v))
+        except (TypeError, ValueError):  # a scalar, an array of another shape, a string
+            xs = ()
+        if len(xs) != len(base.xs):
+            raise DomainError(f"tangent vector must be {len(base.xs)} numbers, got {v!r}")
+        return xs
+
+    def tangent_norm(self, base: SpacePoint, v) -> float:
         raise UnsupportedOperationError(f"{self.space_id} has no tangent structure")
 
     # -- convex subsets -----------------------------------------------------
@@ -428,22 +439,16 @@ class Euclidean(ModelSpace):
         t = _snap_unit_many(t)[:, None]
         return (1.0 - t) * X + t * Y
 
-    def _log(self, base: SpacePoint, target: SpacePoint) -> list:
-        return list(map(sub, target.xs, base.xs))
+    def _log(self, base: SpacePoint, target: SpacePoint) -> tuple[float, ...]:
+        return tuple(map(sub, target.xs, base.xs))
 
-    def exp_map(self, base: SpacePoint, v: np.ndarray) -> SpacePoint:
-        self.check_point(base)
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise DomainError(f"tangent vector must have {self.dim} entries")
-        return self._wrap(tuple(map(add, base.xs, v.tolist())))
+    def exp_map(self, base: SpacePoint, v) -> SpacePoint:
+        return self._wrap(tuple(map(add, base.xs, self._exp_entry(base, v))))
 
-    def tangent_norm(self, base: SpacePoint, v: np.ndarray | list) -> float:
+    def tangent_norm(self, base: SpacePoint, v) -> float:
         if self.dim == 1:
             return abs(float(v[0]))
-        if not isinstance(v, list):  # a list of floats is read as it is
-            v = np.asarray(v, dtype=float).tolist()
-        return math.sqrt(sum(map(mul, v, v)))
+        return math.sqrt(sum([c * c for c in map(float, v)]))
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
         al, bl = a.xs, b.xs
@@ -536,8 +541,8 @@ class Hyperboloid(ModelSpace):
 
     @staticmethod
     def minkowski(u, v) -> float:
-        """<u, v>_M of two ambient vectors (arrays or sequences)."""
-        return _mink(np.asarray(u, dtype=float).tolist(), np.asarray(v, dtype=float).tolist())
+        """<u, v>_M of two ambient vectors (any sequences of numbers)."""
+        return _mink(tuple(map(float, u)), tuple(map(float, v)))
 
     def point(self, coords) -> SpacePoint:
         try:
@@ -651,17 +656,13 @@ class Hyperboloid(ModelSpace):
         Z[:, 0] = np.sqrt(1.0 + np.einsum("ij,ij->i", Z[:, 1:], Z[:, 1:]))
         return Z
 
-    def _log(self, base: SpacePoint, target: SpacePoint) -> list:
+    def _log(self, base: SpacePoint, target: SpacePoint) -> tuple[float, ...]:
         v, d = self._tangent_toward(base.xs, target.xs)
-        return [c * d for c in v]
+        return tuple([c * d for c in v])
 
-    def exp_map(self, base: SpacePoint, v: np.ndarray) -> SpacePoint:
-        self.check_point(base)
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim + 1,):
-            raise DomainError(f"tangent vector must have {self.dim + 1} entries")
+    def exp_map(self, base: SpacePoint, v) -> SpacePoint:
+        v = self._exp_entry(base, v)
         b = base.xs
-        v = v.tolist()
         # re-orthogonalize against the base point (absorbs drift <= 1e-8)
         m = _mink(b, v)
         v = [c + m * p for c, p in zip(v, b)]
@@ -675,9 +676,8 @@ class Hyperboloid(ModelSpace):
             ch = sh = math.inf
         return self._wrap(_lift([ch * p + sh * (c / t) for p, c in zip(b[1:], v[1:])]))
 
-    def tangent_norm(self, base: SpacePoint, v: np.ndarray | list) -> float:
-        if not isinstance(v, list):  # a list of floats is read as it is
-            v = np.asarray(v, dtype=float).tolist()
+    def tangent_norm(self, base: SpacePoint, v) -> float:
+        v = tuple(map(float, v))
         q = _mink(v, v)
         return math.sqrt(q) if q > 0 else 0.0
 

@@ -201,7 +201,7 @@ def _build_scaled_reflection(space: ModelSpace, factor: float) -> OperatorSpec:
         raise ConfigError(f"reflection factor {factor} outside (0, 1]")
 
     def apply(x: SpacePoint) -> SpacePoint:
-        return space.point(-factor * x.coords)
+        return space.point([-factor * c for c in x.xs])
 
     return OperatorSpec(
         space=space, apply=apply, domain=WholeSpace(space.space_id),

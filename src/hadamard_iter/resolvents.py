@@ -62,7 +62,8 @@ class ObjectiveFunction:
     """An extended-real function on a model space with optional structure.
 
     ``gradient`` returns the Riemannian gradient as an ambient tangent
-    vector at the query point, a numpy array. ``weak_convexity_alpha`` is the weak
+    vector at the query point, a sequence of floats (a tuple for the built-in
+    fixtures). ``weak_convexity_alpha`` is the weak
     convexity modulus (0 means convex). ``known_argmin`` may be a point or a
     convex set. A ``closed_form_resolvent`` (lam, x) -> point short-circuits
     the inner solver.
@@ -70,7 +71,7 @@ class ObjectiveFunction:
 
     space: ModelSpace
     eval: Callable[[SpacePoint], float]
-    gradient: Callable[[SpacePoint], np.ndarray] | None = None
+    gradient: Callable[[SpacePoint], Sequence[float]] | None = None
     gradient_lipschitz: float | None = None
     weak_convexity_alpha: float | None = None
     known_argmin: SpacePoint | ConvexSubset | None = None
@@ -88,9 +89,9 @@ class Minimization:
 @dataclass(frozen=True, eq=False)
 class VariationalInequality:
     """Bifunction structure f(x, y) = <F(x), y - x> for an L-Lipschitz field;
-    ``field`` returns a numpy array."""
+    ``field`` returns a sequence of floats, as a gradient does."""
 
-    field: Callable[[SpacePoint], np.ndarray]
+    field: Callable[[SpacePoint], Sequence[float]]
     lipschitz: float
 
 
@@ -149,20 +150,19 @@ def convex_resolvent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
     return y
 
 
-def _subproblem_grad(f: ObjectiveFunction, lam: float, x: SpacePoint, y: SpacePoint) -> np.ndarray:
-    # grad of d^2(y, x)/(2 lam) is -log_y(x)/lam
-    return f.gradient(y) - f.space.log_map(y, x) / lam
+def _subproblem_grad(f: ObjectiveFunction, lam: float, x: SpacePoint, y: SpacePoint) -> list:
+    # grad of d^2(y, x)/(2 lam) is -log_y(x)/lam; on floats, each entry
+    # rounded as numpy's elementwise form rounds it
+    return [a - b / lam for a, b in zip(f.gradient(y), f.space.log_map(y, x), strict=True)]
 
 
 def _recheck_first_order(
     space: ModelSpace, gradient: Callable, lam: float, x: SpacePoint, y: SpacePoint
 ) -> None:
-    # on Python floats: the vectors have a few entries, and each float
-    # operation rounds as numpy's elementwise one does, so this is the
-    # gradient of the subproblem, |g| and the scale to the bit
+    # _subproblem_grad on the unchecked _log, whose norm d(x, y) sets the scale
     space.check_point(y)
-    back = space._log(y, x)  # |back| = d(x, y), reused for the scale
-    g = [a - b / lam for a, b in zip(gradient(y).tolist(), back)]
+    back = space._log(y, x)
+    g = [a - b / lam for a, b in zip(gradient(y), back, strict=True)]
     norm = space.tangent_norm(y, g)
     scale = 1.0 + space.tangent_norm(y, back) / lam
     if norm > 1e-8 * scale:
@@ -206,14 +206,14 @@ def _prox_by_descent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
                         f"gradient steps stalled at |grad| = {gnorm:.3e} (lam = {lam})"
                     )
             prev_gnorm = gnorm
-            y = space.exp_map(y, -step * g)
+            y = space.exp_map(y, [-step * c for c in g])
             continue
         # backtracking with sufficient-decrease check; persistent failure
         # while the required decrease is still resolvable means the
         # subproblem is not convex at this lam, and is reported
         step = min(step * 2.0, 1e6)
         while True:
-            cand = space.exp_map(y, -step * g)
+            cand = space.exp_map(y, [-step * c for c in g])
             fc = value(cand)
             need = 1e-4 * step * gnorm * gnorm
             if fc <= fy - need:
@@ -415,15 +415,14 @@ def _solve_vi_structure(
         raise UnsupportedOperationError(
             "variational-inequality resolvents are solved in Euclidean spaces only"
         )
-    # on Python floats, each entry rounded as numpy's elementwise
-    # z - g (F(z) + lam (z - x)) rounds it
+    # on floats, each entry rounded as numpy's z - g (F(z) + lam (z - x)) rounds it
     field = vi.field
     step = 1.0 / (vi.lipschitz + lam)
     z = space.project(K, x)
     xl = x.xs
     for j in range(VI_BUDGET):
         z_next = space.project(K, space.point(
-            [c - step * (fc + lam * (c - a)) for c, fc, a in zip(z.xs, field(z).tolist(), xl)]))
+            [c - step * (fc + lam * (c - a)) for c, fc, a in zip(z.xs, field(z), xl)]))
         move = space._distance(z_next, z)
         if not math.isfinite(move):
             raise SolverError(f"projected iteration diverged at inner step {j + 1}")

@@ -5,6 +5,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -175,6 +176,16 @@ def _with(cfg, path, value):
     pytest.param("max_iterations", "abc",
                  "'max_iterations' in run config must be an integer, got 'abc'",
                  id="non-numeric-budget"),
+    pytest.param("max_iterations", -5, "max_iterations must be an integer >= 1, got -5",
+                 id="negative-budget"),
+    pytest.param("max_iterations", 0, "max_iterations must be an integer >= 1, got 0",
+                 id="zero-budget"),
+    pytest.param("tolerance", math.nan,
+                 "'tolerance' in run config must be a finite number, got nan", id="nan-tolerance"),
+    pytest.param("tolerance", math.inf,
+                 "'tolerance' in run config must be a finite number, got inf", id="infinite-tolerance"),
+    pytest.param("tolerance", -1.0, "tolerance must be finite and >= 0, got -1.0",
+                 id="negative-tolerance"),
     pytest.param("trace_stride", 0, "trace_stride must be a positive integer or None, got 0",
                  id="zero-stride"),
     pytest.param("trace_stride", -2, "trace_stride must be a positive integer or None, got -2",
@@ -209,6 +220,17 @@ def test_malformed_run_config_is_a_config_error(tmp_path, path, value, message):
     assert proc.stderr.startswith("config error:")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, cfg", [("run", BASE_RUN),
+                                          ("sweep", {"base": BASE_RUN, "grid": {"seed": [1, 2]}})])
+def test_zero_max_iters_flag_is_a_config_error(tmp_path, capsys, command, cfg):
+    code = run_cli(command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                   "--max-iters", "0")
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: max_iterations must be an integer >= 1, got 0")
     assert not (tmp_path / "o").exists()
 
 
@@ -323,7 +345,7 @@ def test_check_negative_fixture_fails(tmp_path, capsys):
         {"name": "quasi_firm", "objective": {"name": "expanding_quadratic"},
          "lambda": 1.0, "samples": 50},
     ])
-    assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 1
+    assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 4
     assert "FAIL" in capsys.readouterr().out
     bundle = json.loads((tmp_path / "o" / "reports.json").read_text())
     assert not bundle["all_passed"]
@@ -331,7 +353,7 @@ def test_check_negative_fixture_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("index, key, value, message", [
-    (1, "lambda", "abc", "'lambda' in check 'quasi_firm' must be a number, got 'abc'"),
+    (1, "lambda", "abc", "'lambda' in check 'quasi_firm' must be a finite number, got 'abc'"),
     (2, "operator", {"name": "rotation", "angel": 1.0},
      "unknown keys ['angel'] in operator 'rotation'; accepted keys: ['name', 'angle']"),
     (3, "candidates", 3,
@@ -343,6 +365,7 @@ def test_check_malformed_field_is_a_config_error(tmp_path, capsys, index, key, v
     assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "reports.json").exists()
 
 
 E2_RUN = dict(BASE_RUN, space={"kind": "euclidean", "dim": 2}, start=[8.0, 1.0],
@@ -364,14 +387,22 @@ SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
                  "missing key 'set' in objective 'dist2_to_set'", id="dist2-without-set"),
     pytest.param("run", _with(MANN_E2_RUN, "source",
                               {"operator": {"name": "rotation", "angle": "x"}}),
-                 "'angle' in operator 'rotation' must be a number, got 'x'", id="non-numeric-angle"),
+                 "'angle' in operator 'rotation' must be a finite number, got 'x'",
+                 id="non-numeric-angle"),
+    pytest.param("run", _with(MANN_E2_RUN, "source",
+                              {"operator": {"name": "rotation", "angle": math.nan}}),
+                 "'angle' in operator 'rotation' must be a finite number, got nan", id="nan-angle"),
+    pytest.param("run", _with(MANN_E2_RUN, "source",
+                              {"operator": {"name": "rotation", "angle": 10 ** 400}}),
+                 "'angle' in operator 'rotation' must be a finite number, got 1000",
+                 id="angle-beyond-the-float-range"),
     pytest.param("run", _with(MANN_E2_RUN, "source",
                               {"operator": {"name": "scaled_reflection", "factor": "x"}}),
-                 "'factor' in operator 'scaled_reflection' must be a number, got 'x'",
+                 "'factor' in operator 'scaled_reflection' must be a finite number, got 'x'",
                  id="non-numeric-factor"),
     pytest.param("run", _with(dict(E2_RUN, scheme="ppa_equilibrium"), "source",
                               {"bifunction": {"name": "rotation_vi", "radius": "x"}}),
-                 "'radius' in bifunction 'rotation_vi' must be a number, got 'x'",
+                 "'radius' in bifunction 'rotation_vi' must be a finite number, got 'x'",
                  id="non-numeric-radius"),
     # geometry shapes
     pytest.param("run", _with(BASE_RUN, "space", 3),
@@ -388,7 +419,7 @@ SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
                  "missing key 'normal' in set of kind 'halfspace'", id="halfspace-without-normal"),
     pytest.param("run", _with(BASE_RUN, "source.objective", {
         "name": "dist2_to_set", "set": {"kind": "ball", "center": [0.0], "radius": "abc"}}),
-                 "'radius' in set of kind 'ball' must be a number, got 'abc'",
+                 "'radius' in set of kind 'ball' must be a finite number, got 'abc'",
                  id="non-numeric-ball-radius"),
     pytest.param("run", _with(BASE_RUN, "start", "ab"),
                  "'start' in run config must be a nonempty list, got 'ab'",
@@ -879,7 +910,7 @@ def _bad_values(annotation, value):
     """Values of the wrong type for a parameter annotated ``annotation``."""
     annotation = annotation.removesuffix(" | None")
     if annotation == "float":
-        return ["1.0", True, [1.0]]
+        return ["1.0", True, [1.0], math.nan, -math.inf]
     if annotation == "int":
         return [2.5, "2", True]
     if annotation == "str":
@@ -982,6 +1013,7 @@ def mutated_configs():
 def test_fuzzer_mutates_along_every_finding(mutated_configs):
     labels = "\n".join(label for label, _ in mutated_configs)
     for wanted in ("'kind' = ['euclidean']", "'dim' = 2.5", "'tolerance' = True",
+                   "'tolerance' = nan", "'angle' = -inf",
                    "'leg' = 2.5", "'grid' = {'max_iterations': []}",
                    "add 'alpha' of another entry"):
         assert wanted in labels

@@ -86,6 +86,21 @@ def test_pseudo_convex_fixed_points_are_minimizers():
     assert E1.distance(two, quart.known_argmin) > 1.0  # fixed but not minimizing
 
 
+@pytest.mark.parametrize("space, name, kw", [
+    (E1, "quadratic", {}), (E2, "quadratic", {}), (H2, "quadratic", {}),
+    (E2, "dist2_to_set", {"cset": Ball(E2.base_point(), 0.5)}),
+    (H2, "dist2_to_set", {"cset": Ball(H2.base_point(), 0.5)}),
+    (E1, "plateau_quartic", {}),
+], ids=["quadratic-E1", "quadratic-E2", "quadratic-H2", "dist2-E2", "dist2-H2", "quartic-E1"])
+def test_builtin_gradients_return_float_tuples(space, name, kw):
+    f = objective_fixture(space, name, **kw)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        g = f.gradient(space.sample_point(rng, 2.0))
+        assert type(g) is tuple and len(g) == len(space.base_point().xs)
+        assert all(type(c) is float for c in g)
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(5)
     h = 1e-6

@@ -336,6 +336,15 @@ def test_exp_map_reorthogonalizes():
     assert Hyperboloid.minkowski(z.coords, z.coords) == pytest.approx(-1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("space", [E2, H2], ids=lambda s: s.space_id)
+@pytest.mark.parametrize("v", [3.0, [1.0], "ab", [1.0, "x", 2.0], np.zeros((3, 1)),
+                               np.zeros((1, 3))], ids=lambda v: f"{type(v).__name__}{np.shape(v)}")
+def test_exp_map_refuses_what_is_not_a_tangent_of_its_space(space, v):
+    # a DomainError, as a misshaped tangent raised when exp_map read arrays
+    with pytest.raises(DomainError, match="tangent vector must be"):
+        space.exp_map(space.base_point(), v)
+
+
 def test_spider_has_no_tangent_maps():
     hub = S3.point((0, 0))
     with pytest.raises(UnsupportedOperationError):
@@ -761,6 +770,8 @@ def ref_h_log_map(x, y):
 
 
 def ref_h_combine(x, y, t):
+    if t == 1.0:  # combine's endpoint, also for a pair closer than 1e-14
+        return y
     d = ref_h_distance(x, y)
     if d < 1e-14:
         return x
@@ -784,6 +795,19 @@ def ref_h_tangent_norm(v):
 
 
 PIN = 1e-14  # relative, against the magnitude of the terms each formula sums
+
+
+def _sequences(v):
+    """The same floats as a tuple, a list and a numpy array."""
+    v = np.asarray(v, dtype=float)
+    return tuple(v.tolist()), v.tolist(), v
+
+
+def _same_floats(results):
+    """Every result is a Python float or a tuple of them, and all of them
+    are bit-identical."""
+    flat = [r if isinstance(r, tuple) else (r,) for r in results]
+    return all(type(c) is float for r in flat for c in r) and len({_bits(r) for r in flat}) == 1
 
 
 def _close(got, want, scale):
@@ -819,9 +843,10 @@ def test_euclidean_float_primitives_match_the_array_formulas(space, data):
         assert _close(space._combine(x, y, t).coords, ref_e_combine(X, Y, t), size)
     v = X - Y
     assert abs(space.tangent_norm(x, v) - ref_e_tangent_norm(v)) <= PIN * ref_e_tangent_norm(v)
-    assert abs(space.tangent_norm(x, list(v)) - ref_e_tangent_norm(v)) <= PIN * ref_e_tangent_norm(v)
+    assert _same_floats([space.tangent_norm(x, w) for w in _sequences(v)])
     assert _close(space.log_map(x, y), Y - X, size)
     assert _close(space.exp_map(x, Y - X).coords, X + (Y - X), size)
+    assert _same_floats([space.exp_map(x, w).xs for w in _sequences(Y - X)])
     z = space.point([size * data.draw(st.floats(-2, 2)) for _ in range(space.dim)])
     if d >= 1e-15:  # below that the segment is a point and project returns x
         seg = Segment(x, y)
@@ -862,6 +887,7 @@ def hyperboloid_pair(draw):
 @given(pair=hyperboloid_pair(), t=UNIT_T)
 @settings(max_examples=400, deadline=None)
 @example(pair=(H2.base_point(), H2.from_spatial([math.sinh(40.0), 0.0])), t=0.5)
+@example(pair=(H2._wrap((1.0, 5.2116001133558605e-15, 0.0)), H2.base_point()), t=1.0)
 def test_hyperboloid_float_primitives_match_the_array_formulas(pair, t):
     x, y = pair
     X, Y = x.coords, y.coords
@@ -873,7 +899,8 @@ def test_hyperboloid_float_primitives_match_the_array_formulas(pair, t):
         want = ref_minkowski(u, v)
         scale = float(np.abs(u * v).sum())
         assert abs(Hyperboloid.minkowski(u, v) - want) <= PIN * scale
-        assert Hyperboloid.minkowski(list(u), v.tolist()) == Hyperboloid.minkowski(u, v)
+        assert _same_floats([Hyperboloid.minkowski(a, b)
+                             for a, b in zip(_sequences(u), reversed(_sequences(v)))])
     # geodesic points, compared as points of the space
     z = H2.combine(x, y, t)
     assert H2.distance(z, H2._wrap(ref_h_combine(X, Y, t))) <= dtol
@@ -894,7 +921,7 @@ def test_hyperboloid_float_primitives_match_the_array_formulas(pair, t):
     # the norm sums the squares of v and takes a square root
     norm = ref_h_tangent_norm(v)
     assert abs(H2.tangent_norm(x, v) - norm) <= PIN * float(v @ v) / max(norm, 1e-300)
-    assert H2.tangent_norm(x, list(v)) == H2.tangent_norm(x, v)
+    assert _same_floats([H2.tangent_norm(x, w) for w in _sequences(v)])
     # exp sums cosh(t) x + sinh(t) v / t; an error in t moves it by (1 + t) times that
     want = ref_h_exp_map(X, v)
     scale = (1.0 + d) * (math.cosh(d) * np.abs(X).max() + math.sinh(d) * np.abs(v).max() / max(d, 1e-300))
@@ -902,6 +929,7 @@ def test_hyperboloid_float_primitives_match_the_array_formulas(pair, t):
     # a vector slightly off the tangent space is projected back onto it
     off = v + 1e-6 * X
     assert _close(H2.exp_map(x, list(off)).coords, ref_h_exp_map(X, off), cond * scale)
+    assert _same_floats([H2.exp_map(x, w).xs for w in _sequences(off)])
 
 
 # ---------------------------------------------------------------------------
@@ -1082,14 +1110,12 @@ def test_points_store_floats_and_coords_is_a_read_only_copy(space, data):
 @pytest.mark.parametrize("space", [E1, E2, H2], ids=lambda s: s.space_id)
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
-def test_private_log_is_log_map_as_a_list(space, data):
+def test_log_map_is_the_private_log_as_a_float_tuple(space, data):
     x = space.point(data.draw(raw_coords(space)))
     y = space.point(data.draw(raw_coords(space)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = space._log(x, y)
-        want = space.log_map(x, y)
-    assert type(got) is list and all(type(v) is float for v in got)
-    assert _bits(got) == _bits(want.tolist())
+    got = space.log_map(x, y)
+    assert type(got) is tuple and all(type(v) is float for v in got)
+    assert _bits(got) == _bits(space._log(x, y))
 
 
 def test_spider_has_no_private_log():

@@ -84,6 +84,32 @@ def test_prox_gradient_descent_matches_closed_form_euclidean():
         assert np.linalg.norm(got - want) <= 1e-9
 
 
+def _hex(p):
+    return [c.hex() for c in p.xs]  # the exact bits, -0.0 told from 0.0
+
+
+@pytest.mark.parametrize("space", [E2, H2], ids=lambda s: s.space_id)
+def test_gradients_and_fields_given_as_arrays_give_the_same_bits(space):
+    # a user function may return a numpy array where the fixtures return tuples
+    rng = np.random.default_rng(4)
+    f = dataclasses.replace(objective_fixture(space, "quadratic",
+                                              center=space.sample_point(rng, 1.0)),
+                            closed_form_resolvent=None)
+    as_array = dataclasses.replace(f, gradient=lambda y: np.asarray(f.gradient(y)))
+    for _ in range(10):
+        x, lam = space.sample_point(rng, 2.0), float(rng.uniform(0.1, 5.0))
+        assert _hex(convex_resolvent(as_array, lam, x)) == _hex(convex_resolvent(f, lam, x))
+    if space is E2:
+        rot = bifunction_fixture(E2, "rotation_vi")
+        field = rot.structure.field
+        as_array = dataclasses.replace(rot, structure=VariationalInequality(
+            field=lambda z: np.asarray(field(z)), lipschitz=rot.structure.lipschitz))
+        for _ in range(5):
+            x = E2.sample_point(rng, 2.0)
+            assert _hex(equilibrium_resolvent(as_array, 1.5, x)) == \
+                _hex(equilibrium_resolvent(rot, 1.5, x))
+
+
 def test_prox_gradient_descent_matches_geodesic_formula_hyperboloid():
     rng = np.random.default_rng(1)
     a = H2.from_spatial([0.4, 0.1])
@@ -136,8 +162,8 @@ def _numpy_recheck(f, lam, x, y):
     if f.gradient is None:
         return
     space = f.space
-    back = space.log_map(y, x)
-    g = f.gradient(y) - back / lam
+    back = np.asarray(space.log_map(y, x))
+    g = np.asarray(f.gradient(y)) - back / lam
     norm = space.tangent_norm(y, g)
     scale = 1.0 + space.tangent_norm(y, back) / lam
     if norm > 1e-8 * scale:

@@ -540,6 +540,24 @@ def test_bad_trace_stride_is_rejected_at_entry(engine, stride):
     assert calls == []  # rejected before the first step
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("max_iterations", 0), ("max_iterations", -5), ("max_iterations", 2.0),
+    ("max_iterations", True), ("tolerance", math.nan), ("tolerance", math.inf),
+    ("tolerance", -1.0), ("tolerance", "1e-3"),
+])
+def test_bad_run_settings_are_rejected_by_iterate_sequence(setting, value):
+    calls = []
+
+    def factory(k):
+        calls.append(k)
+        return catalog_operator(E1, "constant", point=E1.point([0.0]))
+
+    cfg = RunConfig(space=E1, start=E1.point([3.0]), **{setting: value})
+    with pytest.raises(ConfigError, match=setting):
+        iterate_sequence(OperatorSequence(space=E1, factory=factory), cfg)
+    assert calls == []  # rejected before the first step
+
+
 @pytest.mark.parametrize("engine", ["sequence", "halpern"])
 def test_sequence_on_another_space_is_rejected_at_entry(engine):
     calls = []
