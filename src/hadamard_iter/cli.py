@@ -306,9 +306,6 @@ def _space_axioms(space, overrides, samples: int = 1000, scale: float = 2.0):
 
 def _quasi_firm(space, overrides, objective: ObjectiveFunction, lam: float,
                 witness: SpacePoint | None = None, samples: int = 500, scale: float = 2.0):
-    witness = objective.known_argmin if witness is None else witness
-    if witness is None:
-        raise ConfigError("quasi_firm needs a witness or an objective with known argmin")
     return functools.partial(check_quasi_firm, objective, lam, witness, samples=samples,
                              seed=overrides["seed"], scale=scale)
 
@@ -537,6 +534,11 @@ def main(argv: list[str] | None = None) -> int:
 
     dispatch = {"run": cmd_run, "check": cmd_check, "sweep": cmd_sweep}
     try:
+        # checked here for every command, a check without an embedded run included
+        if overrides.get("seed", 0) < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
+        if overrides.get("max_iterations", 1) < 1:
+            raise ConfigError(f"max_iterations must be an integer >= 1, got {args.max_iters}")
         return dispatch[args.command](args.config, args.out, overrides)
     except (ConfigError, DomainError, UnsupportedOperationError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -7,12 +7,14 @@ required key, and any other key is an error. Each signature is read once.
 A parameter's annotation picks the reader of its value: ``float`` a JSON
 number with a finite float value (not a bool, a string, the NaN and
 Infinity tokens that Python's json accepts, or an integer beyond the float
-range), ``int`` an exact integer (an int, or a float with an integer
-value), ``str`` a nonempty string, ``dict`` an object its own table reads
-later, ``Any`` any value, ``ModelSpace`` a space (the points and sets after
-it live there), ``SpacePoint`` a point whose coordinates are numbers,
-``ConvexSubset`` a set, ``list[X]`` a nonempty list of X, ``dict[str, X]``
-a nonempty object of X, ``X | None`` X or null.
+range), ``int`` an exact integer >= 0 (an int, or a float with an integer
+value; no integer key takes a negative), ``str`` a nonempty string,
+``dict`` an object its own table reads later, ``Any`` any value,
+``ModelSpace`` a space (the points and sets after it live there),
+``SpacePoint`` a point whose coordinates are numbers, ``ConvexSubset`` a
+set, ``tuple[float, ...]`` a halfspace normal, a nonempty list of numbers,
+``list[X]`` a nonempty list of X, ``dict[str, X]`` a nonempty object of X,
+``X | None`` X or null.
 Other names are readers in ``READERS``, which the command line extends.
 ``pick`` chooses the table entry an object names by a discriminator key.
 """
@@ -58,7 +60,8 @@ def _checked(what: str, convert: Callable[[Any], Any]) -> Reader:
 READERS: dict[str, Reader] = {
     "float": _checked("a finite number", lambda v: float(v) if _is_number(v)
                       and abs(v) <= sys.float_info.max else None),
-    "int": _checked("an integer", lambda v: integral(v) if _is_number(v) else None),
+    "int": _checked("an integer >= 0", lambda v: integral(v) if _is_number(v) and v >= 0
+                    else None),
     "str": _checked("a nonempty string", lambda v: v if isinstance(v, str) and v else None),
     "dict": _checked("an object", lambda v: v if isinstance(v, Mapping) else None),
     "Any": lambda v, key, ctx, space: v,
@@ -175,7 +178,7 @@ def _spider_point(space: Spider, leg: int, radius: float) -> SpacePoint:
 # the spaces whose points a config may give as an object, and their builders
 _POINT_OBJECTS = {Hyperboloid: Hyperboloid.from_spatial, Spider: _spider_point}
 # the coordinates of a point, and a halfspace's normal
-_COORDINATES = READERS["np.ndarray"] = _reader("list[float]")
+_COORDINATES = READERS["tuple[float, ...]"] = _reader("list[float]")
 
 
 def point_from_config(space: ModelSpace, desc: Any, key: str = "point",

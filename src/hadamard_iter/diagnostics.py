@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .geometry import ConvexSubset, ModelSpace, SpacePoint
 from .operators import OperatorSpec
-from .resolvents import ObjectiveFunction, convex_resolvent
+from .resolvents import ObjectiveFunction, _argmin_witness, convex_resolvent
 from .schemes import IterationTrace
 
 SLACK = {
@@ -93,6 +93,14 @@ class _Collector:
         )
 
 
+def _sampler(samples: int, seed: int) -> np.random.Generator:
+    """The generator of a sampling checker; a negative sample count or seed
+    raises ``DomainError``."""
+    if samples < 0 or seed < 0:
+        raise DomainError(f"samples and seed must be >= 0, got {samples} and {seed}")
+    return np.random.default_rng(seed)
+
+
 def check_fejer(space: ModelSpace, trace: IterationTrace, p: SpacePoint) -> CheckReport:
     """Distances to p along the trace must be nonincreasing (Fejer
     monotonicity with respect to a common fixed point)."""
@@ -113,19 +121,22 @@ def check_fejer(space: ModelSpace, trace: IterationTrace, p: SpacePoint) -> Chec
 def check_quasi_firm(
     f: ObjectiveFunction,
     lam: float,
-    witness: SpacePoint,
+    witness: SpacePoint | None = None,
     samples: int = 500,
     seed: int = 0,
     scale: float = 2.0,
 ) -> CheckReport:
     """d^2(J x, w) <= <(J x) w, x w> at an argmin witness w, the quasi-firm
-    inequality of the prox operator."""
+    inequality of the prox operator. The witness defaults to the one the
+    resolvent operator of ``f`` declares: its known argmin, or a point of
+    its known argmin set."""
+    if witness is None:
+        witness = _argmin_witness(f)
+    if witness is None:
+        raise ConfigError("check_quasi_firm needs a witness or an objective with known argmin")
     space = f.space
     space.check_point(witness)
-    alpha = f.weak_convexity_alpha
-    if alpha is not None and alpha > 0.0 and not (lam < 1.0 / (2.0 * alpha)):
-        raise DomainError(f"lam={lam} is not below 1/(2*{alpha})")
-    rng = np.random.default_rng(seed)
+    rng = _sampler(samples, seed)
     col = _Collector("quasi_firm")
     for i in range(samples):
         x = space.sample_point(rng, scale)
@@ -157,7 +168,7 @@ def check_sqn_inequality(
     c = op.sqn_coefficient
     if c is None:
         raise ConfigError(f"no residual inequality is defined for operators tagged {op.tag!r}")
-    rng = np.random.default_rng(seed)
+    rng = _sampler(samples, seed)
     col = _Collector(f"sqn_inequality[{op.tag}]")
     for i in range(samples):
         x = space.project(op.domain, space.sample_point(rng, scale))
@@ -205,9 +216,7 @@ def check_space_axioms(
     Runs on the space's array kernels: all points of the report are drawn
     in one batch, so a report for ``samples=N`` is not a prefix of the one
     for ``2N`` at the same seed."""
-    if samples < 0:
-        raise DomainError(f"samples must be >= 0, got {samples}")
-    rng = np.random.default_rng(seed)
+    rng = _sampler(samples, seed)
     block = space.sample_many(rng, 7 * samples, scale)
     x, y, z, a, b, c, d = block.reshape(7, samples, block.shape[1])
     t, s = rng.uniform(size=(2, samples))

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import add, mul, sub
-from typing import Mapping
 
 import numpy as np
 
@@ -72,6 +71,23 @@ def integral(v) -> int | None:
         return n if n == float(v) else None
     except (TypeError, ValueError, OverflowError):
         return None
+
+
+def floats(v, n: int | None, what: str, finite: bool = False) -> tuple[float, ...]:
+    """``v``, a flat sequence of numbers (a tuple, a list, a 1-d array), read
+    once as a tuple of floats: ``n`` of them unless ``n`` is None, and every
+    one finite if ``finite``. Anything else, a scalar, a string or a nested
+    sequence included, raises ``DomainError`` naming ``what``."""
+    try:
+        xs = () if isinstance(v, str) else tuple(map(float, v))
+    except (TypeError, ValueError):
+        xs = ()
+    if not xs or n is not None and len(xs) != n:
+        raise DomainError(f"{what} must be {'' if n is None else f'{n} '}numbers, got {v!r}")
+    # math.isfinite per entry: on a few entries, far cheaper than np.isfinite
+    if finite and not all(map(math.isfinite, xs)):
+        raise DomainError(f"{what} must be finite")
+    return xs
 
 
 def _snap_unit(t: float) -> float:
@@ -158,17 +174,14 @@ class Halfspace:
     """Euclidean halfspace {x : normal . x <= offset}."""
 
     space_id: str
-    normal: np.ndarray
+    normal: tuple[float, ...]
     offset: float
     kind: str = field(default="halfspace", init=False)
 
     def __post_init__(self):
-        try:
-            n = np.asarray(self.normal, dtype=float)
-        except (TypeError, ValueError):
-            raise DomainError(f"halfspace normal must be numbers, got {self.normal!r}") from None
-        if n.ndim != 1 or not np.all(np.isfinite(n)) or float(n @ n) == 0.0:
-            raise DomainError("halfspace normal must be a nonzero finite vector")
+        n = floats(self.normal, None, "halfspace normal", finite=True)
+        if sum(map(mul, n, n)) == 0.0:
+            raise DomainError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", n)
 
 
@@ -296,13 +309,7 @@ class ModelSpace:
     def _exp_entry(self, base: SpacePoint, v) -> tuple[float, ...]:
         # exp_map's checks; v, any sequence of numbers, is read once as floats
         self.check_point(base)
-        try:
-            xs = tuple(map(float, v))
-        except (TypeError, ValueError):  # a scalar, an array of another shape, a string
-            xs = ()
-        if len(xs) != len(base.xs):
-            raise DomainError(f"tangent vector must be {len(base.xs)} numbers, got {v!r}")
-        return xs
+        return floats(v, len(base.xs), "tangent vector")
 
     def tangent_norm(self, base: SpacePoint, v) -> float:
         raise UnsupportedOperationError(f"{self.space_id} has no tangent structure")
@@ -314,6 +321,9 @@ class ModelSpace:
             raise DomainError(
                 f"set belongs to space {cset.space_id!r}, expected {self.space_id!r}"
             )
+        if cset.kind == "halfspace" and len(cset.normal) != len(self.base_point().xs):
+            raise DomainError(f"halfspace normal must be {len(self.base_point().xs)} numbers, "
+                              f"got {cset.normal!r}")
 
     def project(self, cset: ConvexSubset, x: SpacePoint) -> SpacePoint:
         """Metric projection onto a closed convex set. Idempotent; the
@@ -344,8 +354,9 @@ class ModelSpace:
         if cset.kind == "ball":
             return self._distance(cset.center, x) <= cset.radius + tol
         if cset.kind == "halfspace":
-            nx = float(cset.normal @ x.coords)
-            return nx <= cset.offset + tol * (1.0 + float(np.linalg.norm(cset.normal)))
+            n = cset.normal
+            return (sum(map(mul, n, x.xs))
+                    <= cset.offset + tol * (1.0 + math.sqrt(sum(map(mul, n, n)))))
         return self._distance(self.project(cset, x), x) <= tol
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
@@ -396,17 +407,7 @@ class Euclidean(ModelSpace):
         object.__setattr__(self, "_base", SpacePoint(self.space_id, (0.0,) * self.dim))
 
     def point(self, coords) -> SpacePoint:
-        try:
-            arr = np.asarray(coords, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            raise DomainError(f"coordinates must be numbers, got {coords!r}") from None
-        if arr.shape != (self.dim,):
-            raise DomainError(f"expected {self.dim} coordinates, got {arr.shape}")
-        xs = tuple(arr.tolist())
-        # math.isfinite per coordinate: on a few entries, far cheaper than np.isfinite
-        if not all(map(math.isfinite, xs)):
-            raise DomainError("coordinates must be finite")
-        return SpacePoint(self.space_id, xs)
+        return SpacePoint(self.space_id, floats(coords, self.dim, "coordinates", finite=True))
 
     def base_point(self) -> SpacePoint:
         return self._base
@@ -459,11 +460,12 @@ class Euclidean(ModelSpace):
         return self._wrap(tuple([s * p + t * q for p, q in zip(al, bl)]))
 
     def _project_halfspace(self, cset: Halfspace, x: SpacePoint) -> SpacePoint:
-        n, c = cset.normal, x.coords
-        excess = float(n @ c) - cset.offset
+        n = cset.normal
+        excess = sum(map(mul, n, x.xs)) - cset.offset
         if excess <= 0.0:
             return x
-        return self._wrap(tuple((c - (excess / float(n @ n)) * n).tolist()))
+        k = excess / sum(map(mul, n, n))
+        return self._wrap(tuple([c - k * a for c, a in zip(x.xs, n)]))
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0) -> SpacePoint:
         return self._wrap(tuple((rng.normal(size=self.dim) * scale).tolist()))
@@ -545,15 +547,7 @@ class Hyperboloid(ModelSpace):
         return _mink(tuple(map(float, u)), tuple(map(float, v)))
 
     def point(self, coords) -> SpacePoint:
-        try:
-            arr = np.asarray(coords, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            raise DomainError(f"coordinates must be numbers, got {coords!r}") from None
-        if arr.shape != (self.dim + 1,):
-            raise DomainError(f"expected {self.dim + 1} ambient coordinates, got {arr.shape}")
-        c = tuple(arr.tolist())
-        if not all(map(math.isfinite, c)):
-            raise DomainError("coordinates must be finite")
+        c = floats(coords, self.dim + 1, "coordinates", finite=True)
         # on the sheet |xi| <= x0, so this bounds x0 and keeps the squares
         # below finite from overflowing into the sheet test
         big = max(map(abs, c))
@@ -570,13 +564,7 @@ class Hyperboloid(ModelSpace):
     def from_spatial(self, spatial: list[float]) -> SpacePoint:
         """Lift spatial coordinates onto the sheet: x0 = sqrt(1 + |s|^2).
         ``point`` validates the lift, the radius bound included."""
-        try:
-            s = np.asarray(spatial, dtype=float).reshape(-1)
-        except (TypeError, ValueError):
-            raise DomainError(f"coordinates must be numbers, got {spatial!r}") from None
-        if s.shape != (self.dim,):
-            raise DomainError(f"expected {self.dim} spatial coordinates, got {s.shape}")
-        return self.point(np.concatenate(([math.sqrt(1.0 + float(s @ s))], s)))
+        return self.point(_lift(floats(spatial, self.dim, "spatial coordinates")))
 
     def base_point(self) -> SpacePoint:
         return self._base
@@ -739,12 +727,10 @@ class Spider(ModelSpace):
 
     def point(self, coords) -> SpacePoint:
         try:
-            leg, radius = ((coords["leg"], coords["radius"]) if isinstance(coords, Mapping)
-                           else coords)
+            leg, radius = coords
             radius = float(radius)
-        except (KeyError, TypeError, ValueError):
-            raise DomainError('a spider point is {"leg": i, "radius": r} or [leg, radius], '
-                              f"got {coords!r}") from None
+        except (TypeError, ValueError):
+            raise DomainError(f"a spider point is a pair (leg, radius), got {coords!r}") from None
         index = integral(leg)
         if index is None:
             raise DomainError(f"leg index must be an integer, got {leg!r}")
@@ -865,5 +851,6 @@ def canonical_point(space: ModelSpace, cset: ConvexSubset) -> SpacePoint:
         return cset.a
     if cset.kind == "halfspace":
         n = cset.normal
-        return space.point(n * (cset.offset / float(n @ n)))
+        k = cset.offset / sum(map(mul, n, n))
+        return space.point([c * k for c in n])
     return space.base_point()

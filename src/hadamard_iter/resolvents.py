@@ -53,8 +53,10 @@ FIXED_POINT_BUDGET = 1_000_000
 VI_TOL = 1e-10
 VI_BUDGET = 1_000_000
 EQ_INEQUALITY_SLACK = 1e-7
-EQ_OPERATOR_DIRECTIONS = 8  # verification grid of the operator form
-EQ_OPERATOR_RADII = 2
+# the equilibrium verification grid, directions x radii: of a one-shot call,
+# and of the operator form, which iteration loops call at every step
+EQ_GRID = (64, 8)
+EQ_OPERATOR_GRID = (8, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +136,8 @@ def convex_resolvent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
     closed_form, gradient = f.closed_form_resolvent, f.gradient
     if closed_form is not None:
         y = closed_form(lam, x)
-    elif gradient is not None and not isinstance(space, Spider):
+    elif gradient is not None:  # log_map refuses a space without tangent structure
         y = _prox_by_descent(f, lam, x)
-    elif isinstance(space, Spider):
-        raise UnsupportedOperationError(
-            "the spider tree has no tangent chart; provide a closed-form resolvent"
-        )
     else:
         raise UnsupportedOperationError(
             f"objective {f.name or '<anonymous>'} has neither a closed-form "
@@ -345,17 +343,17 @@ def lipschitz_resolvent_operator(T: OperatorSpec, lam: float) -> OperatorSpec:
 # ---------------------------------------------------------------------------
 
 def equilibrium_resolvent(
-    f: Bifunction, lam: float, x: SpacePoint, verify_directions: int = 64, verify_radii: int = 8
+    f: Bifunction, lam: float, x: SpacePoint, *, _grid: tuple[int, int] = EQ_GRID
 ) -> SpacePoint:
     """The point z in K with f(z, y) + lam <xz, zy> >= 0 for all y in K.
 
     Every call verifies the inequality on every point of a deterministic
-    grid of K with ``verify_directions`` x ``verify_radii`` samples; counts
-    below 1 raise ``DomainError``. For a ball or a segment K the grid
-    depends only on the space, K and the two counts, never on x or z, so it
-    is built once and kept in a small memo keyed on them (sets compare by
-    identity). For any other K the grid's radius follows x and z, so it is
-    built on each call.
+    grid of K, 64 directions x 8 radii (``EQ_GRID``; the operator form
+    passes its thinner ``EQ_OPERATOR_GRID``). For a ball or a segment K the
+    grid depends only on the space, K and the two counts, never on x or z,
+    so it is built once and kept in a small memo keyed on them (sets compare
+    by identity). For any other K the grid's radius follows x and z, so it
+    is built on each call.
 
     x and lam are validated at entry, not inside the loop: the inner
     iteration re-checks only what it does not produce itself.
@@ -363,11 +361,6 @@ def equilibrium_resolvent(
     if not (lam > f.theta):
         raise DomainError(
             f"lam={lam} must exceed the under-monotonicity modulus theta={f.theta}"
-        )
-    if not (verify_directions >= 1 and verify_radii >= 1):
-        raise DomainError(
-            f"verification needs at least 1 direction and 1 radius, got "
-            f"{verify_directions} and {verify_radii}"
         )
     space = f.space
     space.check_point(x)
@@ -382,8 +375,7 @@ def equilibrium_resolvent(
         space.check_point(z)
         z = space.project(K, z)
 
-    grid = _verification_points(space, K, x, z, verify_directions, verify_radii)
-    _verify_equilibrium(f, lam, x, z, grid)
+    _verify_equilibrium(f, lam, x, z, _verification_points(space, K, x, z, *_grid))
     return z
 
 
@@ -454,26 +446,20 @@ def _verification_points(
     """Deterministic grid in K: directions x radii around the set anchor,
     boundary/extreme points included, every candidate projected into K."""
     if K.kind in ("ball", "segment"):
-        return _memo_fixed_grid(space, K, n_dir, n_rad)
+        return _fixed_verification_grid(space, K, n_dir, n_rad)
     anchor = canonical_point(space, K)
     radius = 1.0 + 2.0 * (space.distance(anchor, x) + space.distance(anchor, z))
     return _radial_grid(space, K, anchor, radius, n_dir, n_rad)
 
 
 @functools.lru_cache(maxsize=16)
-def _memo_fixed_grid(
-    space: ModelSpace, K: ConvexSubset, n_dir: int, n_rad: int
-) -> tuple[SpacePoint, ...]:
-    # sets hash by identity, and the memo holds each key set alive, so an
-    # entry can never be mistaken for a later set at a reused address
-    return _fixed_verification_grid(space, K, n_dir, n_rad)
-
-
 def _fixed_verification_grid(
     space: ModelSpace, K: ConvexSubset, n_dir: int, n_rad: int
 ) -> tuple[SpacePoint, ...]:
     """The verification grid of a ball or segment K, which depends on
-    neither x nor z."""
+    neither x nor z. Memoized: sets hash by identity, and the memo holds
+    each key set alive, so an entry can never be mistaken for a later set
+    at a reused address."""
     if K.kind == "segment":
         n = max(2, n_dir * n_rad)
         return tuple(space.combine(K.a, K.b, i / n) for i in range(n + 1))
@@ -507,19 +493,16 @@ def _radial_grid(
     return tuple(pts)
 
 
-def equilibrium_resolvent_operator(
-    f: Bifunction, lam: float, verify_directions: int = EQ_OPERATOR_DIRECTIONS,
-    verify_radii: int = EQ_OPERATOR_RADII,
-) -> OperatorSpec:
-    """Resolvent as an operator. Verification is thinned by default because
-    the operator form is meant for iteration loops; pass larger counts for
-    one-shot audited evaluations. Every call still verifies on all of the
-    grid, which for a ball or segment K comes from the memo of
-    ``equilibrium_resolvent``: every operator on the same K and counts, at
-    any lam, shares one grid."""
+def equilibrium_resolvent_operator(f: Bifunction, lam: float) -> OperatorSpec:
+    """Resolvent as an operator. Verification is thinned to
+    ``EQ_OPERATOR_GRID`` because the operator form is meant for iteration
+    loops; call ``equilibrium_resolvent`` for one-shot audited evaluations.
+    Every call still verifies on all of the grid, which for a ball or
+    segment K comes from the memo of ``equilibrium_resolvent``: every
+    operator on the same K, at any lam, shares one grid."""
     return OperatorSpec(
         space=f.space,
-        apply=lambda x: equilibrium_resolvent(f, lam, x, verify_directions, verify_radii),
+        apply=lambda x: equilibrium_resolvent(f, lam, x, _grid=EQ_OPERATOR_GRID),
         domain=f.feasible_set,
         fixed_point_witness=f.equilibrium_witness,
         quasi_nonexpansive=True,
@@ -551,11 +534,8 @@ def resolvent_sequence(
                     f"weakly convex objective (modulus {alpha}) needs lam_k "
                     f"certified below {cap}"
                 )
-        return OperatorSequence(
-            space=source.space,
-            factory=_cached_factory(lambdas, lambda lam: convex_resolvent_operator(source, lam)),
-        )
-    if isinstance(source, OperatorSpec):
+        build = convex_resolvent_operator
+    elif isinstance(source, OperatorSpec):
         a = source.lipschitz_const
         if a is None:
             raise ConfigError("resolvent_sequence over an operator needs its Lipschitz constant")
@@ -565,11 +545,8 @@ def resolvent_sequence(
                 raise ConfigError(
                     f"Lipschitz constant {a} > 1 needs lam_k certified below {cap}"
                 )
-        return OperatorSequence(
-            space=source.space,
-            factory=_cached_factory(lambdas, lambda lam: lipschitz_resolvent_operator(source, lam)),
-        )
-    if isinstance(source, Bifunction):
+        build = lipschitz_resolvent_operator
+    elif isinstance(source, Bifunction):
         if not (lambdas.lower_bound > source.theta):
             raise ConfigError(
                 f"equilibrium parameters need a certified lower bound strictly above "
@@ -577,11 +554,11 @@ def resolvent_sequence(
             )
         if lambdas.upper_bound is None:
             raise ConfigError("equilibrium parameters need a finite upper bound")
-        return OperatorSequence(
-            space=source.space,
-            factory=_cached_factory(lambdas, lambda lam: equilibrium_resolvent_operator(source, lam)),
-        )
-    raise ConfigError(f"cannot build resolvents from {type(source).__name__}")
+        build = equilibrium_resolvent_operator
+    else:
+        raise ConfigError(f"cannot build resolvents from {type(source).__name__}")
+    return OperatorSequence(space=source.space,
+                            factory=_cached_factory(lambdas, functools.partial(build, source)))
 
 
 def _cached_factory(

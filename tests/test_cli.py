@@ -174,9 +174,10 @@ def _with(cfg, path, value):
     pytest.param("space.dim", _DROP, "missing key 'dim' in space of kind 'euclidean'",
                  id="space-without-dim"),
     pytest.param("max_iterations", "abc",
-                 "'max_iterations' in run config must be an integer, got 'abc'",
+                 "'max_iterations' in run config must be an integer >= 0, got 'abc'",
                  id="non-numeric-budget"),
-    pytest.param("max_iterations", -5, "max_iterations must be an integer >= 1, got -5",
+    pytest.param("max_iterations", -5,
+                 "'max_iterations' in run config must be an integer >= 0, got -5",
                  id="negative-budget"),
     pytest.param("max_iterations", 0, "max_iterations must be an integer >= 1, got 0",
                  id="zero-budget"),
@@ -188,7 +189,8 @@ def _with(cfg, path, value):
                  id="negative-tolerance"),
     pytest.param("trace_stride", 0, "trace_stride must be a positive integer or None, got 0",
                  id="zero-stride"),
-    pytest.param("trace_stride", -2, "trace_stride must be a positive integer or None, got -2",
+    pytest.param("trace_stride", -2,
+                 "'trace_stride' in run config must be an integer >= 0, got -2",
                  id="negative-stride"),
     pytest.param("schedules.lambda", {"kind": "constant", "value": 1.0, "floor": 0.5, "power": 7},
                  "unknown keys ['floor', 'power'] in schedule 'lambda' of kind 'constant'; "
@@ -331,6 +333,23 @@ CHECK_CFG = {
 }
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+    ("--max-iters", "0", "max_iterations must be an integer >= 1, got 0"),
+], ids=["negative-seed", "zero-budget"])
+@pytest.mark.parametrize("command, cfg", [
+    ("run", BASE_RUN), ("check", CHECK_CFG), ("sweep", {"base": BASE_RUN, "grid": {"seed": [1]}}),
+])
+def test_bad_override_flags_are_config_errors(tmp_path, capsys, command, cfg, flag, value,
+                                              message):
+    # a check config without an embedded run included
+    code = run_cli(command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                   flag, value)
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_check_all_pass_exit_zero(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CHECK_CFG)
     assert run_cli("check", "--config", cfg, "--out", str(tmp_path / "o")) == 0
@@ -464,7 +483,7 @@ SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
                  id="grid-empty-list"),
     pytest.param("run", _with(_with(_with(BASE_RUN, "space", SPIDER), "start",
                                     {"leg": 1.7, "radius": 2.0}), "reference", {"leg": 0, "radius": 0.0}),
-                 "'leg' in 'start' in run config must be an integer, got 1.7",
+                 "'leg' in 'start' in run config must be an integer >= 0, got 1.7",
                  id="spider-leg-1.7"),
     pytest.param("check", dict(CHECK_CFG, checks=[
         {"name": "sqn_inequality", "operator": {"name": "rotation", "angle": 1.0}}]),
@@ -839,6 +858,9 @@ VALID = {
              "bifunction": {"name": "rotation_vi"}, "lambda": 1.0, "samples": 5},
             {"name": "quasi_firm", "objective": {"name": "quadratic"}, "lambda": 1.0,
              "witness": [0.0, 0.0]},
+            # no witness: a point of the argmin set, as the resolvent operator declares
+            {"name": "quasi_firm", "objective": {"name": "dist2_to_set", "set": SEGMENT},
+             "lambda": 1.0, "samples": 5},
             {"name": "fejer", "run": FEJER_RUN, "witness": [0.5, 0.0]},
             {"name": "halpern_target", "run": HALPERN_RUN, "fixed_set": SEGMENT,
              "tolerance": 1e-3}]},
@@ -912,7 +934,7 @@ def _bad_values(annotation, value):
     if annotation == "float":
         return ["1.0", True, [1.0], math.nan, -math.inf]
     if annotation == "int":
-        return [2.5, "2", True]
+        return [2.5, "2", True, -1]
     if annotation == "str":
         return [[value], True, 5]
     if annotation == "Any":
@@ -992,6 +1014,13 @@ def _mutations(command, cfg, monkeypatch):
 @pytest.mark.parametrize("command, cfg", [(c, cfg) for c, cfgs in VALID.items() for cfg in cfgs])
 def test_valid_configs_parse(command, cfg):
     _parse(command, json.loads(json.dumps(cfg)))
+
+
+@pytest.mark.parametrize("cfg", VALID["check"])
+def test_valid_check_configs_run(tmp_path, cfg):
+    # every check runs to a report; a short embedded run may fail its check
+    code = run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o"))
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
 
 
 def test_valid_configs_read_every_table_entry(monkeypatch):

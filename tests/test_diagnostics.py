@@ -120,6 +120,28 @@ def test_quasi_firm_lambda_guard():
         check_quasi_firm(quart, 0.5, E1.point([0.0]), samples=10)
 
 
+def test_quasi_firm_witness_defaults_to_a_point_of_the_argmin_set():
+    # dist2_to_set's argmin is a set: the default witness is a point of it
+    f = objective_fixture(E2, "dist2_to_set", cset=Segment(E2.point([0.0, 0.0]),
+                                                           E2.point([1.0, 0.0])))
+    rep = check_quasi_firm(f, 1.0, samples=50, seed=4)
+    assert rep.passed and rep.samples_tested == 50
+    with pytest.raises(ConfigError, match="needs a witness"):
+        check_quasi_firm(dataclasses.replace(f, known_argmin=None), 1.0, samples=5)
+
+
+@pytest.mark.parametrize("samples, seed", [(-4, 0), (5, -1)])
+def test_sampling_checkers_refuse_a_negative_count_or_seed(samples, seed):
+    q = objective_fixture(E2, "quadratic")
+    checks = (lambda: check_space_axioms(E2, samples=samples, seed=seed),
+              lambda: check_quasi_firm(q, 1.0, samples=samples, seed=seed),
+              lambda: check_sqn_inequality(convex_resolvent_operator(q, 1.0), samples=samples,
+                                           seed=seed))
+    for check in checks:
+        with pytest.raises(DomainError, match="samples and seed must be >= 0"):
+            check()
+
+
 # ---------------------------------------------------------------------------
 # sqn inequality, three variants
 # ---------------------------------------------------------------------------
