@@ -8,8 +8,6 @@ against the closed form.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ConfigError
 from .geometry import (
     Ball,
@@ -184,9 +182,6 @@ def expanding_quadratic(space: ModelSpace, center: SpacePoint | None = None
 # bifunctions
 # ---------------------------------------------------------------------------
 
-_ROTATION_MATRIX = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 def rotation_vi(space: ModelSpace, radius: float = 1.0) -> Bifunction:
     """Variational inequality for the 90-degree rotation field F(x) = A x
     on a centered ball. A is antisymmetric, so the bifunction
@@ -196,14 +191,19 @@ def rotation_vi(space: ModelSpace, radius: float = 1.0) -> Bifunction:
         raise ConfigError("rotation_vi lives on the Euclidean plane")
     K = Ball(space.base_point(), radius)
 
+    # F(x) = (x1, -x0): A's entries are 0 and +-1, so this equals A @ x entry by
+    # entry (where x0 or x1 is 0, the 0 may carry the other sign)
+    def field(x: SpacePoint) -> tuple[float, float]:
+        x0, x1 = x.xs
+        return (x1, -x0)
+
     def val(x: SpacePoint, y: SpacePoint) -> float:
-        return float((_ROTATION_MATRIX @ x.coords) @ (y.coords - x.coords))
+        (x0, x1), (y0, y1) = x.xs, y.xs
+        return x1 * (y0 - x0) - x0 * (y1 - x1)
 
     return Bifunction(
         space=space, eval=val, theta=0.0,
-        structure=VariationalInequality(
-            field=lambda x: (_ROTATION_MATRIX @ x.coords).tolist(), lipschitz=1.0
-        ),
+        structure=VariationalInequality(field=field, lipschitz=1.0),
         feasible_set=K,
         equilibrium_witness=space.base_point(),
         name="rotation_vi",

@@ -28,8 +28,9 @@ compute the scalar formulas row by row and serve the batched checkers.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import add, mul, sub
+from operator import add, mul, pos, sub
 
 import numpy as np
 
@@ -76,11 +77,20 @@ def integral(v) -> int | None:
 def floats(v, n: int | None, what: str, finite: bool = False) -> tuple[float, ...]:
     """``v``, a flat sequence of numbers (a tuple, a list, a 1-d array), read
     once as a tuple of floats: ``n`` of them unless ``n`` is None, and every
-    one finite if ``finite``. Anything else, a scalar, a string or a nested
-    sequence included, raises ``DomainError`` naming ``what``."""
+    one finite if ``finite``. Anything else raises ``DomainError`` naming
+    ``what``: a scalar, a nested sequence, a string, bytes or a mapping, and
+    an entry that is a string, bytes or a bool (which ``float`` would take)."""
     try:
-        xs = () if isinstance(v, str) else tuple(map(float, v))
-    except (TypeError, ValueError):
+        items = v
+        if type(v) is not tuple and type(v) is not list:
+            if isinstance(v, (bytes, bytearray, Mapping)):  # codes and keys, not numbers
+                raise TypeError
+            items = tuple(v)
+        if bool in map(type, items):
+            raise TypeError
+        # unary + refuses the strings and bytes that float() would parse
+        xs = tuple(map(float, map(pos, items)))
+    except (TypeError, ValueError, OverflowError):
         xs = ()
     if not xs or n is not None and len(xs) != n:
         raise DomainError(f"{what} must be {'' if n is None else f'{n} '}numbers, got {v!r}")
@@ -343,7 +353,8 @@ class ModelSpace:
                 return cset.a
             return self._project_segment(cset.a, cset.b, x)
         if cset.kind == "halfspace":
-            return self._project_halfspace(cset, x)
+            excess = self._halfspace_dot(cset, x) - cset.offset
+            return x if excess <= 0.0 else self._project_halfspace(cset, x, excess)
         raise UnsupportedOperationError(f"unknown set kind {cset.kind!r}")
 
     def contains(self, cset: ConvexSubset, x: SpacePoint, tol: float = POINT_TOL) -> bool:
@@ -355,15 +366,20 @@ class ModelSpace:
             return self._distance(cset.center, x) <= cset.radius + tol
         if cset.kind == "halfspace":
             n = cset.normal
-            return (sum(map(mul, n, x.xs))
+            return (self._halfspace_dot(cset, x)
                     <= cset.offset + tol * (1.0 + math.sqrt(sum(map(mul, n, n)))))
         return self._distance(self.project(cset, x), x) <= tol
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
         raise NotImplementedError
 
-    def _project_halfspace(self, cset: Halfspace, x: SpacePoint) -> SpacePoint:
+    def _halfspace_dot(self, cset: Halfspace, x: SpacePoint) -> float:
+        # normal . x, on the spaces where halfspaces are defined
         raise UnsupportedOperationError(f"halfspaces are not supported on {self.space_id}")
+
+    def _project_halfspace(self, cset: Halfspace, x: SpacePoint, excess: float) -> SpacePoint:
+        # x lies outside, by excess = normal . x - offset > 0
+        raise NotImplementedError
 
     # -- sampling ------------------------------------------------------------
 
@@ -459,11 +475,11 @@ class Euclidean(ModelSpace):
         s = 1.0 - t
         return self._wrap(tuple([s * p + t * q for p, q in zip(al, bl)]))
 
-    def _project_halfspace(self, cset: Halfspace, x: SpacePoint) -> SpacePoint:
+    def _halfspace_dot(self, cset: Halfspace, x: SpacePoint) -> float:
+        return sum(map(mul, cset.normal, x.xs))
+
+    def _project_halfspace(self, cset: Halfspace, x: SpacePoint, excess: float) -> SpacePoint:
         n = cset.normal
-        excess = sum(map(mul, n, x.xs)) - cset.offset
-        if excess <= 0.0:
-            return x
         k = excess / sum(map(mul, n, n))
         return self._wrap(tuple([c - k * a for c, a in zip(x.xs, n)]))
 
@@ -726,10 +742,10 @@ class Spider(ModelSpace):
         object.__setattr__(self, "space_id", f"spider:{self.num_legs}")
 
     def point(self, coords) -> SpacePoint:
+        # read as every other point is: a string, bytes or a mapping is no pair
         try:
-            leg, radius = coords
-            radius = float(radius)
-        except (TypeError, ValueError):
+            leg, radius = floats(coords, 2, "spider point")
+        except DomainError:
             raise DomainError(f"a spider point is a pair (leg, radius), got {coords!r}") from None
         index = integral(leg)
         if index is None:

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConfigError, DomainError
 from .geometry import (
     Ball,
@@ -181,10 +179,10 @@ def _build_rotation(space: ModelSpace, angle: float) -> OperatorSpec:
     if not (isinstance(space, Euclidean) and space.dim == 2):
         raise ConfigError("rotation is defined on the Euclidean plane only")
     c, s = math.cos(angle), math.sin(angle)
-    R = np.array([[c, -s], [s, c]])
 
     def apply(x: SpacePoint) -> SpacePoint:
-        return space.point(R @ x.coords)
+        a, b = x.xs
+        return space.point((c * a - s * b, s * a + c * b))
 
     return OperatorSpec(
         space=space, apply=apply, domain=WholeSpace(space.space_id),

@@ -1,5 +1,7 @@
 """The fixture catalog must honor the flags it declares."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from hadamard_iter import (
     Hyperboloid,
     Segment,
     Spider,
+    bifunction_fixture,
     convex_resolvent,
     objective_fixture,
 )
@@ -117,3 +120,20 @@ def test_gradients_match_finite_differences():
             num = (f.eval(space.point(x.coords + h * v))
                    - f.eval(space.point(x.coords - h * v))) / (2 * h)
             assert num == pytest.approx(float(g @ v), abs=1e-4 * (1 + abs(num)))
+
+
+def test_rotation_vi_field_and_eval_compute_the_matrix_forms_on_floats():
+    # A = [[0, 1], [-1, 0]]: each product is by 0 or +-1, so the field has
+    # the bits of A @ x; the bifunction <A x, y - x> is a two-term sum that
+    # numpy may fuse, within an ulp of its terms' scale
+    vi = bifunction_fixture(E2, "rotation_vi")
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rng = np.random.default_rng(15)
+    for _ in range(500):
+        x, y = E2.sample_point(rng, 3.0), E2.sample_point(rng, 3.0)
+        field = vi.structure.field(x)
+        assert all(type(c) is float for c in field)
+        assert field == tuple((A @ np.array(x.xs)).tolist())
+        want = float((A @ np.array(x.xs)) @ (np.array(y.xs) - np.array(x.xs)))
+        (x0, x1), (y0, y1) = x.xs, y.xs
+        assert abs(vi.eval(x, y) - want) <= math.ulp(abs(x1 * (y0 - x0)) + abs(x0 * (y1 - x1)))

@@ -356,6 +356,43 @@ def test_points_are_read_as_exp_map_reads_a_tangent(read, n):
             read(v)
 
 
+_PAIR_READERS = {"E2 point": E2.point, "E2 tangent": lambda v: E2.exp_map(E2.base_point(), v),
+                 "H2 from_spatial": H2.from_spatial}
+
+
+@pytest.mark.parametrize("read", _PAIR_READERS.values(), ids=_PAIR_READERS.keys())
+@pytest.mark.parametrize("v", [["1", "2"], [1.0, "2"], {"1": 0, "2": 0}, {1: 0, 2: 0}, b"12",
+                               bytearray(b"12"), [b"1", b"2"], [True, 2.0], np.array(["1", "2"]),
+                               np.array([True, False]), [10**400, 0.0]],
+                         ids=["str entries", "a str entry", "str-keyed dict", "int-keyed dict",
+                              "bytes", "bytearray", "bytes entries", "a bool entry",
+                              "str array", "bool array", "an int beyond float"])
+def test_strings_bytes_bools_and_mappings_are_no_numbers(read, v):
+    # float() parses "1" and b"1" and takes True; iterating a dict or bytes
+    # gives its keys or byte codes: none of them is a sequence of numbers
+    with pytest.raises(DomainError, match="must be 2 numbers"):
+        read(v)
+
+
+def test_spider_points_are_read_by_the_same_rule():
+    for v in ("12", {"1": 0, "2.5": 0}, {1: 0, 2.5: 0}, b"\x01\x02", ["1", 2.0], [1, "2.5"],
+              [True, 2.0], (1, 2.0, 3.0)):
+        with pytest.raises(DomainError, match="a spider point is a pair"):
+            S3.point(v)
+    assert S3.point(np.array([2.0, 1.5])).xs == S3.point((2, 1.5)).xs == (2.0, 1.5)
+    assert S3.point(iter([1, 0.5])).xs == (1.0, 0.5)
+
+
+def test_points_accept_any_flat_sequence_of_numbers():
+    from fractions import Fraction
+    want = E2.point([0.5, -2.0]).xs
+    for v in ((0.5, -2.0), [Fraction(1, 2), -2], np.array([0.5, -2.0]), np.float32([0.5, -2.0]),
+              [np.float64(0.5), np.int64(-2)], iter([0.5, -2.0]), range(0, 2)):
+        got = E2.point(v).xs
+        assert all(type(c) is float for c in got)
+        assert got == (want if not isinstance(v, range) else (0.0, 1.0))
+
+
 def test_spider_has_no_tangent_maps():
     hub = S3.point((0, 0))
     with pytest.raises(UnsupportedOperationError):
@@ -396,6 +433,19 @@ def test_project_halfspace():
     assert E2.project(hs, inside) is inside
     with pytest.raises(UnsupportedOperationError):
         H2.project(Halfspace(H2.space_id, np.array([1.0, 0, 0]), 1.0), H2.base_point())
+
+
+def test_halfspace_membership_is_euclidean_only():
+    # as project: a halfspace of ambient coordinates is no convex set of a
+    # curved space, so membership is not answered from a Euclidean dot product
+    hs = Halfspace(E2.space_id, [1.0, 0.0], 0.5)
+    assert E2.contains(hs, E2.point([0.5, 9.0])) and not E2.contains(hs, E2.point([0.6, 0.0]))
+    for space, normal in ((H2, [1.0, 0.0, 0.0]), (S3, [1.0, 0.0])):
+        cset = Halfspace(space.space_id, normal, 0.5)
+        for use in (space.contains, space.project):
+            with pytest.raises(UnsupportedOperationError,
+                               match=f"halfspaces are not supported on {space.space_id}"):
+                use(cset, space.base_point())
 
 
 def test_halfspace_normal_is_a_float_tuple_of_the_space_length():
@@ -1285,13 +1335,13 @@ def test_hyperboloid_segment_projection_equals_the_list_reference(a, b, x):
             _bits(ref_h_project_segment(pa.coords, pb.coords, px.coords))
 
 
-@pytest.mark.parametrize("leg", [1.7, math.nan, True, False, -0.5, "1.5"])
+@pytest.mark.parametrize("leg", [1.7, math.nan, True, False, -0.5, "1.5", "1"])
 def test_spider_leg_must_be_an_integer(leg):
     with pytest.raises(DomainError):
         S3.point([leg, 2.0])
 
 
-@pytest.mark.parametrize("leg", [1, 1.0, np.int64(1), np.float64(1.0), "1"])
+@pytest.mark.parametrize("leg", [1, 1.0, np.int64(1), np.float64(1.0)])
 def test_spider_integral_legs_are_accepted(leg):
     p = S3.point([leg, 2.0])
     assert p.xs == (1.0, 2.0) and Spider.leg_of(p) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,22 @@ def test_catalog_rotation():
     assert E2.distance(out, E2.point([0, 0])) == pytest.approx(1.0)
     with pytest.raises(ConfigError):
         catalog_operator(E1, "rotation", angle=1.0)
+
+
+def test_rotation_is_within_an_ulp_of_the_matrix_product():
+    # the float formula (c a - s b, s a + c b) against R @ x: where numpy's
+    # product fuses a multiply-add the two part in the last bit, by at most
+    # 1 ulp of |c a| + |s b|, the scale of the entry before cancellation
+    rng = np.random.default_rng(15)
+    for _ in range(2000):
+        angle = float(rng.uniform(-7.0, 7.0))
+        x = rng.normal(size=2) * float(rng.choice([1e-3, 1.0, 1e3]))
+        c, s = math.cos(angle), math.sin(angle)
+        want = (np.array([[c, -s], [s, c]]) @ x).tolist()
+        got = catalog_operator(E2, "rotation", angle=angle).apply(E2.point(x)).xs
+        a, b = x.tolist()
+        for g, w, scale in zip(got, want, (abs(c * a) + abs(s * b), abs(s * a) + abs(c * b))):
+            assert type(g) is float and abs(g - w) <= math.ulp(scale)
 
 
 def test_catalog_constant():
