@@ -6,10 +6,11 @@ Usage, from the root of this checkout:
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python3 scripts/bench_record.py --parent ../parent --out BENCH_<n>.json
 
-For every workload of BENCHMARK.json and every seed (1 to 5 by default) it
-runs ``perfbench/run.py --trace 0`` once in each checkout, alternating which
-side runs first from one seed to the next, and then one traced run per side
-of the ``--traced`` workload. Runs are sequential, one process at a time.
+For every workload of BENCHMARK.json and every seed from 1 to 10 it runs
+``perfbench/run.py --trace 0`` for BENCHMARK.json's ``run_seconds`` once in
+each checkout, alternating which side runs first from one seed to the next,
+and then one traced run per side of ``inner_solvers``. Runs are sequential,
+one process at a time.
 The JSON written holds the context (commits, CPU, Python and numpy, the
 settings), the median and quartiles of every end-to-end metric per side with
 every run and the pairs the change won, and the traced per-layer table of
@@ -28,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+SEEDS = tuple(range(1, 11))
+TRACED = "inner_solvers"
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -51,23 +54,20 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True, help="a checkout of the parent commit")
     p.add_argument("--out", type=Path, required=True, help="the JSON file to write")
-    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    p.add_argument("--seconds", type=float, default=20.0, help="run length of every run")
-    p.add_argument("--traced", default="inner_solvers", help="the workload traced per layer")
-    p.add_argument("--workloads", nargs="+", help="a subset of BENCHMARK.json's workloads")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     contexts = {}
     for w in workloads:
-        for i, seed in enumerate(args.seeds):
+        for i, seed in enumerate(SEEDS):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                run = bench(checkouts[side], w, seed, args.seconds, 0)
+                run = bench(checkouts[side], w, seed, seconds, 0)
                 contexts[side] = run["context"]
                 runs[w][side].append(run["result"])
                 print(f"{w} seed {seed} {side}: "
@@ -82,13 +82,13 @@ def main(argv=None) -> int:
             sign = 1.0 if direction == "higher" else -1.0
             wins = sum(sign * (c - p) > 0.0 for p, c in zip(values["parent"], values["change"]))
             table[name] = {"unit": runs[w]["parent"][0]["metrics"][name]["unit"],
-                           "better": direction, "pairs": len(args.seeds), "change_wins": wins,
+                           "better": direction, "pairs": len(SEEDS), "change_wins": wins,
                            **{side: spread(values[side]) for side in SIDES}}
         table["failed"] = {side: [r["failed"] for r in runs[w][side]] for side in SIDES}
         table["correct"] = all(r["correct"] for side in SIDES for r in runs[w][side])
         end_to_end[w] = table
 
-    traced = {side: bench(checkouts[side], args.traced, args.seeds[0], args.seconds, 1)["result"]
+    traced = {side: bench(checkouts[side], TRACED, SEEDS[0], seconds, 1)["result"]
               for side in SIDES}
     per_layer = {name: {"unit": m["unit"],
                         **{side: traced[side]["metrics"][name]["value"] for side in SIDES}}
@@ -98,11 +98,11 @@ def main(argv=None) -> int:
     record = {
         "context": {"commits": {side: contexts[side]["commit"] for side in SIDES},
                     **{k: contexts["change"][k] for k in keys},
-                    "seconds": args.seconds, "seeds": args.seeds,
+                    "seconds": seconds, "seeds": list(SEEDS),
                     "order": "alternating: the parent runs first at even seed positions",
                     "command": "perfbench/run.py --trace 0, once per side and seed"},
         "end_to_end": end_to_end,
-        "per_layer": {"workload": args.traced, "seed": args.seeds[0],
+        "per_layer": {"workload": TRACED, "seed": SEEDS[0],
                       "correct": {side: traced[side]["correct"] for side in SIDES},
                       "metrics": per_layer},
     }

@@ -353,8 +353,7 @@ class ModelSpace:
                 return cset.a
             return self._project_segment(cset.a, cset.b, x)
         if cset.kind == "halfspace":
-            excess = self._halfspace_dot(cset, x) - cset.offset
-            return x if excess <= 0.0 else self._project_halfspace(cset, x, excess)
+            return self._project_halfspace(cset, x)
         raise UnsupportedOperationError(f"unknown set kind {cset.kind!r}")
 
     def contains(self, cset: ConvexSubset, x: SpacePoint, tol: float = POINT_TOL) -> bool:
@@ -377,9 +376,8 @@ class ModelSpace:
         # normal . x, on the spaces where halfspaces are defined
         raise UnsupportedOperationError(f"halfspaces are not supported on {self.space_id}")
 
-    def _project_halfspace(self, cset: Halfspace, x: SpacePoint, excess: float) -> SpacePoint:
-        # x lies outside, by excess = normal . x - offset > 0
-        raise NotImplementedError
+    def _project_halfspace(self, cset: Halfspace, x: SpacePoint) -> SpacePoint:
+        raise UnsupportedOperationError(f"halfspaces are not supported on {self.space_id}")
 
     # -- sampling ------------------------------------------------------------
 
@@ -478,8 +476,11 @@ class Euclidean(ModelSpace):
     def _halfspace_dot(self, cset: Halfspace, x: SpacePoint) -> float:
         return sum(map(mul, cset.normal, x.xs))
 
-    def _project_halfspace(self, cset: Halfspace, x: SpacePoint, excess: float) -> SpacePoint:
+    def _project_halfspace(self, cset: Halfspace, x: SpacePoint) -> SpacePoint:
         n = cset.normal
+        excess = self._halfspace_dot(cset, x) - cset.offset
+        if excess <= 0.0:
+            return x
         k = excess / sum(map(mul, n, n))
         return self._wrap(tuple([c - k * a for c, a in zip(x.xs, n)]))
 

@@ -352,8 +352,8 @@ def equilibrium_resolvent(
     passes its thinner ``EQ_OPERATOR_GRID``). For a ball or a segment K the
     grid depends only on the space, K and the two counts, never on x or z,
     so it is built once and kept in a small memo keyed on them (sets compare
-    by identity). For any other K the grid's radius follows x and z: its
-    unit directions are drawn once, and each call scales them.
+    by identity). For any other K the grid's radius follows x and z, so it
+    is built on each call.
 
     x and lam are validated at entry, not inside the loop: the inner
     iteration re-checks only what it does not produce itself.
@@ -477,31 +477,20 @@ def _radial_grid(
                 pts.append(space.project(K, cand))
         pts.append(space.base_point() if K.kind != "ball" else space.project(K, space.base_point()))
         return tuple(pts)
-    hyperbolic = isinstance(space, Hyperboloid)
-    a = anchor.xs
-    for d in _unit_directions(len(a) - 1 if hyperbolic else len(a), n_dir):
-        for i in range(1, n_rad + 1):
-            r = radius * i / n_rad
-            if hyperbolic:
-                cand = space.exp_map(anchor, (0.0, *[c * r for c in d]))
-            else:
-                cand = space.point([p + c * r for p, c in zip(a, d)])
-            pts.append(space.project(K, cand))
-    pts.append(anchor)
-    return tuple(pts)
-
-
-@functools.lru_cache(maxsize=16)
-def _unit_directions(dim: int, n_dir: int) -> tuple[tuple[float, ...], ...]:
-    """The grid's n_dir unit directions in R^dim, drawn once: only the radius
-    of the grid follows x and z. Each entry has the bits numpy gives it."""
     rng = np.random.default_rng(271828)  # fixed: verification must be reproducible
-    dirs = []
+    dim = len(anchor.xs) - (1 if isinstance(space, Hyperboloid) else 0)
     for _ in range(n_dir):
         d = rng.normal(size=dim)
         d /= math.sqrt(float(d @ d))
-        dirs.append(tuple(d.tolist()))
-    return tuple(dirs)
+        for i in range(1, n_rad + 1):
+            r = radius * i / n_rad
+            if isinstance(space, Hyperboloid):
+                cand = space.exp_map(anchor, np.concatenate(([0.0], d * r)))
+            else:
+                cand = space.point(anchor.coords + d * r)
+            pts.append(space.project(K, cand))
+    pts.append(anchor)
+    return tuple(pts)
 
 
 def equilibrium_resolvent_operator(f: Bifunction, lam: float) -> OperatorSpec:

@@ -345,33 +345,25 @@ def test_exp_map_refuses_what_is_not_a_tangent_of_its_space(space, v):
         space.exp_map(space.base_point(), v)
 
 
-@pytest.mark.parametrize("read, n", [(E1.point, 1), (E2.point, 2), (H2.point, 3),
-                                     (H2.from_spatial, 2)],
-                         ids=["E1 point", "E2 point", "H2 point", "H2 from_spatial"])
-def test_points_are_read_as_exp_map_reads_a_tangent(read, n):
+@pytest.mark.parametrize("read, n, what",
+                         [(E1.point, 1, "coordinates"), (E2.point, 2, "coordinates"),
+                          (H2.point, 3, "coordinates"), (H2.from_spatial, 2, "coordinates"),
+                          (lambda v: E2.exp_map(E2.base_point(), v), 2, "tangent vector"),
+                          (lambda v: H2.exp_map(H2.base_point(), v), 3, "tangent vector")],
+                         ids=["E1 point", "E2 point", "H2 point", "H2 from_spatial",
+                              "E2 tangent", "H2 tangent"])
+def test_points_are_read_as_exp_map_reads_a_tangent(read, n, what):
     # one reader: a scalar, a string or a nested sequence is refused, as a
-    # misshaped tangent is, where the array reader once flattened it
-    for v in (3.0, "1" * n, [[0.0] * n], np.zeros((1, n)), np.zeros((n, 1))):
-        with pytest.raises(DomainError, match=f"coordinates must be {n} numbers"):
-            read(v)
-
-
-_PAIR_READERS = {"E2 point": E2.point, "E2 tangent": lambda v: E2.exp_map(E2.base_point(), v),
-                 "H2 from_spatial": H2.from_spatial}
-
-
-@pytest.mark.parametrize("read", _PAIR_READERS.values(), ids=_PAIR_READERS.keys())
-@pytest.mark.parametrize("v", [["1", "2"], [1.0, "2"], {"1": 0, "2": 0}, {1: 0, 2: 0}, b"12",
-                               bytearray(b"12"), [b"1", b"2"], [True, 2.0], np.array(["1", "2"]),
-                               np.array([True, False]), [10**400, 0.0]],
-                         ids=["str entries", "a str entry", "str-keyed dict", "int-keyed dict",
-                              "bytes", "bytearray", "bytes entries", "a bool entry",
-                              "str array", "bool array", "an int beyond float"])
-def test_strings_bytes_bools_and_mappings_are_no_numbers(read, v):
-    # float() parses "1" and b"1" and takes True; iterating a dict or bytes
+    # misshaped tangent is, where the array reader once flattened it. float()
+    # parses "1" and b"1" and takes True, and iterating a mapping or bytes
     # gives its keys or byte codes: none of them is a sequence of numbers
-    with pytest.raises(DomainError, match="must be 2 numbers"):
-        read(v)
+    for v in (3.0, "1" * n, [[0.0] * n], np.zeros((1, n)), np.zeros((n, 1)),
+              ["1"] * n, [1.0] * (n - 1) + ["2"], dict.fromkeys(map(str, range(n)), 0),
+              dict.fromkeys(range(n), 0), b"1" * n, bytearray(b"1" * n), [b"1"] * n,
+              [True] + [2.0] * (n - 1), np.array(["1"] * n), np.array([True] * n),
+              [10**400] + [0.0] * (n - 1)):
+        with pytest.raises(DomainError, match=f"{what} must be {n} numbers"):
+            read(v)
 
 
 def test_spider_points_are_read_by_the_same_rule():
