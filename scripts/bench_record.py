@@ -14,8 +14,10 @@ one process at a time.
 The JSON written holds the context (commits, CPU, Python and numpy, the
 settings), the median and quartiles of every end-to-end metric per side with
 every run and the pairs the change won, and the traced per-layer table of
-both sides. Nothing under perfbench/ is changed; both checkouts run their own
-copy of it.
+both sides with the names of its counts (unit ``count``) that differ between
+them, which it also prints: a change that moves calls past the tracer's
+wrappers shows there when it is recorded. Nothing under perfbench/ is
+changed; both checkouts run their own copy of it.
 """
 
 from __future__ import annotations
@@ -93,6 +95,9 @@ def main(argv=None) -> int:
     per_layer = {name: {"unit": m["unit"],
                         **{side: traced[side]["metrics"][name]["value"] for side in SIDES}}
                  for name, m in traced["parent"]["metrics"].items()}
+    moved = [name for name, m in per_layer.items()
+             if m["unit"] == "count" and m["parent"] != m["change"]]
+    print(f"traced {TRACED} counts that differ between the sides: {moved or 'none'}")
 
     keys = ("nproc", "cpu", "python", "numpy", "ref_seconds", "OPENBLAS_NUM_THREADS")
     record = {
@@ -104,6 +109,7 @@ def main(argv=None) -> int:
         "end_to_end": end_to_end,
         "per_layer": {"workload": TRACED, "seed": SEEDS[0],
                       "correct": {side: traced[side]["correct"] for side in SIDES},
+                      "counts_differing": moved,
                       "metrics": per_layer},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

@@ -52,6 +52,7 @@ _X0_MAX = math.cosh(HYPERBOLOID_MAX_RADIUS) * (1.0 + POINT_TOL)
 # points, which read as in the chordal form; this keeps the NaN that the
 # Armijo search backtracks on).
 _ACOSH_FROM = 16.0
+_JUST_FLOAT = frozenset([float])  # the entry types of a float tuple, as a set
 
 # each array kernel and the scalar primitives whose results it reproduces
 _KERNEL_PRIMITIVES = {
@@ -79,19 +80,24 @@ def floats(v, n: int | None, what: str, finite: bool = False) -> tuple[float, ..
     once as a tuple of floats: ``n`` of them unless ``n`` is None, and every
     one finite if ``finite``. Anything else raises ``DomainError`` naming
     ``what``: a scalar, a nested sequence, a string, bytes or a mapping, and
-    an entry that is a string, bytes or a bool (which ``float`` would take)."""
-    try:
-        items = v
-        if type(v) is not tuple and type(v) is not list:
-            if isinstance(v, (bytes, bytearray, Mapping)):  # codes and keys, not numbers
+    an entry that is a string, bytes or a bool (which ``float`` would take).
+    A tuple or list of exact floats, what the solvers pass, is taken as it is:
+    reading it would give the same floats."""
+    if (type(v) is tuple or type(v) is list) and {*map(type, v)} == _JUST_FLOAT:
+        xs = tuple(v)
+    else:
+        try:
+            items = v
+            if type(v) is not tuple and type(v) is not list:
+                if isinstance(v, (bytes, bytearray, Mapping)):  # codes and keys, not numbers
+                    raise TypeError
+                items = tuple(v)
+            if bool in map(type, items):
                 raise TypeError
-            items = tuple(v)
-        if bool in map(type, items):
-            raise TypeError
-        # unary + refuses the strings and bytes that float() would parse
-        xs = tuple(map(float, map(pos, items)))
-    except (TypeError, ValueError, OverflowError):
-        xs = ()
+            # unary + refuses the strings and bytes that float() would parse
+            xs = tuple(map(float, map(pos, items)))
+        except (TypeError, ValueError, OverflowError):
+            xs = ()
     if not xs or n is not None and len(xs) != n:
         raise DomainError(f"{what} must be {'' if n is None else f'{n} '}numbers, got {v!r}")
     # math.isfinite per entry: on a few entries, far cheaper than np.isfinite
@@ -119,7 +125,7 @@ def _snap_unit_many(t) -> np.ndarray:
     return t
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class SpacePoint:
     """A point of a model space, tagged with the id of its owning space.
 
@@ -132,11 +138,21 @@ class SpacePoint:
     space_id: str
     xs: tuple[float, ...]
 
+    def __init__(self, space_id: str, xs: tuple[float, ...]):
+        # the slots' own setters: the frozen dataclass __init__ goes through
+        # object.__setattr__ by name, which costs half again as much per point
+        _set_space_id(self, space_id)
+        _set_xs(self, xs)
+
     @property
     def coords(self) -> np.ndarray:
         arr = np.array(self.xs, dtype=float)
         arr.setflags(write=False)
         return arr
+
+
+_set_space_id = SpacePoint.space_id.__set__
+_set_xs = SpacePoint.xs.__set__
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -497,8 +513,10 @@ class Euclidean(ModelSpace):
 # coordinates, which the engines report as a solver error.
 
 def _mink(u: list, v: list) -> float:
-    # <u, v>_M = -u0 v0 + sum_i ui vi
-    return sum(map(mul, u[1:], v[1:])) - u[0] * v[0]
+    # <u, v>_M = -u0 v0 + sum_i ui vi, the products taken once, without slices
+    products = map(mul, u, v)
+    u0v0 = next(products)
+    return sum(products) - u0v0
 
 
 def _h_distance(x: list, y: list, m: float | None = None) -> float:
@@ -560,8 +578,10 @@ class Hyperboloid(ModelSpace):
 
     @staticmethod
     def minkowski(u, v) -> float:
-        """<u, v>_M of two ambient vectors (any sequences of numbers)."""
-        return _mink(tuple(map(float, u)), tuple(map(float, v)))
+        """<u, v>_M of two ambient vectors, read as ``floats`` reads a point's
+        coordinates: ``v`` must have as many entries as ``u``."""
+        u = floats(u, None, "vector")
+        return _mink(u, floats(v, len(u), "vector"))
 
     def point(self, coords) -> SpacePoint:
         c = floats(coords, self.dim + 1, "coordinates", finite=True)

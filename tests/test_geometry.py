@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import pickle
+from operator import mul
 
 import numpy as np
 import pytest
@@ -24,7 +26,14 @@ from hadamard_iter import (
     space_from_config,
     space_to_config,
 )
-from hadamard_iter.geometry import HYPERBOLOID_MAX_RADIUS, POINT_TOL, _h_distance, _mink
+from hadamard_iter.geometry import (
+    HYPERBOLOID_MAX_RADIUS,
+    POINT_TOL,
+    SpacePoint,
+    _h_distance,
+    _mink,
+    floats,
+)
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
@@ -349,9 +358,10 @@ def test_exp_map_refuses_what_is_not_a_tangent_of_its_space(space, v):
                          [(E1.point, 1, "coordinates"), (E2.point, 2, "coordinates"),
                           (H2.point, 3, "coordinates"), (H2.from_spatial, 2, "coordinates"),
                           (lambda v: E2.exp_map(E2.base_point(), v), 2, "tangent vector"),
-                          (lambda v: H2.exp_map(H2.base_point(), v), 3, "tangent vector")],
+                          (lambda v: H2.exp_map(H2.base_point(), v), 3, "tangent vector"),
+                          (lambda v: Hyperboloid.minkowski((1.0, 0.0, 0.0), v), 3, "vector")],
                          ids=["E1 point", "E2 point", "H2 point", "H2 from_spatial",
-                              "E2 tangent", "H2 tangent"])
+                              "E2 tangent", "H2 tangent", "minkowski"])
 def test_points_are_read_as_exp_map_reads_a_tangent(read, n, what):
     # one reader: a scalar, a string or a nested sequence is refused, as a
     # misshaped tangent is, where the array reader once flattened it. float()
@@ -1337,3 +1347,132 @@ def test_spider_leg_must_be_an_integer(leg):
 def test_spider_integral_legs_are_accepted(leg):
     p = S3.point([leg, 2.0])
     assert p.xs == (1.0, 2.0) and Spider.leg_of(p) == 1
+
+
+# ---------------------------------------------------------------------------
+# the point kernels: the reader's float fast path, the slot-setting point
+# constructor and the slice-free Minkowski form
+# ---------------------------------------------------------------------------
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+ANY_FLOAT = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+class _TupleSubclass(tuple):
+    """Not exactly a tuple, so ``floats`` reads it by the general path; its
+    repr is a tuple's, so the messages of both paths compare as they are."""
+
+
+class _ListSubclass(list):
+    """As ``_TupleSubclass``, for lists."""
+
+
+def _read(v, n, finite, shown=None):
+    # floats' outcome: the exact bytes of its floats, or the message it raised,
+    # with ``v``'s repr replaced by ``shown``'s
+    try:
+        xs = floats(v, n, "coordinates", finite)
+    except DomainError as err:
+        return "raised", str(err).replace(repr(v), repr(v if shown is None else shown))
+    assert type(xs) is tuple and all(type(c) is float for c in xs)
+    return "read", _bits(xs)
+
+
+@given(xs=st.lists(ANY_FLOAT, max_size=4), as_tuple=st.booleans(),
+       n=st.sampled_from([None, 0, 1, 2, 3, 4]), finite=st.booleans())
+@settings(max_examples=600, deadline=None)
+@example(xs=[-0.0, 5e-324], as_tuple=True, n=2, finite=True)
+@example(xs=[math.nan, -math.inf], as_tuple=False, n=2, finite=False)
+@example(xs=[math.inf, 1.0], as_tuple=False, n=2, finite=True)
+@example(xs=[1.0, 2.0], as_tuple=True, n=3, finite=True)
+@example(xs=[], as_tuple=True, n=None, finite=False)
+def test_the_float_fast_path_reads_as_the_general_path(xs, as_tuple, n, finite):
+    v = tuple(xs) if as_tuple else list(xs)
+    fast = _read(v, n, finite)
+    if xs:
+        assert fast[0] == "raised" or _bits(xs) == fast[1]
+    # the same entries by the general path: a subclass, a generator, an array
+    general = (_TupleSubclass if as_tuple else _ListSubclass)(xs)
+    assert _read(general, n, finite) == fast
+    gen = iter(xs)
+    assert _read(gen, n, finite, shown=v) == fast
+    arr = np.array(xs, dtype=float)
+    assert _read(arr, n, finite, shown=v) == fast
+
+
+@pytest.mark.parametrize("v, want", [
+    ([np.float64(0.5), np.float64(-0.0)], (0.5, -0.0)),
+    ((1, -2), (1.0, -2.0)),
+    ([1.0, 2], (1.0, 2.0)),
+    ((np.float64(1.5), 2.0), (1.5, 2.0)),
+    ([True, 2.0], None),
+    ((1.0, False), None),
+    (["1", 2.0], None),
+    ((1.0, "2"), None),
+])
+def test_entries_that_are_not_exact_floats_take_the_general_path(v, want, monkeypatch):
+    from hadamard_iter import geometry
+    read = []
+    monkeypatch.setattr(geometry, "pos", lambda c: read.append(c) or +c)
+    if want is None:
+        with pytest.raises(DomainError, match=r"coordinates must be 2 numbers, got "):
+            E2.point(v)
+    else:
+        got = E2.point(v).xs
+        assert all(type(c) is float for c in got) and _bits(got) == _bits(want)
+    # the general path read the entries one by one; it refuses a bool first
+    assert read or bool in map(type, v)
+    read.clear()
+    E2.point((0.5, -2.0))
+    E2.point([0.5, -2.0])
+    assert not read  # exact floats are taken as they are
+
+
+@given(u=st.lists(ANY_FLOAT, min_size=2, max_size=4), data=st.data())
+@settings(max_examples=600, deadline=None)
+@example(u=[-0.0, 0.0], data=None)
+@example(u=[0.0, -0.0, -0.0], data=None)
+def test_the_minkowski_form_takes_the_sliced_sum(u, data):
+    v = [-0.0] * len(u) if data is None else \
+        data.draw(st.lists(ANY_FLOAT, min_size=len(u), max_size=len(u)))
+    for a, b in ((u, v), (tuple(u), tuple(v)), (u, u)):
+        want = sum(map(mul, a[1:], b[1:])) - a[0] * b[0]
+        assert _bits(_mink(a, b)) == _bits(want)
+
+
+def test_space_points_keep_their_dataclass_behaviour():
+    p = E2.point([1, 2])
+    assert p.xs == (1.0, 2.0) and all(type(c) is float for c in p.xs)
+    assert repr(p) == "SpacePoint(space_id='euclidean:2', xs=(1.0, 2.0))"
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.xs = (0.0, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.space_id = H2.space_id
+    q = dataclasses.replace(p, xs=(3.0, 4.0))
+    assert type(q) is SpacePoint and q.space_id == p.space_id and q.xs == (3.0, 4.0)
+    assert [f.name for f in dataclasses.fields(p)] == ["space_id", "xs"]
+    for point in (p, H2.from_spatial([0.3, -0.2]), S3.point((2, 1.5))):
+        back = pickle.loads(pickle.dumps(point))
+        assert back.space_id == point.space_id and _bits(back.xs) == _bits(point.xs)
+        assert repr(back) == repr(point)
+    assert SpacePoint(space_id="spider:3", xs=(0.0, 0.0)).xs == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("u, v", [
+    (b"12", ["1", "0"]), (["1", "2"], [1.0, 0.0]), ({"1": 0, "2": 0}, [1.0, 0.0]),
+    ({1: 0, 2: 0}, [1.0, 0.0]), ([True, 0.0], [1.0, 0.0]), ([], []), (3.0, [1.0]),
+    ([1.0, 2.0], [1.0, 2.0, 3.0])])
+def test_minkowski_reads_its_vectors_as_points_are_read(u, v):
+    # the first vector at any length, the second at the first's (a tangent
+    # read at the length of its base point is probed with the point readers)
+    with pytest.raises(DomainError, match="vector must be"):
+        Hyperboloid.minkowski(u, v)
+
+
+def test_minkowski_takes_any_flat_sequence_of_numbers():
+    want = _mink((2.0, 1.0, -3.0), (0.5, 4.0, 1.0))
+    for u, v in (((2, 1, -3), [0.5, 4, 1.0]), (np.array([2.0, 1.0, -3.0]), iter([0.5, 4.0, 1.0])),
+                 ([np.float64(2.0), 1.0, -3.0], (0.5, 4.0, 1.0))):
+        assert _bits(Hyperboloid.minkowski(u, v)) == _bits(want)
