@@ -16,7 +16,9 @@ settings), the median and quartiles of every end-to-end metric per side with
 every run and the pairs the change won, and the traced per-layer table of
 both sides with the names of its counts (unit ``count``) that differ between
 them, which it also prints: a change that moves calls past the tracer's
-wrappers shows there when it is recorded. Nothing under perfbench/ is
+wrappers shows there when it is recorded. It ends by printing one line per
+workload and end-to-end metric: the parent's median [q1, q3], the change's,
+and the pairs of the 10 the change won. Nothing under perfbench/ is
 changed; both checkouts run their own copy of it.
 """
 
@@ -50,6 +52,17 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def table_lines(end_to_end: dict) -> list[str]:
+    """One line per workload and end-to-end metric: the parent's median
+    [q1, q3] -> the change's, and the pairs the change won."""
+    def side(m: dict) -> str:
+        return f"{m['median']:.6g} [{m['q1']:.6g}, {m['q3']:.6g}]"
+    return [f"{w} {name}: {side(m['parent'])} -> {side(m['change'])} {m['unit']}, "
+            f"change wins {m['change_wins']}/{m['pairs']}"
+            for w, table in end_to_end.items() for name, m in table.items()
+            if isinstance(m, dict) and "change_wins" in m]
 
 
 def main(argv=None) -> int:
@@ -114,6 +127,7 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")
+    print("\n".join(table_lines(end_to_end)))
     return 0
 
 

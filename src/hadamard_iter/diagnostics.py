@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DomainError
 from .geometry import ConvexSubset, ModelSpace, SpacePoint
 from .operators import OperatorSpec
 from .resolvents import ObjectiveFunction, _argmin_witness, convex_resolvent
 from .schemes import IterationTrace
+
+if TYPE_CHECKING:  # annotations only: numpy is imported where an array is built
+    import numpy as np
 
 SLACK = {
     "fejer": 1e-9,
@@ -98,6 +100,7 @@ def _sampler(samples: int, seed: int) -> np.random.Generator:
     raises ``DomainError``."""
     if samples < 0 or seed < 0:
         raise DomainError(f"samples and seed must be >= 0, got {samples} and {seed}")
+    import numpy as np
     return np.random.default_rng(seed)
 
 
@@ -216,6 +219,7 @@ def check_space_axioms(
     Runs on the space's array kernels: all points of the report are drawn
     in one batch, so a report for ``samples=N`` is not a prefix of the one
     for ``2N`` at the same seed."""
+    import numpy as np
     rng = _sampler(samples, seed)
     block = space.sample_many(rng, 7 * samples, scale)
     x, y, z, a, b, c, d = block.reshape(7, samples, block.shape[1])
@@ -259,6 +263,7 @@ def check_space_axioms(
 def _batched_report(name: str, samples: int, checks) -> CheckReport:
     """A report from per-sample check vectors, the same as a _Collector fed
     sample by sample, check by check."""
+    import numpy as np
     labels = [label for label, _, _, _ in checks]
     lhs = np.stack([lhs for _, lhs, _, _ in checks], axis=1)
     rhs = np.stack([rhs for _, _, rhs, _ in checks], axis=1)

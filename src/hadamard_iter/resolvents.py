@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, DomainError, SolverError, UnsupportedOperationError
 from .geometry import (
     ConvexSubset,
@@ -477,6 +475,7 @@ def _radial_grid(
                 pts.append(space.project(K, cand))
         pts.append(space.base_point() if K.kind != "ball" else space.project(K, space.base_point()))
         return tuple(pts)
+    import numpy as np
     rng = np.random.default_rng(271828)  # fixed: verification must be reproducible
     dim = len(anchor.xs) - (1 if isinstance(space, Hyperboloid) else 0)
     for _ in range(n_dir):

@@ -123,9 +123,9 @@ def check_entry(seq: OperatorSequence, cfg: RunConfig, anchors: Schedule | None)
     """Raise what the loop raises before its first step: the sequence acts
     on the run's space, anchor weights (``anchors``) need an anchor point
     and a plain run takes none, the budget is an int >= 1, the tolerance is
-    finite and >= 0, the trace stride is None or a positive int, and the
-    start, anchor and reference points belong to the run's space.
-    Callers that validate configs before running any
+    a finite number >= 0 and no bool, the trace stride is None or a positive
+    int, and the start, anchor and reference points belong to the run's
+    space. Callers that validate configs before running any
     (``cli.parse_run_config``) call it too."""
     if seq.space != cfg.space:
         raise ConfigError(f"the operator sequence acts on {seq.space.space_id!r}, "
@@ -140,7 +140,7 @@ def check_entry(seq: OperatorSequence, cfg: RunConfig, anchors: Schedule | None)
     budget, tol = cfg.max_iterations, cfg.tolerance
     if not (type(budget) is int and budget >= 1):
         raise ConfigError(f"max_iterations must be an integer >= 1, got {budget!r}")
-    if not (isinstance(tol, (int, float)) and 0.0 <= tol < math.inf):
+    if not (isinstance(tol, (int, float)) and type(tol) is not bool and 0.0 <= tol < math.inf):
         raise ConfigError(f"tolerance must be finite and >= 0, got {tol!r}")
     stride = cfg.trace_stride
     if stride is not None and not (type(stride) is int and stride >= 1):

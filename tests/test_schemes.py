@@ -543,7 +543,7 @@ def test_bad_trace_stride_is_rejected_at_entry(engine, stride):
 @pytest.mark.parametrize("setting, value", [
     ("max_iterations", 0), ("max_iterations", -5), ("max_iterations", 2.0),
     ("max_iterations", True), ("tolerance", math.nan), ("tolerance", math.inf),
-    ("tolerance", -1.0), ("tolerance", "1e-3"),
+    ("tolerance", -1.0), ("tolerance", "1e-3"), ("tolerance", True), ("tolerance", False),
 ])
 def test_bad_run_settings_are_rejected_by_iterate_sequence(setting, value):
     calls = []
@@ -556,6 +556,16 @@ def test_bad_run_settings_are_rejected_by_iterate_sequence(setting, value):
     with pytest.raises(ConfigError, match=setting):
         iterate_sequence(OperatorSequence(space=E1, factory=factory), cfg)
     assert calls == []  # rejected before the first step
+
+
+@pytest.mark.parametrize("tol", [1, np.float64(0.5)])
+def test_numeric_tolerances_that_are_no_bool_run_as_their_float(tol):
+    seq = OperatorSequence(space=E1, factory=lambda k: catalog_operator(
+        E1, "constant", point=E1.point([0.0])))
+    runs = [iterate_sequence(seq, RunConfig(space=E1, start=E1.point([3.0]), tolerance=t))
+            for t in (tol, float(tol))]
+    assert [r.summary.stop_reason for r in runs] == [StopReason.CONVERGED] * 2
+    assert runs[0].summary.iterations_run == runs[1].summary.iterations_run
 
 
 @pytest.mark.parametrize("engine", ["sequence", "halpern"])
