@@ -674,8 +674,7 @@ class Hyperboloid(ModelSpace):
     def distance_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         # _h_distance row by row, with its switch
         import numpy as np
-        sig = np.ones(self.dim + 1)  # the Minkowski form: u @ diag(sig) @ v
-        sig[0] = -1.0
+        sig = np.array([-1.0] + [1.0] * self.dim)  # the Minkowski form: u @ diag(sig) @ v
         D = X - Y
         q = (D * D) @ sig
         m = -((X * Y) @ sig)
