@@ -28,7 +28,7 @@ numpy is imported by the calls that build or read an array, ``coords`` and
 the array kernels, not with this module. Spaces, points and every scalar
 primitive work without it, so ``import hadamard_iter`` and a CLI run whose
 steps stay on floats never import it: on 2 vCPUs a cold ``hadamard-iter
-run`` of a short config takes about 65 ms instead of 105 ms. The samplers
+run`` of a short config takes about 64 ms instead of 103 ms. The samplers
 take a numpy ``Generator`` that their caller made.
 """
 
