@@ -500,9 +500,7 @@ class Euclidean(ModelSpace):
         al, bl = a.xs, b.xs
         ab = list(map(sub, bl, al))
         t = sum(map(mul, map(sub, x.xs, al), ab)) / sum(map(mul, ab, ab))
-        t = min(1.0, max(0.0, t))
-        s = 1.0 - t
-        return self._wrap(tuple([s * p + t * q for p, q in zip(al, bl)]))
+        return self._combine(a, b, min(1.0, max(0.0, t)))
 
     def _halfspace_dot(self, cset: Halfspace, x: SpacePoint) -> float:
         return sum(map(mul, cset.normal, x.xs))
@@ -574,8 +572,10 @@ class Hyperboloid(ModelSpace):
     (x0 <= cosh 100, up to POINT_TOL); ``point`` and ``from_spatial`` raise
     ``DomainError`` beyond it. Up to that radius distances and geodesic
     points through the apex keep about 1e-12 relative accuracy. Between two
-    far points the rounding of their coordinates, about 1e-16 x0, bounds the
-    accuracy of any formula.
+    far points that are close in direction, the formulas here cancel: against
+    a ``decimal`` oracle the worst distance errors are 1.6e-11, 2e-7 and 9e-3
+    at R = 5, 10 and 15 from the apex, where the rounding of the coordinates
+    alone would allow about 1.1e-16 cosh R (ROADMAP item 2).
 
     The space stores no array: ``distance_many`` builds the Minkowski
     signature (-1, 1, ..., 1) on each call, so making a hyperboloid, like

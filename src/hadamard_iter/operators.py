@@ -9,11 +9,12 @@ state it as a hypothesis.
 
 The averaged composites used by Mann and Ishikawa iterations live here:
 
-    mann:      x  ->  (1-a) x (+) a T x
     ishikawa:  x  ->  (1-a) x (+) a T((1-b) x (+) b T x)
+    mann:      x  ->  (1-a) x (+) a T x,  the Ishikawa composite at b = 0
 
-Both preserve the witness and remain quasi-nonexpansive; for a in (0, 1)
-the composite is strongly quasi-nonexpansive with coefficient a/(1-a):
+One builder makes both. They preserve the witness and remain
+quasi-nonexpansive; for a in (0, 1) the composite is strongly
+quasi-nonexpansive with coefficient a/(1-a):
 d^2(x, Sx) <= (a/(1-a)) (d^2(x, p) - d^2(Sx, p)) at every witness p.
 """
 
@@ -73,31 +74,21 @@ def _require_quasi_with_witness(T: OperatorSpec, what: str) -> None:
 
 
 def mann_operator(T: OperatorSpec, alpha: float) -> OperatorSpec:
-    """The averaged map x -> (1-alpha) x (+) alpha T x."""
-    _require_quasi_with_witness(T, "mann_operator")
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha={alpha} outside (0, 1)")
-    space = T.space
-
-    def apply(x: SpacePoint) -> SpacePoint:
-        return space.combine(x, T.apply(x), alpha)
-
-    return OperatorSpec(
-        space=space, apply=apply, domain=T.domain,
-        fixed_point_witness=T.fixed_point_witness,
-        quasi_nonexpansive=T.quasi_nonexpansive,
-        tag="mann", sqn_coefficient=alpha / (1.0 - alpha),
-    )
+    """The averaged map x -> (1-alpha) x (+) alpha T x: Ishikawa at beta = 0."""
+    return _averaged(T, alpha, 0.0, "mann")
 
 
 def ishikawa_operator(T: OperatorSpec, alpha: float, beta: float) -> OperatorSpec:
     """The two-level composite x -> (1-alpha) x (+) alpha T((1-beta) x (+) beta T x).
 
-    beta = 0 reduces exactly to the Mann map. beta = 1 is accepted (the
-    inner point is then T x itself), which lets schedules like 1/k start at
-    k = 1.
+    beta = 0 is the Mann map. beta = 1 is accepted (the inner point is then
+    T x itself), which lets schedules like 1/k start at k = 1.
     """
-    _require_quasi_with_witness(T, "ishikawa_operator")
+    return _averaged(T, alpha, beta, "ishikawa")
+
+
+def _averaged(T: OperatorSpec, alpha: float, beta: float, tag: str) -> OperatorSpec:
+    _require_quasi_with_witness(T, f"{tag}_operator")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha={alpha} outside (0, 1)")
     if not (0.0 <= beta <= 1.0):
@@ -112,7 +103,7 @@ def ishikawa_operator(T: OperatorSpec, alpha: float, beta: float) -> OperatorSpe
         space=space, apply=apply, domain=T.domain,
         fixed_point_witness=T.fixed_point_witness,
         quasi_nonexpansive=T.quasi_nonexpansive,
-        tag="ishikawa", sqn_coefficient=alpha / (1.0 - alpha),
+        tag=tag, sqn_coefficient=alpha / (1.0 - alpha),
     )
 
 

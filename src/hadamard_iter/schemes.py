@@ -241,36 +241,29 @@ _ROLE_CLASSES = {
                "regularization parameters bounded away from 0"),
 }
 
-# scheme -> (schedule roles, source kind, convergence guarantee); the schemes
-# with an "anchor" role run with an anchor point
-_SCHEMES: dict[str, tuple[tuple[str, ...], type, str]] = {
+_HALPERN_FIXED_SET = ("strong convergence to the projection of the anchor onto the fixed "
+                      "set of the base map")
+
+# base scheme -> (schedule roles, source kind, convergence guarantee, guarantee
+# of its Halpern form); ``halpern_<base>`` runs the base's operator sequence
+# with an "anchor" role and an anchor point
+_SCHEMES: dict[str, tuple[tuple[str, ...], type, str, str]] = {
     "ishikawa": (
         ("alpha", "beta"), OperatorSpec,
         "Delta-convergence of the two-level averaged iteration to a fixed "
         "point of the demiclosed quasi-nonexpansive base map",
-    ),
-    "halpern_ishikawa": (
-        ("anchor", "alpha", "beta"), OperatorSpec,
-        "strong convergence to the projection of the anchor onto the fixed "
-        "set of the base map",
+        _HALPERN_FIXED_SET,
     ),
     "mann": (
         ("alpha",), OperatorSpec,
         "Delta-convergence of the averaged iteration to a fixed point of "
         "the demiclosed quasi-nonexpansive base map",
-    ),
-    "halpern_mann": (
-        ("anchor", "alpha"), OperatorSpec,
-        "strong convergence to the projection of the anchor onto the fixed "
-        "set of the base map",
+        _HALPERN_FIXED_SET,
     ),
     "ppa": (
         ("lambda",), ObjectiveFunction,
         "convergence of the proximal point algorithm to a resolvent fixed "
         "point (a minimizer when the objective is pseudo-convex)",
-    ),
-    "halpern_ppa": (
-        ("anchor", "lambda"), ObjectiveFunction,
         "strong convergence to the projection of the anchor onto the "
         "minimizer set of the convex objective",
     ),
@@ -278,9 +271,6 @@ _SCHEMES: dict[str, tuple[tuple[str, ...], type, str]] = {
         ("lambda",), OperatorSpec,
         "Delta-convergence of the resolvent iteration to a fixed point of "
         "the Lipschitz quasi-nonexpansive map",
-    ),
-    "halpern_ppa_lipschitz": (
-        ("anchor", "lambda"), OperatorSpec,
         "strong convergence to the projection of the anchor onto the fixed "
         "set of the Lipschitz map",
     ),
@@ -288,9 +278,6 @@ _SCHEMES: dict[str, tuple[tuple[str, ...], type, str]] = {
         ("lambda",), Bifunction,
         "Delta-convergence of the resolvent iteration to an equilibrium "
         "point of the pseudo-monotone bifunction",
-    ),
-    "halpern_ppa_equilibrium": (
-        ("anchor", "lambda"), Bifunction,
         "strong convergence to the projection of the anchor onto the "
         "equilibrium set",
     ),
@@ -298,7 +285,7 @@ _SCHEMES: dict[str, tuple[tuple[str, ...], type, str]] = {
 
 
 def scheme_names() -> list[str]:
-    return sorted(_SCHEMES)
+    return sorted([*_SCHEMES, *("halpern_" + base for base in _SCHEMES)])
 
 
 def build_scheme(
@@ -308,11 +295,15 @@ def build_scheme(
 ) -> BuiltScheme:
     """Wire a named scheme: validates schedule roles and classes against the
     scheme's hypotheses and dispatches to the operator or resolvent family.
+    ``halpern_<base>`` is the base scheme's sequence run with anchor weights.
     Pure wiring; all mathematics lives in the operator and resolvent modules.
     """
-    if name not in _SCHEMES:
+    base = name.removeprefix("halpern_")
+    if base not in _SCHEMES:
         raise ConfigError(f"unknown scheme {name!r}; known: {scheme_names()}")
-    roles, source_type, guarantee = _SCHEMES[name]
+    roles, source_type, guarantee, anchored = _SCHEMES[base]
+    if base != name:
+        roles, guarantee = ("anchor", *roles), anchored
     if not isinstance(source, source_type):
         raise ConfigError(
             f"scheme {name!r} drives a {source_type.__name__}, "
@@ -327,9 +318,11 @@ def build_scheme(
     if extra:
         raise ConfigError(f"scheme {name!r} does not use schedules {sorted(extra)}")
 
-    if name in ("ishikawa", "halpern_ishikawa"):
+    # the sequence builders are looked up here, at call time, so that a
+    # module-level replacement of them (a span tracer) is the one called
+    if base == "ishikawa":
         seq = ishikawa_sequence(source, schedules["alpha"], schedules["beta"])
-    elif name in ("mann", "halpern_mann"):
+    elif base == "mann":
         seq = mann_sequence(source, schedules["alpha"])
     else:
         seq = resolvent_sequence(source, schedules["lambda"])

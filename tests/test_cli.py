@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hadamard_iter import Halfspace, WholeSpace, cli, config, objective_fixture
+from hadamard_iter import Halfspace, SolverError, WholeSpace, cli, config, objective_fixture
 from hadamard_iter.cli import main
 
 BASE_RUN = {
@@ -394,6 +394,8 @@ E1_CHECK = {"space": {"kind": "euclidean", "dim": 1},
             "checks": [{"name": "space_axioms", "samples": 10}]}
 SPIDER = {"kind": "spider", "legs": 3}
 SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
+H2_MANN_RUN = dict(MANN_E2_RUN, space={"kind": "hyperboloid", "dim": 2},
+                   start={"spatial": [0.5, 0.0]}, reference={"spatial": [0.0, 0.0]})
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -423,6 +425,24 @@ SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
                               {"bifunction": {"name": "rotation_vi", "radius": "x"}}),
                  "'radius' in bifunction 'rotation_vi' must be a finite number, got 'x'",
                  id="non-numeric-radius"),
+    pytest.param("run", _with(H2_MANN_RUN, "source", {"operator": {
+        "name": "hyperbolic_projection", "set": {"kind": "whole_space"}}}),
+                 "hyperbolic_projection supports balls and segments",
+                 id="hyperbolic-projection-on-whole-space"),
+    pytest.param("run", _with(H2_MANN_RUN, "source",
+                              {"operator": {"name": "scaled_reflection", "factor": 0.5}}),
+                 "scaled_reflection is Euclidean only", id="scaled-reflection-on-h2"),
+    # schedules against their roles' hypotheses
+    pytest.param("run", dict(BASE_RUN, scheme="halpern_ppa", anchor=[0.0], schedules={
+        "anchor": {"kind": "constant", "value": 0.1},
+        "lambda": {"kind": "constant", "value": 1.0}}),
+                 "anchor weights must tend to 0 with a divergent sum; a constant "
+                 "schedule violates the limit requirement", id="constant-anchor-weights"),
+    pytest.param("run", _with(dict(MANN_E2_RUN, scheme="ishikawa", source={
+        "operator": {"name": "rotation", "angle": 1.0}}), "schedules.beta",
+                              {"kind": "constant", "value": 0.5}),
+                 "inner Ishikawa weights must tend to 0; a nonzero constant never vanishes",
+                 id="nonzero-constant-beta"),
     # geometry shapes
     pytest.param("run", _with(BASE_RUN, "space", 3),
                  "'space' in run config must be an object, got 3",
@@ -468,6 +488,10 @@ SHAPE_SWEEP = {"base": BASE_RUN, "grid": {"max_iterations": [10, 20]}}
          "tolerance": 1e-3}]),
                  "check 'halpern_target' needs an embedded run with an 'anchor'",
                  id="halpern-target-without-anchor"),
+    pytest.param("check", dict(E1_CHECK, checks=[
+        {"name": "fejer", "run": E2_RUN, "witness": [0.0]}]),
+                 "embedded run uses a different space than the check config",
+                 id="embedded-run-on-another-space"),
     pytest.param("check", dict(E1_CHECK, outputs=5), "outputs must be an object",
                  id="check-outputs-5"),
     pytest.param("check", dict(E1_CHECK, outputs={"reports": 5}),
@@ -512,6 +536,17 @@ def test_check_config_is_validated_before_any_check_runs(tmp_path, monkeypatch):
                "objective": {"name": "quadratic"}, "lambda": 1.0, "mu": 0.5, "candidates": 3}])
     assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 1
     assert ran == []
+
+
+def test_check_whose_checker_raises_a_solver_error_exits_3(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise SolverError("injected inner failure")
+
+    monkeypatch.setattr(cli, "check_space_axioms", fail)
+    assert run_cli("check", "--config", write_cfg(tmp_path, CHECK_CFG),
+                   "--out", str(tmp_path / "o")) == 3
+    assert capsys.readouterr().err == "error: injected inner failure\n"
+    assert not (tmp_path / "o" / "reports.json").exists()
 
 
 def test_check_unknown_name(tmp_path):

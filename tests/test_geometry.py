@@ -725,7 +725,16 @@ def test_sample_many_rows_are_points(space):
     assert space.sample_many(np.random.default_rng(4), 0).shape == (0, block.shape[1])
 
 
-@pytest.mark.parametrize("space", [E2, H2], ids=lambda s: s.space_id)
+class UniformEuclidean(Euclidean):
+    """Uniform draws in the cube [-scale, scale]^dim: overriding
+    ``sample_point`` alone leaves ``sample_many`` the loop over it."""
+
+    def sample_point(self, rng, scale=1.0):
+        return self._wrap(tuple(rng.uniform(-scale, scale, size=self.dim).tolist()))
+
+
+@pytest.mark.parametrize("space", [E2, H2, pytest.param(UniformEuclidean(2), id="uniform:2")],
+                         ids=lambda s: s.space_id)
 def test_sample_many_follows_the_scalar_stream(space):
     # one batched draw consumes the generator as n scalar draws do
     block = space.sample_many(np.random.default_rng(5), 50, 2.0)

@@ -11,6 +11,7 @@ from hadamard_iter import (
     Euclidean,
     Hyperboloid,
     Segment,
+    Spider,
     catalog_operator,
     ishikawa_operator,
     ishikawa_sequence,
@@ -23,6 +24,7 @@ from hadamard_iter import (
 E1 = Euclidean(1)
 E2 = Euclidean(2)
 H2 = Hyperboloid(2)
+S3 = Spider(3)
 
 
 def reflection(space=E1):
@@ -47,7 +49,7 @@ def test_mann_preserves_witness_and_identity():
 
 def test_mann_alpha_range():
     for bad in (0.0, 1.0, -0.2):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=rf"^alpha={bad} outside \(0, 1\)$"):
             mann_operator(reflection(), bad)
 
 
@@ -58,14 +60,18 @@ def test_ishikawa_direct_evaluation():
 
 
 def test_ishikawa_beta_zero_equals_mann_exactly():
+    # the Mann map is the Ishikawa composite at beta = 0, bit for bit
     rng = np.random.default_rng(0)
-    rot = catalog_operator(E2, "rotation", angle=1.0)
-    for _ in range(50):
-        a = float(rng.uniform(0.05, 0.95))
-        x = E2.sample_point(rng, 3.0)
-        lhs = ishikawa_operator(rot, a, 0.0).apply(x)
-        rhs = mann_operator(rot, a).apply(x)
-        assert np.array_equal(lhs.coords, rhs.coords)
+    for T in (catalog_operator(E2, "rotation", angle=1.0),
+              catalog_operator(H2, "hyperbolic_projection", cset=Ball(H2.base_point(), 0.5)),
+              catalog_operator(S3, "projection", cset=Segment(S3.point((0, 1)), S3.point((1, 2))))):
+        for _ in range(50):
+            a = float(rng.uniform(0.05, 0.95))
+            x = T.space.sample_point(rng, 3.0)
+            ish, mann = ishikawa_operator(T, a, 0.0), mann_operator(T, a)
+            assert ish.apply(x).xs == mann.apply(x).xs
+            assert ish.sqn_coefficient == mann.sqn_coefficient == a / (1.0 - a)
+            assert (ish.tag, mann.tag) == ("ishikawa", "mann")
 
 
 def test_ishikawa_parameter_ranges():
@@ -96,7 +102,8 @@ def test_requires_witness():
     bare = catalog_operator(E1, "scaled_reflection", factor=0.5)
     bare = type(bare)(space=bare.space, apply=bare.apply, domain=bare.domain,
                       quasi_nonexpansive=True, fixed_point_witness=None)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^mann_operator needs a quasi-nonexpansive operator "
+                                          "with a fixed-point witness$"):
         mann_operator(bare, 0.5)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -365,6 +366,16 @@ def test_lipschitz_resolvent_contraction_ratio_reported():
     t = lam / (1.0 + lam)
     want = np.linalg.solve(np.eye(2) - t * A, (1 - t) * np.array([2.0, 1.0]))
     assert np.linalg.norm(y.coords - want) <= 1e-9
+
+
+def test_lipschitz_resolvent_refuses_a_ratio_beyond_the_declared_constant():
+    # a rotation is 1-Lipschitz; declared 0.1-Lipschitz, its inner iteration
+    # contracts by 1/2 per step, ten times the analytic factor 0.1 * 1/2
+    rot = dataclasses.replace(catalog_operator(E2, "rotation", angle=1.0), lipschitz_const=0.1)
+    with pytest.raises(SolverError, match=re.escape(
+            "observed contraction ratio 0.500000000 exceeds the analytic factor "
+            "0.050000000 at inner step 2")):
+        lipschitz_resolvent_detailed(rot, 1.0, E2.point([2.0, 1.0]))
 
 
 def test_lipschitz_resolvent_fixes_witnesses():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,77 @@ def test_scheme_names_cover_all_variants():
         "ppa", "halpern_ppa", "ppa_lipschitz", "halpern_ppa_lipschitz",
         "ppa_equilibrium", "halpern_ppa_equilibrium",
     }
+
+
+_FIXED_SET = ("strong convergence to the projection of the anchor onto the fixed "
+              "set of the base map")
+GUARANTEES = {
+    "ishikawa": "Delta-convergence of the two-level averaged iteration to a fixed point of "
+                "the demiclosed quasi-nonexpansive base map",
+    "halpern_ishikawa": _FIXED_SET,
+    "mann": "Delta-convergence of the averaged iteration to a fixed point of the "
+            "demiclosed quasi-nonexpansive base map",
+    "halpern_mann": _FIXED_SET,
+    "ppa": "convergence of the proximal point algorithm to a resolvent fixed point "
+           "(a minimizer when the objective is pseudo-convex)",
+    "halpern_ppa": "strong convergence to the projection of the anchor onto the minimizer "
+                   "set of the convex objective",
+    "ppa_lipschitz": "Delta-convergence of the resolvent iteration to a fixed point of the "
+                     "Lipschitz quasi-nonexpansive map",
+    "halpern_ppa_lipschitz": "strong convergence to the projection of the anchor onto the "
+                             "fixed set of the Lipschitz map",
+    "ppa_equilibrium": "Delta-convergence of the resolvent iteration to an equilibrium point "
+                       "of the pseudo-monotone bifunction",
+    "halpern_ppa_equilibrium": "strong convergence to the projection of the anchor onto the "
+                               "equilibrium set",
+}
+
+
+def _base_wiring(base):
+    """A source and the schedules of every role of a base scheme."""
+    rot = catalog_operator(E2, "rotation", angle=1.0)
+    lam = {"lambda": resolvent_constant(1.0)}
+    return {
+        "ishikawa": (rot, {"alpha": mann_constant(0.5), "beta": vanishing_schedule()}),
+        "mann": (rot, {"alpha": mann_constant(0.5)}),
+        "ppa": (objective_fixture(E2, "quadratic"), lam),
+        "ppa_lipschitz": (rot, lam),
+        "ppa_equilibrium": (bifunction_fixture(E2, "rotation_vi"), lam),
+    }[base]
+
+
+@pytest.mark.parametrize("name", sorted(GUARANTEES))
+def test_every_scheme_states_its_guarantee(name):
+    # summary.json prints the guarantee: each string is pinned byte for byte
+    source, schedules = _base_wiring(name.removeprefix("halpern_"))
+    if name.startswith("halpern_"):
+        schedules = dict(schedules, anchor=halpern_schedule())
+    assert build_scheme(name, source, schedules).guarantee == GUARANTEES[name]
+
+
+@pytest.mark.parametrize("base", [n for n in sorted(GUARANTEES) if not n.startswith("halpern_")])
+def test_halpern_scheme_needs_the_anchor_and_its_base_roles(base):
+    source, schedules = _base_wiring(base)
+    anchor = halpern_schedule()
+    built = build_scheme("halpern_" + base, source, dict(schedules, anchor=anchor))
+    assert built.anchor_schedule is anchor
+    plain = build_scheme(base, source, schedules)
+    assert plain.anchor_schedule is None
+    x = E2.point([0.7, -0.4])
+    assert built.sequence.factory(3).apply(x).xs == plain.sequence.factory(3).apply(x).xs
+    with pytest.raises(ConfigError, match=re.escape(
+            f"scheme 'halpern_{base}' needs schedule 'anchor' "
+            "(anchor weights with limit 0 and divergent sum)")):
+        build_scheme("halpern_" + base, source, schedules)
+    with pytest.raises(ConfigError, match=re.escape(f"scheme {base!r} does not use schedules "
+                                                    "['anchor']")):
+        build_scheme(base, source, dict(schedules, anchor=anchor))
+    for role in schedules:  # every base role stays required
+        rest = {r: v for r, v in schedules.items() if r != role}
+        with pytest.raises(ConfigError, match=f"needs schedule '{role}'"):
+            build_scheme("halpern_" + base, source, dict(rest, anchor=anchor))
+    with pytest.raises(ConfigError, match="unknown scheme 'halpern_halpern_"):
+        build_scheme("halpern_halpern_" + base, source, dict(schedules, anchor=anchor))
 
 
 def test_build_scheme_valid_wirings():
