@@ -472,6 +472,8 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     the CPU count and the number of cells. A cell whose run raises, or whose
     worker dies, gets a ``solver_error`` row with empty numeric fields and a
     message on stderr; the sweep then exits 3 after writing the whole CSV.
+    Cells that a dying worker took down with it rerun one by one, each in a
+    pool of its own, so a dying worker costs no other cell its run.
     """
     paths, cells, cell_cfgs, out_name = _parse(_sweep, _load_json(config_path), "sweep config",
                                                overrides)
@@ -483,13 +485,21 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     # the package in every worker on every sweep
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
+    fork = multiprocessing.get_context("fork")
     rows, failed = [], 0
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=fork) as pool:
         futures = [pool.submit(_run_cell, c, overrides) for c in cell_cfgs]
         for i, (values, fut) in enumerate(zip(cells, futures)):
             try:
-                result = fut.result()
+                try:
+                    result = fut.result()
+                except BrokenProcessPool:
+                    # a dead worker breaks the pool for every cell left in it:
+                    # rerun the cell alone, so only the one that dies fails
+                    with ProcessPoolExecutor(1, mp_context=fork) as alone:
+                        result = alone.submit(_run_cell, cell_cfgs[i], overrides).result()
             except Exception as err:
                 where = ", ".join(f"{p}={_grid_cell(v)}" for p, v in zip(paths, values))
                 print(f"sweep: cell {i + 1} ({where}) failed: {type(err).__name__}: {err}",

@@ -4,9 +4,16 @@ These are the concrete problem instances used by the experiment runner and
 the diagnostics suite. Most carry closed-form resolvents so that long runs
 stay cheap, plus gradients so the generic solver path can be cross-checked
 against the closed form.
+
+``quadratic``, ``dist2_to_set`` and ``expanding_quadratic`` are d^2(., S) / 2
+from one constructor, given the nearest-point map of S (a point or a convex
+set); ``expanding_quadratic`` is the quadratic with a broken closed form.
 """
 
 from __future__ import annotations
+
+import dataclasses
+from typing import Callable
 
 from .errors import ConfigError
 from .geometry import (
@@ -51,46 +58,37 @@ def _center(space: ModelSpace, center) -> SpacePoint:
     return center if isinstance(center, SpacePoint) else space.point(center)
 
 
-def quadratic(space: ModelSpace, center: SpacePoint | None = None) -> ObjectiveFunction:
-    """f(y) = d^2(y, a) / 2. Its resolvent is the geodesic point at
-    parameter lam/(1+lam) from x toward a, in any of the model spaces."""
-    a = _center(space, center)
+def _dist2(space: ModelSpace, nearest: Callable[[SpacePoint], SpacePoint],
+           known_argmin: SpacePoint | ConvexSubset, name: str) -> ObjectiveFunction:
+    """f(y) = d^2(y, S) / 2, where ``nearest(y)`` is the point of S nearest
+    to y. The gradient is -log_y(nearest(y)) (none on a spider), and the
+    resolvent moves x a fraction lam/(1+lam) of the way to nearest(x)."""
 
     def val(y: SpacePoint) -> float:
-        d = space.distance(y, a)
+        d = space.distance(y, nearest(y))
         return 0.5 * d * d
 
     grad = None if isinstance(space, Spider) else (
-        lambda y: tuple([-c for c in space.log_map(y, a)]))
+        lambda y: tuple([-c for c in space.log_map(y, nearest(y))]))
     return ObjectiveFunction(
         space=space, eval=val, gradient=grad, gradient_lipschitz=1.0,
-        weak_convexity_alpha=0.0,
-        known_argmin=a,
-        closed_form_resolvent=lambda lam, x: space.combine(x, a, lam / (1.0 + lam)),
-        name="quadratic",
-    )
+        weak_convexity_alpha=0.0, known_argmin=known_argmin,
+        closed_form_resolvent=lambda lam, x: space.combine(x, nearest(x), lam / (1.0 + lam)),
+        name=name)
+
+
+def quadratic(space: ModelSpace, center: SpacePoint | None = None) -> ObjectiveFunction:
+    """f(y) = d^2(y, a) / 2: S is the single point a."""
+    a = _center(space, center)
+    return _dist2(space, lambda y: a, a, "quadratic")
 
 
 def dist2_to_set(space: ModelSpace, cset: ConvexSubset) -> ObjectiveFunction:
-    """f(y) = d^2(y, K) / 2 for a projectable convex K. Argmin f = K and the
-    resolvent moves x a fraction lam/(1+lam) of the way to its projection."""
+    """f(y) = d^2(y, K) / 2 for a projectable convex K, so argmin f = K."""
     space.check_set(cset)
-
-    def val(y: SpacePoint) -> float:
-        d = space.distance(y, space.project(cset, y))
-        return 0.5 * d * d
-
-    grad = None if isinstance(space, Spider) else (
-        lambda y: tuple([-c for c in space.log_map(y, space.project(cset, y))]))
-    return ObjectiveFunction(
-        space=space, eval=val, gradient=grad, gradient_lipschitz=1.0,
-        weak_convexity_alpha=0.0,
-        known_argmin=cset,
-        closed_form_resolvent=lambda lam, x: space.combine(
-            x, space.project(cset, x), lam / (1.0 + lam)
-        ),
-        name="dist2_to_set",
-    )
+    # space.project is looked up at each call, so a wrapper installed on the
+    # method later (perfbench's tracer) sees these calls
+    return _dist2(space, lambda y: space.project(cset, y), cset, "dist2_to_set")
 
 
 _QUARTIC_WEAK_ALPHA = 8.0  # second derivative dips to -16 at y = 4/3
@@ -156,22 +154,16 @@ def _quartic_prox(lam: float, x: float) -> float:
 
 def expanding_quadratic(space: ModelSpace, center: SpacePoint | None = None
                         ) -> ObjectiveFunction:
-    """Negative-control fixture: claims to be the quadratic around a but its
-    "resolvent" reflects past the minimizer with factor 1.5, so distances to
-    a grow and the resolvent inequalities fail. No gradient on purpose, so
-    the broken closed form is not caught by the optimality recheck."""
+    """Negative-control fixture: the quadratic around a, but its "resolvent"
+    reflects past the minimizer with factor 1.5, so distances to a grow and
+    the resolvent inequalities fail. No gradient on purpose, so the broken
+    closed form is not caught by the optimality recheck."""
     if not isinstance(space, Euclidean):
         raise ConfigError("expanding_quadratic is Euclidean only")
-    a = _center(space, center)
-
-    def val(y: SpacePoint) -> float:
-        d = space.distance(y, a)
-        return 0.5 * d * d
-
-    return ObjectiveFunction(
-        space=space, eval=val,
-        weak_convexity_alpha=0.0,
-        known_argmin=a,
+    f = quadratic(space, center)
+    a = f.known_argmin
+    return dataclasses.replace(
+        f, gradient=None, gradient_lipschitz=None,
         closed_form_resolvent=lambda lam, x: space.point(
             [p - 1.5 * (q - p) for p, q in zip(a.xs, x.xs)]),
         name="expanding_quadratic",
@@ -206,7 +198,6 @@ def rotation_vi(space: ModelSpace, radius: float = 1.0) -> Bifunction:
         structure=VariationalInequality(field=field, lipschitz=1.0),
         feasible_set=K,
         equilibrium_witness=space.base_point(),
-        name="rotation_vi",
     )
 
 
@@ -229,7 +220,6 @@ def min_quadratic(space: ModelSpace, center: SpacePoint | None = None,
         structure=Minimization(objective=g),
         feasible_set=K,
         equilibrium_witness=witness,
-        name="min_quadratic",
     )
 
 

@@ -46,7 +46,6 @@ if TYPE_CHECKING:  # annotations only: numpy is imported where an array is built
     import numpy as np
 
 POINT_TOL = 1e-9     # validity of coordinates (hyperboloid constraint, radii)
-ROUNDTRIP_TOL = 1e-8  # log/exp and projection round trips
 T_SNAP = 4 * math.ulp(1.0)  # combine parameters this far outside [0, 1] snap to its ends
 
 # Hyperboloid points lie within this distance of the apex: between any two

@@ -112,7 +112,6 @@ class Bifunction:
     structure: Minimization | VariationalInequality | CustomSolver
     feasible_set: ConvexSubset
     equilibrium_witness: SpacePoint | None = None
-    name: str = ""
 
 
 # ---------------------------------------------------------------------------

@@ -767,16 +767,25 @@ def test_sweep_failing_cell_gets_error_row(tmp_path, monkeypatch, capsys):
     assert rows[0][2] == rows[2][2] == "converged"
 
 
-def test_sweep_dead_worker_gets_error_row(tmp_path, monkeypatch, capsys):
-    _fail_at_lambda(monkeypatch, 10.0, lambda: os._exit(1))
-    monkeypatch.setenv("HADAMARD_ITER_THREADS", "1")
-    cfg = write_cfg(tmp_path, SWEEP_CFG)
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_dead_worker_gets_error_row(tmp_path, monkeypatch, capsys, workers):
+    # the dying cell sits in the middle, so cells after it (and, with two
+    # workers, the one running beside it) are in the pool when it breaks
+    monkeypatch.setenv("HADAMARD_ITER_THREADS", workers)
+    grid = {"schedules.lambda.value": [0.1, 1.0, 10.0, 3.0]}
+    cfg = write_cfg(tmp_path, dict(SWEEP_CFG, grid=grid))
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "ok")) == 0
+    capsys.readouterr()
+    _fail_at_lambda(monkeypatch, 1.0, lambda: os._exit(1))
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 3
     assert multiprocessing.active_children() == []
-    assert "BrokenProcessPool" in capsys.readouterr().err
-    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
-    assert len(rows) == 3
-    assert rows[2] == "10,,solver_error,,"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "cell 2 (schedules.lambda.value=1)" in err[0]
+    assert "BrokenProcessPool" in err[0]
+    want = (tmp_path / "ok" / "sweep.csv").read_text().splitlines()
+    got = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+    assert got[2] == "1,,solver_error,,"
+    assert got[:2] + got[3:] == want[:2] + want[3:]
 
 
 # ---------------------------------------------------------------------------
@@ -835,6 +844,13 @@ def test_readme_config_example_parses():
     (example,) = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
     built, run_cfg, _ = cli.parse_run_config(json.loads(example))
     assert built.name == "halpern_ppa" and run_cfg.seed == 7
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(block, {})
 
 
 E2S, H2S, SPIDER3 = {"kind": "euclidean", "dim": 2}, {"kind": "hyperboloid", "dim": 2}, SPIDER

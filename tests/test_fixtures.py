@@ -8,8 +8,10 @@ import pytest
 from hadamard_iter import (
     Ball,
     Euclidean,
+    Halfspace,
     Hyperboloid,
     Segment,
+    SpacePoint,
     Spider,
     bifunction_fixture,
     convex_resolvent,
@@ -137,3 +139,73 @@ def test_rotation_vi_field_and_eval_compute_the_matrix_forms_on_floats():
         want = float((A @ np.array(x.xs)) @ (np.array(y.xs) - np.array(x.xs)))
         (x0, x1), (y0, y1) = x.xs, y.xs
         assert abs(vi.eval(x, y) - want) <= math.ulp(abs(x1 * (y0 - x0)) + abs(x0 * (y1 - x1)))
+
+
+# ---------------------------------------------------------------------------
+# the squared-distance objectives d^2(., S) / 2, bit for bit against their
+# formulas written out
+# ---------------------------------------------------------------------------
+
+def _bits(v):
+    # floats as float.hex, points as their space and coordinates (a spider
+    # leg is an int)
+    if isinstance(v, SpacePoint):
+        return v.space_id, _bits(v.xs)
+    if isinstance(v, (tuple, list)):
+        return tuple(map(_bits, v))
+    return v.hex() if isinstance(v, float) else v
+
+
+def _assert_dist2_bits(space, f, nearest, ys):
+    for y in ys:
+        s = nearest(y)
+        d = space.distance(y, s)
+        assert _bits(f.eval(y)) == _bits(0.5 * d * d)
+        if isinstance(space, Spider):
+            assert f.gradient is None
+        else:
+            assert _bits(f.gradient(y)) == _bits(tuple([-c for c in space.log_map(y, s)]))
+        for lam in (0.5, 1.0, 4.0):
+            assert (_bits(f.closed_form_resolvent(lam, y))
+                    == _bits(space.combine(y, s, lam / (1.0 + lam))))
+
+
+@pytest.mark.parametrize("space", [E2, H2, S3], ids=["E2", "H2", "S3"])
+def test_squared_distance_objectives_keep_their_bits(space):
+    rng = np.random.default_rng(19)
+    ys = [space.sample_point(rng, 2.0) for _ in range(8)]
+    a, p, q = (space.sample_point(rng, 1.0) for _ in range(3))
+
+    f = objective_fixture(space, "quadratic")
+    assert _bits(f.known_argmin) == _bits(space.base_point())
+    _assert_dist2_bits(space, f, lambda y: space.base_point(), ys)
+    f = objective_fixture(space, "quadratic", center=a)
+    assert f.known_argmin is a and f.name == "quadratic"
+    assert f.weak_convexity_alpha == 0.0 and f.gradient_lipschitz == 1.0
+    _assert_dist2_bits(space, f, lambda y: a, ys)
+
+    sets = [Ball(a, 0.7), Segment(p, q)]
+    if space is E2:
+        sets.append(Halfspace(E2.space_id, (1.0, -2.0), 0.5))
+    for cset in sets:
+        f = objective_fixture(space, "dist2_to_set", cset=cset)
+        assert f.known_argmin is cset and f.name == "dist2_to_set"
+        assert f.weak_convexity_alpha == 0.0 and f.gradient_lipschitz == 1.0
+        _assert_dist2_bits(space, f, lambda y: space.project(cset, y), ys)
+
+
+def test_expanding_quadratic_is_the_quadratic_with_a_broken_closed_form():
+    rng = np.random.default_rng(20)
+    ys = [E2.sample_point(rng, 2.0) for _ in range(8)]
+    a = E2.sample_point(rng, 1.0)
+    for center, want in ((None, E2.base_point()), (a, a)):
+        f = objective_fixture(E2, "expanding_quadratic", center=center)
+        assert _bits(f.known_argmin) == _bits(want) and f.name == "expanding_quadratic"
+        assert f.gradient is None and f.gradient_lipschitz is None
+        assert f.weak_convexity_alpha == 0.0
+        for y in ys:
+            d = E2.distance(y, want)
+            assert _bits(f.eval(y)) == _bits(0.5 * d * d)
+            reflected = E2.point([p - 1.5 * (q - p) for p, q in zip(want.xs, y.xs)])
+            for lam in (0.5, 1.0, 4.0):
+                assert _bits(f.closed_form_resolvent(lam, y)) == _bits(reflected)
