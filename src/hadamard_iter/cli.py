@@ -58,6 +58,7 @@ EXIT_CONFIG = 1
 EXIT_BUDGET = 2
 EXIT_SOLVER = 3
 EXIT_CHECK_FAILED = 4
+SWEEP_MAX_WORKERS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -424,21 +425,6 @@ def _grid_cell(v: Any) -> str:
     return json.dumps(v)
 
 
-def _sweep_workers(requested: str | None, cells: int, cpus: int | None) -> int:
-    """Worker processes for a sweep: min(requested, cpus, cells), at least 1.
-
-    ``requested`` is the value of HADAMARD_ITER_THREADS (8 when unset or
-    empty); anything but a positive integer is a config error.
-    """
-    try:
-        n = int(requested) if requested else 8
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(f"HADAMARD_ITER_THREADS must be a positive integer, got {requested!r}")
-    return max(1, min(n, cpus or 1, cells))
-
-
 def _run_cell(cell_cfg: dict, overrides: Mapping | None) -> list:
     """A sweep row's result columns: iterations, stop reason, final residual
     and target distance."""
@@ -468,17 +454,19 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     """Run every cell of the grid and write one CSV row per cell, in grid order.
 
     Cells run in forked worker processes, as many as the smallest of
-    HADAMARD_ITER_THREADS (8 when unset; it counts processes, not threads),
-    the CPU count and the number of cells. A cell whose run raises, or whose
-    worker dies, gets a ``solver_error`` row with empty numeric fields and a
+    ``SWEEP_MAX_WORKERS``, the CPUs in the process's affinity mask (so
+    ``taskset`` limits a sweep; all CPUs where the platform has no affinity
+    call) and the number of cells. A cell whose run raises, or whose worker
+    dies, gets a ``solver_error`` row with empty numeric fields and a
     message on stderr; the sweep then exits 3 after writing the whole CSV.
     Cells that a dying worker took down with it rerun one by one, each in a
     pool of its own, so a dying worker costs no other cell its run.
     """
     paths, cells, cell_cfgs, out_name = _parse(_sweep, _load_json(config_path), "sweep config",
                                                overrides)
-    workers = _sweep_workers(os.environ.get("HADAMARD_ITER_THREADS"), len(cells),
-                             os.cpu_count())
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = max(1, min(SWEEP_MAX_WORKERS, cpus, len(cells)))
 
     # imported here: the process machinery is not needed by run or check.
     # fork, not the platform default: spawn and forkserver would re-import

@@ -95,11 +95,13 @@ class _Collector:
         )
 
 
-def _sampler(samples: int, seed: int) -> np.random.Generator:
-    """The generator of a sampling checker; a negative sample count or seed
-    raises ``DomainError``."""
+def _sampler(samples: int, seed: int, scale: float) -> np.random.Generator:
+    """The generator of a sampling checker; a negative sample count or seed,
+    or a sampling scale outside [0, inf), raises ``DomainError``."""
     if samples < 0 or seed < 0:
         raise DomainError(f"samples and seed must be >= 0, got {samples} and {seed}")
+    if not (0.0 <= scale < math.inf):
+        raise DomainError(f"scale must be finite and >= 0, got {scale}")
     import numpy as np
     return np.random.default_rng(seed)
 
@@ -139,7 +141,7 @@ def check_quasi_firm(
         raise ConfigError("check_quasi_firm needs a witness or an objective with known argmin")
     space = f.space
     space.check_point(witness)
-    rng = _sampler(samples, seed)
+    rng = _sampler(samples, seed, scale)
     col = _Collector("quasi_firm")
     for i in range(samples):
         x = space.sample_point(rng, scale)
@@ -171,7 +173,7 @@ def check_sqn_inequality(
     c = op.sqn_coefficient
     if c is None:
         raise ConfigError(f"no residual inequality is defined for operators tagged {op.tag!r}")
-    rng = _sampler(samples, seed)
+    rng = _sampler(samples, seed, scale)
     col = _Collector(f"sqn_inequality[{op.tag}]")
     for i in range(samples):
         x = space.project(op.domain, space.sample_point(rng, scale))
@@ -220,7 +222,7 @@ def check_space_axioms(
     in one batch, so a report for ``samples=N`` is not a prefix of the one
     for ``2N`` at the same seed."""
     import numpy as np
-    rng = _sampler(samples, seed)
+    rng = _sampler(samples, seed, scale)
     block = space.sample_many(rng, 7 * samples, scale)
     x, y, z, a, b, c, d = block.reshape(7, samples, block.shape[1])
     t, s = rng.uniform(size=(2, samples))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -474,18 +475,22 @@ def _radial_grid(
                 pts.append(space.project(K, cand))
         pts.append(space.base_point() if K.kind != "ball" else space.project(K, space.base_point()))
         return tuple(pts)
-    import numpy as np
-    rng = np.random.default_rng(271828)  # fixed: verification must be reproducible
-    dim = len(anchor.xs) - (1 if isinstance(space, Hyperboloid) else 0)
+    gauss = random.Random(271828).gauss  # fixed: verification must be reproducible
+    curved = isinstance(space, Hyperboloid)
+    dim = len(anchor.xs) - (1 if curved else 0)
     for _ in range(n_dir):
-        d = rng.normal(size=dim)
-        d /= math.sqrt(float(d @ d))
+        d = [gauss(0.0, 1.0) for _ in range(dim)]
+        if curved:
+            # the spatial direction moved into the tangent space at the anchor,
+            # so that exp_map puts the point r along it at distance r
+            m = space.minkowski(anchor.xs, [0.0, *d])
+            d = [c + m * a for c, a in zip([0.0, *d], anchor.xs)]
+        norm = space.tangent_norm(anchor, d) if curved else math.sqrt(sum([c * c for c in d]))
+        d = [c / norm for c in d]
         for i in range(1, n_rad + 1):
             r = radius * i / n_rad
-            if isinstance(space, Hyperboloid):
-                cand = space.exp_map(anchor, np.concatenate(([0.0], d * r)))
-            else:
-                cand = space.point(anchor.coords + d * r)
+            cand = (space.exp_map(anchor, [c * r for c in d]) if curved
+                    else space.point([a + c * r for a, c in zip(anchor.xs, d)]))
             pts.append(space.project(K, cand))
     pts.append(anchor)
     return tuple(pts)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -496,6 +497,11 @@ H2_MANN_RUN = dict(MANN_E2_RUN, space={"kind": "hyperboloid", "dim": 2},
                  id="check-outputs-5"),
     pytest.param("check", dict(E1_CHECK, outputs={"reports": 5}),
                  "'reports' in outputs must be a nonempty string, got 5", id="check-output-name-5"),
+    # a spider draws its radii with the sampling scale: a negative one is
+    # refused before any draw, not left to numpy's generator
+    pytest.param("check", {"space": SPIDER, "checks": [
+        {"name": "space_axioms", "samples": 10, "scale": -1.0}]},
+                 "scale must be finite and >= 0, got -1.0", id="spider-negative-scale"),
     pytest.param("sweep", dict(SHAPE_SWEEP, output=5),
                  "'output' in sweep config must be a nonempty string, got 5",
                  id="sweep-output-5"),
@@ -643,7 +649,7 @@ HALPERN_BASE = dict(BASE_RUN, scheme="halpern_ppa", schedules={
 def test_sweep_rejects_what_the_engine_rejects_at_entry(tmp_path, monkeypatch, capsys, base, message):
     # config errors the engine raises before its first step are found before
     # any worker starts: exit 1 and no CSV, not a solver_error row per cell
-    monkeypatch.setenv("HADAMARD_ITER_THREADS", "1")
+    _cpus(monkeypatch, {0})
     cfg = {"base": base, "grid": {"max_iterations": [10, 20]}}
     assert run_cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 1
     err = capsys.readouterr().err
@@ -661,13 +667,6 @@ def test_sweep_rejects_what_the_engine_rejects_at_entry(tmp_path, monkeypatch, c
 def test_sweep_bad_grid_path(tmp_path):
     cfg = {"base": dict(BASE_RUN), "grid": {"schedules.mu.value": [1.0]}}
     assert run_cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 1
-
-
-def test_sweep_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HADAMARD_ITER_THREADS", "1")
-    cfg = write_cfg(tmp_path, SWEEP_CFG)
-    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 0
-    assert (tmp_path / "o" / "sweep.csv").exists()
 
 
 def test_sweep_byte_identical_reruns(tmp_path):
@@ -696,38 +695,69 @@ def test_sweep_csv_quotes_structured_grid_values(tmp_path):
         assert row[3] == "converged"
 
 
-def test_sweep_workers_rule():
-    # min(requested, cpus, cells), requested = HADAMARD_ITER_THREADS or 8
-    assert cli._sweep_workers(None, cells=20, cpus=64) == 8
-    assert cli._sweep_workers("", cells=20, cpus=64) == 8
-    assert cli._sweep_workers(None, cells=20, cpus=2) == 2
-    assert cli._sweep_workers(None, cells=3, cpus=64) == 3
-    assert cli._sweep_workers("100", cells=1000, cpus=4) == 4
-    assert cli._sweep_workers("100", cells=5, cpus=64) == 5
-    assert cli._sweep_workers("2", cells=20, cpus=64) == 2
-    assert cli._sweep_workers(" 3 ", cells=20, cpus=64) == 3
-    assert cli._sweep_workers(None, cells=20, cpus=None) == 1
-    assert cli._sweep_workers(None, cells=0, cpus=4) == 1
-    for bad in ("abc", "0", "-2", "2.5", "1e3"):
-        with pytest.raises(cli.ConfigError, match="HADAMARD_ITER_THREADS"):
-            cli._sweep_workers(bad, cells=20, cpus=64)
+def _cpus(monkeypatch, affinity, cpu_count=None):
+    """Give the sweep ``affinity`` as its CPU affinity mask, or, for None, a
+    platform without the affinity call whose CPU count is ``cpu_count``."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_sweep_bad_thread_env_is_config_error(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.setenv("HADAMARD_ITER_THREADS", value)
+def _pool_sizes(monkeypatch):
+    """The size of every process pool the sweep makes, in order."""
+    sizes = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    return sizes
+
+
+@pytest.mark.parametrize("affinity, cpu_count, cells, workers", [
+    pytest.param({0}, None, 3, 1, id="taskset-one-cpu"),
+    pytest.param({0, 1, 2}, None, 2, 2, id="fewer-cells-than-cpus"),
+    pytest.param({1, 3, 5}, None, 5, 3, id="fewer-cpus-than-cells"),
+    pytest.param(set(range(16)), None, 10, 8, id="capped-at-8"),
+    pytest.param(None, 3, 5, 3, id="no-affinity-call"),
+    pytest.param(None, None, 3, 1, id="no-affinity-call-and-no-cpu-count"),
+])
+def test_sweep_pool_size(tmp_path, monkeypatch, affinity, cpu_count, cells, workers):
+    # max(1, min(8, cpus, cells)), cpus from the affinity mask where the
+    # platform has one and from the CPU count where it has not
+    _cpus(monkeypatch, affinity, cpu_count)
+    sizes = _pool_sizes(monkeypatch)
+    grid = {"schedules.lambda.value": [1.0 + i for i in range(cells)]}
+    cfg = write_cfg(tmp_path, dict(SWEEP_CFG, grid=grid))
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+    assert sizes == [workers]
+    assert len((tmp_path / "o" / "sweep.csv").read_text().splitlines()) == 1 + cells
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_has_no_worker_count_variable(tmp_path, monkeypatch):
+    # the pool size once came from an environment variable, and a value that
+    # was not a positive integer made the sweep exit 1; now nothing reads it
     cfg = write_cfg(tmp_path, SWEEP_CFG)
-    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 1
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "sweep.csv").exists()
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "plain")) == 0
+    monkeypatch.setenv("_".join(["HADAMARD", "ITER", "THREADS"]), "abc")
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 0
+    assert ((tmp_path / "o" / "sweep.csv").read_bytes()
+            == (tmp_path / "plain" / "sweep.csv").read_bytes())
 
 
 def test_sweep_csv_identical_with_one_and_two_workers(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, SWEEP_CFG)
-    for n in ("1", "2"):
-        monkeypatch.setenv("HADAMARD_ITER_THREADS", n)
-        assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / n)) == 0
+    sizes = _pool_sizes(monkeypatch)
+    for n in (1, 2):
+        _cpus(monkeypatch, range(n))
+        assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / str(n))) == 0
         assert multiprocessing.active_children() == []
+    assert sizes == [1, 2]
     assert (tmp_path / "1" / "sweep.csv").read_bytes() == (tmp_path / "2" / "sweep.csv").read_bytes()
 
 
@@ -752,7 +782,7 @@ def test_sweep_failing_cell_gets_error_row(tmp_path, monkeypatch, capsys):
         raise RuntimeError("injected failure")
 
     _fail_at_lambda(monkeypatch, 1.0, fail)
-    monkeypatch.setenv("HADAMARD_ITER_THREADS", "2")
+    _cpus(monkeypatch, {0, 1})
     cfg = write_cfg(tmp_path, SWEEP_CFG)
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 3
     assert multiprocessing.active_children() == []
@@ -767,11 +797,11 @@ def test_sweep_failing_cell_gets_error_row(tmp_path, monkeypatch, capsys):
     assert rows[0][2] == rows[2][2] == "converged"
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_dead_worker_gets_error_row(tmp_path, monkeypatch, capsys, workers):
     # the dying cell sits in the middle, so cells after it (and, with two
     # workers, the one running beside it) are in the pool when it breaks
-    monkeypatch.setenv("HADAMARD_ITER_THREADS", workers)
+    _cpus(monkeypatch, range(workers))
     grid = {"schedules.lambda.value": [0.1, 1.0, 10.0, 3.0]}
     cfg = write_cfg(tmp_path, dict(SWEEP_CFG, grid=grid))
     assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "ok")) == 0

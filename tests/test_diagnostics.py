@@ -142,6 +142,24 @@ def test_sampling_checkers_refuse_a_negative_count_or_seed(samples, seed):
             check()
 
 
+@pytest.mark.parametrize("space", [E2, H2, S3], ids=["E2", "H2", "S3"])
+def test_sampling_checkers_refuse_a_scale_outside_zero_to_inf(space):
+    q = objective_fixture(space, "quadratic")
+
+    def checks(scale):
+        return (lambda: check_space_axioms(space, samples=5, seed=1, scale=scale),
+                lambda: check_quasi_firm(q, 1.0, samples=5, seed=1, scale=scale),
+                lambda: check_sqn_inequality(convex_resolvent_operator(q, 1.0), samples=5,
+                                             seed=1, scale=scale))
+
+    for scale in (-1.0, -1e-300, math.inf, -math.inf, math.nan):
+        for check in checks(scale):
+            with pytest.raises(DomainError, match="scale must be finite and >= 0"):
+                check()
+    for check in checks(0.0):  # every sample at the base point
+        assert check().passed
+
+
 # ---------------------------------------------------------------------------
 # sqn inequality, three variants
 # ---------------------------------------------------------------------------

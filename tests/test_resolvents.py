@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import re
 
 import numpy as np
@@ -556,7 +557,6 @@ def _fresh_grid(space, K, x, z, n_dir, n_rad):
         radius = K.radius
     else:
         radius = 1.0 + 2.0 * (space.distance(anchor, x) + space.distance(anchor, z))
-    rng = np.random.default_rng(271828)
     if isinstance(space, Spider):
         for leg in range(space.num_legs):
             for i in range(1, n_rad + 1):
@@ -564,17 +564,28 @@ def _fresh_grid(space, K, x, z, n_dir, n_rad):
         pts.append(space.base_point() if K.kind != "ball"
                    else space.project(K, space.base_point()))
         return pts
-    dim = anchor.coords.shape[0] - (1 if isinstance(space, Hyperboloid) else 0)
-    for _ in range(n_dir):
-        d = rng.normal(size=dim)
-        d /= math.sqrt(float(d @ d))
-        for i in range(1, n_rad + 1):
-            r = radius * i / n_rad
-            if isinstance(space, Hyperboloid):
-                cand = space.exp_map(anchor, np.concatenate(([0.0], d * r)))
-            else:
-                cand = space.point(anchor.coords + d * r)
-            pts.append(space.project(K, cand))
+    # every direction's standard normal draws first, in one stream
+    dim = len(space.base_point().xs) - (1 if isinstance(space, Hyperboloid) else 0)
+    gauss = random.Random(271828).gauss
+    draws = [gauss(0.0, 1.0) for _ in range(n_dir * dim)]
+    for start in range(0, len(draws), dim):
+        raw = draws[start:start + dim]
+        if isinstance(space, Hyperboloid):
+            # (0, raw) minus its Minkowski component along the anchor, then
+            # unit length in the tangent norm: exp_map walks r along it
+            w = [0.0, *raw]
+            m = Hyperboloid.minkowski(anchor.xs, w)
+            tangent = [wi + m * ai for wi, ai in zip(w, anchor.xs)]
+            length = space.tangent_norm(anchor, tangent)
+            unit = [c / length for c in tangent]
+            pts += [space.project(K, space.exp_map(anchor, [c * (radius * i / n_rad) for c in unit]))
+                    for i in range(1, n_rad + 1)]
+        else:
+            length = math.sqrt(sum(c * c for c in raw))
+            unit = [c / length for c in raw]
+            pts += [space.project(K, space.point([a + c * (radius * i / n_rad)
+                                                  for a, c in zip(anchor.xs, unit)]))
+                    for i in range(1, n_rad + 1)]
     pts.append(anchor)
     return pts
 
@@ -636,6 +647,19 @@ def test_operator_verification_grid_equals_a_fresh_grid(monkeypatch, name, space
             assert got.coords.tobytes() == want.coords.tobytes()
     if K.kind in ("ball", "segment"):
         assert grids[0][2] is grids[1][2]  # built once per set and counts
+
+
+def test_hyperboloid_grid_points_lie_at_their_stated_radius():
+    # exp_map projects a vector onto the tangent space at its base, which
+    # stretches a spatial direction at an anchor off the apex; the grid
+    # moves the direction into that tangent space and scales it there first
+    anchor = H2.from_spatial([3.0, 1.0])
+    radius, n_dir, n_rad = 0.4, 64, 8
+    grid = resolvents._radial_grid(H2, WholeSpace(H2.space_id), anchor, radius, n_dir, n_rad)
+    assert len(grid) == n_dir * n_rad + 1 and grid[-1] is anchor
+    for j, p in enumerate(grid[:-1]):
+        want = radius * (j % n_rad + 1) / n_rad
+        assert H2.distance(anchor, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_operator_verifies_every_call_with_the_cached_grid():
