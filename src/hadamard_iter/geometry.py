@@ -53,6 +53,8 @@ T_SNAP = 4 * math.ulp(1.0)  # combine parameters this far outside [0, 1] snap to
 # included (those overflow from a radius of about 118).
 HYPERBOLOID_MAX_RADIUS = 100.0
 _X0_MAX = math.cosh(HYPERBOLOID_MAX_RADIUS) * (1.0 + POINT_TOL)
+_SAMPLE_TOO_FAR = (f"a sample drawn lies beyond distance {HYPERBOLOID_MAX_RADIUS:g} of the "
+                   "apex; use a smaller sampling scale")
 # The switch between the two hyperboloid distance formulas, one rule for the
 # scalar and the batched path: acosh(-<x,y>_M) when -<x,y>_M lies in
 # (_ACOSH_FROM, inf), i.e. beyond d = acosh(16) ~ 3.47, and the chordal asinh
@@ -318,9 +320,10 @@ class ModelSpace:
 
     def quasilin(self, a: SpacePoint, b: SpacePoint, c: SpacePoint, d: SpacePoint) -> float:
         """Quasi-linearization <ab, cd>, an inner-product surrogate built
-        from squared distances. Satisfies <ab,ab> = d^2(a,b), symmetry in
-        the two vector slots, antisymmetry under slot reversal, and the
-        splitting identity <ax,cd> + <xb,cd> = <ab,cd>."""
+        from squared distances. Its identities (<ab,ab> = d^2(a,b), slot
+        symmetry, antisymmetry, <ax,cd> + <xb,cd> = <ab,cd>) hold for any
+        function of squared distances; the CAT(0) content is Cauchy-Schwarz,
+        <ab,cd> <= d(a,b) d(c,d) (Berg and Nikolaev)."""
         for p in (a, b, c, d):
             self.check_point(p)
         dad = self._distance(a, d)
@@ -569,12 +572,14 @@ class Hyperboloid(ModelSpace):
 
     Points lie within distance HYPERBOLOID_MAX_RADIUS = 100 of the apex e0
     (x0 <= cosh 100, up to POINT_TOL); ``point`` and ``from_spatial`` raise
-    ``DomainError`` beyond it. Up to that radius distances and geodesic
-    points through the apex keep about 1e-12 relative accuracy. Between two
-    far points that are close in direction, the formulas here cancel: against
-    a ``decimal`` oracle the worst distance errors are 1.6e-11, 2e-7 and 9e-3
-    at R = 5, 10 and 15 from the apex, where the rounding of the coordinates
-    alone would allow about 1.1e-16 cosh R (ROADMAP item 2).
+    ``DomainError`` beyond it, and so do the samplers (``sample_point``,
+    ``perturb`` and ``sample_many``) for a draw that lands beyond it. Up to
+    that radius distances and geodesic points through the apex keep about
+    1e-12 relative accuracy. Between two far points that are close in
+    direction, the formulas here cancel: against a ``decimal`` oracle the
+    worst distance errors are 1.6e-11, 2e-7 and 9e-3 at R = 5, 10 and 15
+    from the apex, where the rounding of the coordinates alone would allow
+    about 1.1e-16 cosh R (ROADMAP item 2).
 
     The space stores no array: ``distance_many`` builds the Minkowski
     signature (-1, 1, ..., 1) on each call, so making a hyperboloid, like
@@ -665,6 +670,8 @@ class Hyperboloid(ModelSpace):
         nv = np.sqrt(np.einsum("ij,ij->i", v, v))
         length = np.sqrt(np.einsum("ij,ij->i", g, g)) * scale
         moved = (nv >= 1e-15) & (length != 0.0)
+        if not (length[moved] <= HYPERBOLOID_MAX_RADIUS).all():  # before sinh overflows
+            raise DomainError(_SAMPLE_TOO_FAR)
         gain = np.sinh(length) / np.where(moved, nv, 1.0)
         Z = np.zeros((n, self.dim + 1))
         Z[:, 1:] = np.where(moved, gain, 0.0)[:, None] * v
@@ -761,7 +768,10 @@ class Hyperboloid(ModelSpace):
         length = math.sqrt(float(g @ g)) * scale
         if n < 1e-15 or length == 0.0:
             return p
-        return self.exp_map(p, [c * (length / n) for c in v])
+        q = self.exp_map(p, [c * (length / n) for c in v])
+        if not q.xs[0] <= _X0_MAX:  # NaN included
+            raise DomainError(_SAMPLE_TOO_FAR)
+        return q
 
 
 @dataclass(frozen=True, eq=True)

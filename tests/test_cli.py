@@ -502,6 +502,11 @@ H2_MANN_RUN = dict(MANN_E2_RUN, space={"kind": "hyperboloid", "dim": 2},
     pytest.param("check", {"space": SPIDER, "checks": [
         {"name": "space_axioms", "samples": 10, "scale": -1.0}]},
                  "scale must be finite and >= 0, got -1.0", id="spider-negative-scale"),
+    # a hyperboloid draw past the radius bound is refused, not left to
+    # overflow into NaN rows that would read as a FAIL
+    pytest.param("check", {"space": {"kind": "hyperboloid", "dim": 2}, "checks": [
+        {"name": "space_axioms", "samples": 2000, "scale": 1000.0}]},
+                 "beyond distance 100 of the apex", id="hyperboloid-draws-past-the-radius"),
     pytest.param("sweep", dict(SHAPE_SWEEP, output=5),
                  "'output' in sweep config must be a nonempty string, got 5",
                  id="sweep-output-5"),

@@ -735,13 +735,28 @@ class UniformEuclidean(Euclidean):
 
 @pytest.mark.parametrize("space", [E2, H2, pytest.param(UniformEuclidean(2), id="uniform:2")],
                          ids=lambda s: s.space_id)
-def test_sample_many_follows_the_scalar_stream(space):
-    # one batched draw consumes the generator as n scalar draws do
-    block = space.sample_many(np.random.default_rng(5), 50, 2.0)
+@pytest.mark.parametrize("scale", [2.0, 8.0])
+def test_sample_many_follows_the_scalar_stream(space, scale):
+    # one batched draw consumes the generator as n scalar draws do; at scale
+    # 8 no hyperboloid draw is refused past the radius
+    block = space.sample_many(np.random.default_rng(5), 50, scale)
     rng = np.random.default_rng(5)
     for row in block:
-        p = space.sample_point(rng, 2.0)
+        p = space.sample_point(rng, scale)
         assert space.distance(space.point(row), p) <= 1e-12 * (1.0 + float(p.coords @ p.coords))
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6])
+def test_hyperboloid_samplers_refuse_draws_past_the_radius(scale):
+    # sample_many refuses before sinh overflows (a RuntimeWarning would fail
+    # this test); the scalar samplers refuse an overflowed or NaN x0 too
+    far = "beyond distance 100 of the apex"
+    with pytest.raises(DomainError, match=far):
+        H2.sample_many(np.random.default_rng(3), 50, scale)
+    with pytest.raises(DomainError, match=far):
+        H2.sample_point(np.random.default_rng(3), scale)
+    with pytest.raises(DomainError, match=far):
+        H2.perturb(H2.from_spatial([1.0, 2.0]), np.random.default_rng(3), scale)
 
 
 def test_subclass_overriding_a_primitive_gets_the_looped_kernels():
