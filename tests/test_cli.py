@@ -624,16 +624,35 @@ def test_sweep_iterations_decrease_with_lambda(tmp_path):
 
 
 def test_sweep_single_cell_matches_run(tmp_path):
-    sweep_cfg = {"base": dict(BASE_RUN), "grid": {"schedules.lambda.value": [1.0]}}
-    assert run_cli("sweep", "--config", write_cfg(tmp_path, sweep_cfg, "s.json"),
-                   "--out", str(tmp_path / "s")) == 0
-    assert run_cli("run", "--config", write_cfg(tmp_path, BASE_RUN, "r.json"),
-                   "--out", str(tmp_path / "r")) == 0
-    row = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1].split(",")
-    summary = json.loads((tmp_path / "r" / "summary.json").read_text())
-    assert int(row[1]) == summary["iterations"]
-    assert row[2] == summary["stop_reason"]
-    assert float(row[3]) == summary["final_residual"]
+    # a sweep cell records no trace, so its row must be the run summary of
+    # its cell, as written: a converged cell and a budget-bound one, each with
+    # anchor and reference, at the default stride and at a stride the base
+    # sets, with and without a --max-iters override past the dense trace
+    base = dict(BASE_RUN, scheme="halpern_ppa", anchor=[5.0], max_iterations=1500,
+                trace_stride=None)
+    base["schedules"] = {"anchor": {"kind": "power"},
+                         "lambda": {"kind": "constant", "value": 1.0}}
+    grid = {"tolerance": [1e-4, 0.0], "trace_stride": [None, 7]}
+    for extra in ([], ["--max-iters", "1100"]):
+        out = tmp_path / f"s{len(extra)}"
+        assert run_cli("sweep", "--config", write_cfg(tmp_path, {"base": base, "grid": grid},
+                                                       "s.json"),
+                       "--out", str(out), *extra) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        cells = list(itertools.product(*grid.values()))
+        assert len(rows) == len(cells)
+        reasons = set()
+        for row, (tol, stride) in zip(rows, cells):
+            cell = dict(base, tolerance=tol, trace_stride=stride)
+            code = run_cli("run", "--config", write_cfg(tmp_path, cell, "r.json"),
+                           "--out", str(tmp_path / "r"), *extra)
+            summary = json.loads((tmp_path / "r" / "summary.json").read_text())
+            assert summary["target_distance"] is not None
+            assert row.split(",")[2:] == [
+                str(summary["iterations"]), summary["stop_reason"],
+                cli._fmt(summary["final_residual"]), cli._fmt(summary["target_distance"])]
+            reasons.add((summary["stop_reason"], code))
+        assert reasons == {("converged", 0), ("budget_exhausted", 2)}
 
 
 def test_sweep_validates_all_cells_before_running(tmp_path):

@@ -591,6 +591,27 @@ def test_one_loop_equals_the_two_loops_it_replaced(engine, case, with_reference,
         assert _same(getattr(got.summary, f.name), getattr(want.summary, f.name)), f.name
 
 
+@pytest.mark.parametrize("with_reference", [False, True])
+@pytest.mark.parametrize("case", sorted(_EQUIVALENCE_CASES))
+@pytest.mark.parametrize("engine", ["sequence", "halpern"])
+def test_summary_does_not_depend_on_the_trace_stride(engine, case, with_reference):
+    # a sweep cell runs at a stride of its budget and reads only the summary
+    space, make_seq, points, budget, tol, _ = _EQUIVALENCE_CASES[case]
+    start, anchor, reference = points()
+    summaries = []
+    for stride in (None, 7, budget):
+        cfg = RunConfig(space=space, start=start, max_iterations=budget, tolerance=tol,
+                        reference=reference if with_reference else None, trace_stride=stride)
+        if engine == "sequence":
+            summaries.append(iterate_sequence(make_seq(), cfg).summary)
+        else:
+            cfg = dataclasses.replace(cfg, anchor=anchor)
+            summaries.append(halpern_iterate(make_seq(), halpern_schedule(), cfg).summary)
+    for other in summaries[1:]:
+        for f in dataclasses.fields(RunSummary):
+            assert _same(getattr(other, f.name), getattr(summaries[0], f.name)), f.name
+
+
 @pytest.mark.parametrize("stride", [0, -3, True, 2.0, "4"])
 @pytest.mark.parametrize("engine", ["sequence", "halpern"])
 def test_bad_trace_stride_is_rejected_at_entry(engine, stride):

@@ -8,7 +8,7 @@ benchmark's workloads at a tiny scale, untraced and traced, and requires
 equal outputs, a nonzero reading on every metric the harness's smoke check
 expects of them, and the package restored after ``uninstall``. The axioms
 and cli_sweep workloads are left out: some of their expected metrics read 0
-under the in-process tracer (see ROADMAP item 1).
+under the in-process tracer (see ROADMAP item 2).
 """
 
 import importlib
