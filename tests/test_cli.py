@@ -633,13 +633,12 @@ def test_sweep_single_cell_matches_run(tmp_path):
     base["schedules"] = {"anchor": {"kind": "power"},
                          "lambda": {"kind": "constant", "value": 1.0}}
     grid = {"tolerance": [1e-4, 0.0], "trace_stride": [None, 7]}
+    cells = list(itertools.product(*grid.values()))
+    sweep_cfg = write_cfg(tmp_path, {"base": base, "grid": grid}, "s.json")
     for extra in ([], ["--max-iters", "1100"]):
         out = tmp_path / f"s{len(extra)}"
-        assert run_cli("sweep", "--config", write_cfg(tmp_path, {"base": base, "grid": grid},
-                                                       "s.json"),
-                       "--out", str(out), *extra) == 0
+        assert run_cli("sweep", "--config", sweep_cfg, "--out", str(out), *extra) == 0
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
-        cells = list(itertools.product(*grid.values()))
         assert len(rows) == len(cells)
         reasons = set()
         for row, (tol, stride) in zip(rows, cells):
