@@ -220,6 +220,20 @@ def trace_csv_lines(space: ModelSpace, trace: IterationTrace) -> list[str]:
     return lines
 
 
+def _output_paths(out_dir: str, *names: str) -> list[Path]:
+    """The outputs' paths in ``--out``, refused before any work where two name
+    one file, or a file or a directory stands where a directory or a file goes."""
+    paths = [Path(out_dir) / name for name in names]
+    if len({os.path.normpath(p) for p in paths}) < len(paths):  # the last would overwrite
+        raise ConfigError(f"two outputs name one file: {', '.join(names)}")
+    for p in paths:
+        first = next(q for q in (p, *p.parents) if q.exists())
+        if first.is_dir() == (first == p):
+            raise ConfigError(f"cannot write {p}: {first} is "
+                              f"{'a directory' if first == p else 'not a directory'}")
+    return paths
+
+
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
@@ -274,13 +288,11 @@ def _load_json(path: str) -> dict:
 def cmd_run(config_path: str, out_dir: str, overrides: Mapping | None = None) -> int:
     cfg = _load_json(config_path)
     built, run_cfg, outputs = parse_run_config(cfg, overrides)
+    trace_path, summary_path = _output_paths(out_dir, outputs["trace"], outputs["summary"])
     trace = built.run(run_cfg)
-    out = Path(out_dir)
-    _atomic_write(out / outputs["trace"],
-                  "\n".join(trace_csv_lines(run_cfg.space, trace)) + "\n")
+    _atomic_write(trace_path, "\n".join(trace_csv_lines(run_cfg.space, trace)) + "\n")
     summary = summary_dict(run_cfg.space, built, trace, run_cfg.seed)
-    _atomic_write(out / outputs["summary"],
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _atomic_write(summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"{summary['scheme']}: {summary['stop_reason']} after "
           f"{summary['iterations']} iterations, final residual "
           f"{_fmt(summary['final_residual'])}"
@@ -391,12 +403,12 @@ def cmd_check(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     """Read and validate every check of the config, then run them in order."""
     checks, seed, out_name = _parse(_check_config, _load_json(config_path), "check config",
                                     overrides)
+    (path,) = _output_paths(out_dir, out_name)
     reports = [run() for run in checks]
     bundle = {"all_passed": all(r.passed for r in reports),
               "seed": seed,
               "reports": [r.to_dict() for r in reports]}
-    _atomic_write(Path(out_dir) / out_name,
-                  json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(bundle, indent=2, sort_keys=True) + "\n")
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.check_name}: samples={r.samples_tested} "
@@ -405,15 +417,13 @@ def cmd_check(config_path: str, out_dir: str, overrides: Mapping | None = None) 
 
 
 def _set_by_path(cfg: dict, dotted: str, value: Any) -> None:
-    parts = dotted.split(".")
+    *parents, last = dotted.split(".")
     node = cfg
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"grid path {dotted!r} does not exist in the base config")
-        node = node[p]
-    if not isinstance(node, dict) or parts[-1] not in node:
+    for p in parents:
+        node = node.get(p) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or last not in node:
         raise ConfigError(f"grid path {dotted!r} does not exist in the base config")
-    node[parts[-1]] = value
+    node[last] = value
 
 
 def _grid_cell(v: Any) -> str:
@@ -431,10 +441,8 @@ def _run_cell(cell_cfg: dict, overrides: Mapping | None) -> list:
     and target distance, all read from the run summary.
 
     The row reads no trace step, so the cell runs with a trace stride of its
-    budget: the engine records step 1 and the last step, not every step up
-    to 1,001 and a thinning tail, each with its distance to the reference.
-    Every check of a step still runs, and the summary is the same at every
-    stride."""
+    budget: the engine records step 1 and the last step. Every check of a
+    step still runs, and the summary is the same at every stride."""
     built, run_cfg, _ = parse_run_config(cell_cfg, overrides)
     run_cfg = dataclasses.replace(run_cfg, trace_stride=run_cfg.max_iterations)
     s = built.run(run_cfg).summary
@@ -461,8 +469,7 @@ def _sweep(overrides: Mapping, base: dict, grid: dict[str, list[Any]],
 def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) -> int:
     """Run every cell of the grid and write one CSV row per cell, in grid order.
 
-    A row holds the cell's grid values and its run summary (``_run_cell``);
-    a cell records no per-step trace, since no row reads one.
+    A row holds the cell's grid values and its run summary (``_run_cell``).
 
     Cells run in forked worker processes, as many as the smallest of
     ``SWEEP_MAX_WORKERS``, the CPUs in the process's affinity mask (so
@@ -475,6 +482,7 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     """
     paths, cells, cell_cfgs, out_name = _parse(_sweep, _load_json(config_path), "sweep config",
                                                overrides)
+    (path,) = _output_paths(out_dir, out_name)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = max(1, min(SWEEP_MAX_WORKERS, cpus, len(cells)))
@@ -511,8 +519,8 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([*paths, "iterations", "stop_reason", "final_residual", "target_distance"])
     writer.writerows(rows)
-    _atomic_write(Path(out_dir) / out_name, buf.getvalue())
-    print(f"sweep: {len(cells)} cells -> {Path(out_dir) / out_name}")
+    _atomic_write(path, buf.getvalue())
+    print(f"sweep: {len(cells)} cells -> {path}")
     return EXIT_SOLVER if failed else EXIT_OK
 
 

@@ -10,7 +10,7 @@ which sets the looser 1e-7/1e-8 values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DomainError
@@ -41,10 +41,6 @@ class Violation:
     rhs: float
     slack: float
 
-    @property
-    def margin(self) -> float:
-        return self.lhs - self.rhs - self.slack
-
 
 @dataclass(frozen=True, eq=False)
 class CheckReport:
@@ -58,16 +54,7 @@ class CheckReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "samples_tested": self.samples_tested,
-            "passed": self.passed,
-            "max_violation": self.max_violation,
-            "violations": [
-                {"descriptor": v.descriptor, "lhs": v.lhs, "rhs": v.rhs, "slack": v.slack}
-                for v in self.violations
-            ],
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 class _Collector:

@@ -13,6 +13,7 @@ set); ``expanding_quadratic`` is the quadratic with a broken closed form.
 from __future__ import annotations
 
 import dataclasses
+from operator import neg
 from typing import Callable
 
 from .errors import ConfigError
@@ -69,7 +70,7 @@ def _dist2(space: ModelSpace, nearest: Callable[[SpacePoint], SpacePoint],
         return 0.5 * d * d
 
     grad = None if isinstance(space, Spider) else (
-        lambda y: tuple([-c for c in space.log_map(y, nearest(y))]))
+        lambda y: tuple(map(neg, space.log_map(y, nearest(y)))))
     return ObjectiveFunction(
         space=space, eval=val, gradient=grad, gradient_lipschitz=1.0,
         weak_convexity_alpha=0.0, known_argmin=known_argmin,
@@ -115,8 +116,8 @@ def plateau_quartic(space: ModelSpace) -> ObjectiveFunction:
         return (12.0 * t * (t - 2.0) ** 2,)
 
     def prox(lam: float, x: SpacePoint) -> SpacePoint:
-        # _wrap skips re-validation; the safeguarded solve cannot leave R
-        return space._wrap((_quartic_prox(lam, x.xs[0]),))
+        # no re-validation: the safeguarded solve cannot leave R
+        return SpacePoint(space.space_id, (_quartic_prox(lam, x.xs[0]),))
 
     return ObjectiveFunction(
         space=space, eval=val, gradient=grad,

@@ -27,9 +27,8 @@ compute the scalar formulas row by row and serve the batched checkers.
 numpy is imported by the calls that build or read an array, ``coords`` and
 the array kernels, not with this module. Spaces, points and every scalar
 primitive work without it, so ``import hadamard_iter`` and a CLI run whose
-steps stay on floats never import it: on 2 vCPUs a cold ``hadamard-iter
-run`` of a short config takes about 64 ms instead of 103 ms. The samplers
-take a numpy ``Generator`` that their caller made.
+steps stay on floats never import it (the README gives what that saves).
+The samplers take a numpy ``Generator`` that their caller made.
 """
 
 from __future__ import annotations
@@ -263,10 +262,6 @@ class ModelSpace:
                 f"point belongs to space {p.space_id!r}, expected {self.space_id!r}"
             )
 
-    def _wrap(self, xs: tuple[float, ...]) -> SpacePoint:
-        # internal fast constructor; xs already valid
-        return SpacePoint(self.space_id, xs)
-
     # -- metric and geodesics ----------------------------------------------
 
     def distance(self, x: SpacePoint, y: SpacePoint) -> float:
@@ -305,16 +300,16 @@ class ModelSpace:
     def distance_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise distances d(X[i], Y[i]) of two coordinate blocks."""
         import numpy as np
-        wrap = self._wrap
-        return np.array([self._distance(wrap(tuple(x)), wrap(tuple(y)))
+        sid = self.space_id
+        return np.array([self._distance(SpacePoint(sid, tuple(x)), SpacePoint(sid, tuple(y)))
                          for x, y in zip(X.tolist(), Y.tolist())], dtype=float)
 
     def combine_many(self, X: np.ndarray, Y: np.ndarray, t) -> np.ndarray:
         """Row-wise ``combine(X[i], Y[i], t[i])``, with the same rule for t."""
         import numpy as np
         t = _snap_unit_many(t)
-        wrap = self._wrap
-        rows = [self.combine(wrap(tuple(x)), wrap(tuple(y)), ti).xs
+        sid = self.space_id
+        rows = [self.combine(SpacePoint(sid, tuple(x)), SpacePoint(sid, tuple(y)), ti).xs
                 for x, y, ti in zip(X.tolist(), Y.tolist(), t.tolist())]
         return np.array(rows, dtype=float).reshape(X.shape)
 
@@ -471,7 +466,7 @@ class Euclidean(ModelSpace):
 
     def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
         s = 1.0 - t
-        return self._wrap(tuple([s * a + t * b for a, b in zip(x.xs, y.xs)]))
+        return SpacePoint(self.space_id, tuple([s * a + t * b for a, b in zip(x.xs, y.xs)]))
 
     def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
         Z = rng.normal(size=(n, self.dim))
@@ -491,7 +486,7 @@ class Euclidean(ModelSpace):
         return tuple(map(sub, target.xs, base.xs))
 
     def exp_map(self, base: SpacePoint, v) -> SpacePoint:
-        return self._wrap(tuple(map(add, base.xs, self._exp_entry(base, v))))
+        return SpacePoint(self.space_id, tuple(map(add, base.xs, self._exp_entry(base, v))))
 
     def tangent_norm(self, base: SpacePoint, v) -> float:
         if self.dim == 1:
@@ -513,13 +508,14 @@ class Euclidean(ModelSpace):
         if excess <= 0.0:
             return x
         k = excess / sum(map(mul, n, n))
-        return self._wrap(tuple([c - k * a for c, a in zip(x.xs, n)]))
+        return SpacePoint(self.space_id, tuple([c - k * a for c, a in zip(x.xs, n)]))
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0) -> SpacePoint:
-        return self._wrap(tuple((rng.normal(size=self.dim) * scale).tolist()))
+        return SpacePoint(self.space_id, tuple((rng.normal(size=self.dim) * scale).tolist()))
 
     def perturb(self, p: SpacePoint, rng: np.random.Generator, scale: float) -> SpacePoint:
-        return self._wrap(tuple(map(add, p.xs, (rng.normal(size=self.dim) * scale).tolist())))
+        step = (rng.normal(size=self.dim) * scale).tolist()
+        return SpacePoint(self.space_id, tuple(map(add, p.xs, step)))
 
 
 # Hyperboloid float primitives on coordinate tuples or lists. Products and sums
@@ -528,7 +524,8 @@ class Euclidean(ModelSpace):
 # coordinates, which the engines report as a solver error.
 
 def _mink(u: list, v: list) -> float:
-    # <u, v>_M = -u0 v0 + sum_i ui vi, the products taken once, without slices
+    # <u, v>_M = -u0 v0 + sum_i ui vi, the products taken once, without slices;
+    # a PPA step's primitives inline these products in this order: same bits, one call less
     products = map(mul, u, v)
     u0v0 = next(products)
     return sum(products) - u0v0
@@ -540,21 +537,17 @@ def _h_distance(x: list, y: list, m: float | None = None) -> float:
     # pairs from the chordal square <x-y, x-y>_M. m, when the caller has
     # it, is -<x,y>_M.
     if m is None:
-        m = -_mink(x, y)
+        products = map(mul, x, y)
+        x0y0 = next(products)
+        m = -(sum(products) - x0y0)
     if _ACOSH_FROM < m < math.inf:
         q = 2.0 * (m - 1.0)
     else:
-        dl = list(map(sub, x, y))
-        d0 = dl[0]
-        q = sum(map(mul, dl, dl)) - 2.0 * d0 * d0
+        d0 = x[0] - y[0]
+        q = sum([c * c for c in map(sub, x, y)]) - 2.0 * d0 * d0
         if q <= 0.0:
             return 0.0
     return 2.0 * math.asinh(0.5 * math.sqrt(q))
-
-
-def _lift(spatial: list) -> tuple[float, ...]:
-    # the point of the sheet with these spatial coordinates: x0 = sqrt(1 + |s|^2)
-    return (math.sqrt(1.0 + sum(map(mul, spatial, spatial))), *spatial)
 
 
 @dataclass(frozen=True, eq=True)
@@ -623,7 +616,8 @@ class Hyperboloid(ModelSpace):
     def from_spatial(self, spatial: list[float]) -> SpacePoint:
         """Lift spatial coordinates onto the sheet: x0 = sqrt(1 + |s|^2).
         ``point`` validates the lift, the radius bound included."""
-        return self.point(_lift(floats(spatial, self.dim, "spatial coordinates")))
+        s = floats(spatial, self.dim, "spatial coordinates")
+        return self.point((math.sqrt(1.0 + sum(map(mul, s, s))), *s))
 
     def base_point(self) -> SpacePoint:
         return self._base
@@ -631,19 +625,22 @@ class Hyperboloid(ModelSpace):
     def _distance(self, x: SpacePoint, y: SpacePoint) -> float:
         return _h_distance(x.xs, y.xs)
 
-    def _tangent_toward(self, x, y) -> tuple[list, float]:
-        # unit tangent at x toward y and the distance, from coordinate tuples;
-        # (zero, 0) if d < 1e-14, and (zero, d) if the tangent form cancels
-        m = _mink(x, y)
+    def _tangent_toward(self, x, y) -> tuple[list, float, float]:
+        # (w, nw, d) from coordinate tuples: the unit tangent at x toward y is
+        # w / nw; (zero, 1, 0) if d < 1e-14, (zero, 1, d) if the tangent cancels
+        products = map(mul, x, y)
+        x0y0 = next(products)
+        m = sum(products) - x0y0
         d = _h_distance(x, y, -m)
         if d < 1e-14:
-            return [0.0] * len(x), 0.0
+            return [0.0] * len(x), 1.0, 0.0
         w = [b + m * a for a, b in zip(x, y)]  # Minkowski-orthogonal to x
-        nw = _mink(w, w)                       # = sinh^2 d
-        nw = math.sqrt(nw) if nw > 0 else 0.0
-        if nw == 0.0:
-            return [0.0] * len(x), d
-        return [c / nw for c in w], d
+        products = map(mul, w, w)
+        w0w0 = next(products)
+        nw = sum(products) - w0w0              # = sinh^2 d
+        if not nw > 0:
+            return [0.0] * len(x), 1.0, d
+        return w, math.sqrt(nw), d
 
     def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
         # slerp form: gamma(s) = (sinh(d-s) x + sinh(s) y) / sinh(d). A
@@ -661,7 +658,10 @@ class Hyperboloid(ModelSpace):
             a, b = math.sinh(d - s) / sd, math.sinh(s) / sd
         except OverflowError:  # d > 710, only beyond HYPERBOLOID_MAX_RADIUS
             a = b = math.nan
-        return self._wrap(_lift([a * p + b * q for p, q in zip(xs[1:], ys[1:])]))
+        pairs = zip(xs, ys)
+        next(pairs)  # the time coordinate, recomputed by the lift
+        s = [a * p + b * q for p, q in pairs]
+        return SpacePoint(self.space_id, (math.sqrt(1.0 + sum(map(mul, s, s))), *s))
 
     def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
         # perturb at the apex, row by row: the tangent space there is the
@@ -710,8 +710,8 @@ class Hyperboloid(ModelSpace):
         return Z
 
     def _log(self, base: SpacePoint, target: SpacePoint) -> tuple[float, ...]:
-        v, d = self._tangent_toward(base.xs, target.xs)
-        return tuple([c * d for c in v])
+        w, nw, d = self._tangent_toward(base.xs, target.xs)
+        return tuple([(c / nw) * d for c in w])
 
     def exp_map(self, base: SpacePoint, v) -> SpacePoint:
         v = self._exp_entry(base, v)
@@ -727,11 +727,14 @@ class Hyperboloid(ModelSpace):
             ch, sh = math.cosh(t), math.sinh(t)
         except OverflowError:  # t > 710: the point is not representable
             ch = sh = math.inf
-        return self._wrap(_lift([ch * p + sh * (c / t) for p, c in zip(b[1:], v[1:])]))
+        s = [ch * p + sh * (c / t) for p, c in zip(b[1:], v[1:])]
+        return SpacePoint(self.space_id, (math.sqrt(1.0 + sum(map(mul, s, s))), *s))
 
     def tangent_norm(self, base: SpacePoint, v) -> float:
         v = tuple(map(float, v))
-        q = _mink(v, v)
+        products = map(mul, v, v)
+        v0v0 = next(products)
+        q = sum(products) - v0v0
         return math.sqrt(q) if q > 0 else 0.0
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
@@ -743,9 +746,10 @@ class Hyperboloid(ModelSpace):
         if a.xs[0] > b.xs[0]:
             a, b = b, a
         al, xl = a.xs, x.xs
-        v, L = self._tangent_toward(al, b.xs)
+        w, nw, L = self._tangent_toward(al, b.xs)
         if L == 0.0:  # shorter than 1e-14: the nearer end is the projection
             return a
+        v = [c / nw for c in w]
         if not any(v):
             raise DomainError("the direction of the segment cancels in floating point")
         A = -_mink(xl, al)

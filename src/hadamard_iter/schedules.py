@@ -42,8 +42,7 @@ class Schedule:
 
     def __post_init__(self):
         for k in SPOT_CHECK_INDICES:
-            v = float(self.generator(k))
-            self._check_value(k, v)
+            self._check_value(k, self(k))
 
     def __call__(self, k: int) -> float:
         return float(self.generator(k))

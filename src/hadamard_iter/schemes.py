@@ -14,10 +14,10 @@ the run as a solver error that keeps the trace so far; invalid start,
 anchor or reference points and an invalid trace stride raise before the
 first step.
 
-Those points are checked once, at entry. Each step checks the operator's
-output once, through the public ``distance`` of the residual; the anchored
-movement and the distances to the reference are between points the loop
-made or checked, so they take the space's unchecked ``_distance``.
+Those points are checked once, at entry. A step checks the operator's output
+by the public ``distance`` of the residual; with an anchor, the public
+``combine`` that mixes in u checks u and that output again. The movement and
+the distances to the reference, between checked points, take ``_distance``.
 
 All built-in schemes are Fejer monotone toward the common fixed set without
 an anchor; with one, d(x_k, x*) stays bounded by max(d(x*, u), d(x*, x_1)).

@@ -351,6 +351,48 @@ def test_bad_override_flags_are_config_errors(tmp_path, capsys, command, cfg, fl
     assert not (tmp_path / "o").exists()
 
 
+def test_run_outputs_that_name_one_file_are_a_config_error(tmp_path, capsys):
+    # the summary would overwrite the trace
+    cfg = dict(BASE_RUN, outputs={"trace": "same.txt", "summary": "./same.txt"})
+    assert run_cli("run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == \
+        "config error: two outputs name one file: same.txt, ./same.txt\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command started its work")
+
+
+@pytest.mark.parametrize("command, cfg, work, name", [
+    ("run", BASE_RUN, (cli.BuiltScheme, "run"), "trace.csv"),
+    ("check", CHECK_CFG, (cli, "check_space_axioms"), "reports.json"),
+    ("sweep", {"base": BASE_RUN, "grid": {"seed": [1]}}, (multiprocessing, "get_context"),
+     "sweep.csv"),
+])
+def test_out_naming_a_file_is_a_config_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             command, cfg, work, name):
+    path = write_cfg(tmp_path, cfg)
+    monkeypatch.setattr(*work, _no_work)
+    for out in (tmp_path / "f", tmp_path / "f" / "sub"):
+        (tmp_path / "f").write_text("kept\n")
+        assert run_cli(command, "--config", path, "--out", str(out)) == 1
+        assert capsys.readouterr().err == \
+            f"config error: cannot write {out / name}: {tmp_path / 'f'} is not a directory\n"
+        assert (tmp_path / "f").read_text() == "kept\n"
+
+
+def test_run_output_naming_a_directory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.BuiltScheme, "run", _no_work)
+    (tmp_path / "o" / "trace.csv").mkdir(parents=True)
+    assert run_cli("run", "--config", write_cfg(tmp_path, BASE_RUN), "--out",
+                   str(tmp_path / "o")) == 1
+    trace = tmp_path / "o" / "trace.csv"
+    assert capsys.readouterr().err == \
+        f"config error: cannot write {trace}: {trace} is a directory\n"
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["trace.csv"]
+
+
 def test_check_all_pass_exit_zero(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CHECK_CFG)
     assert run_cli("check", "--config", cfg, "--out", str(tmp_path / "o")) == 0
@@ -687,9 +729,14 @@ def test_sweep_rejects_what_the_engine_rejects_at_entry(tmp_path, monkeypatch, c
     assert (tmp_path / "o" / "sweep.csv").exists()
 
 
-def test_sweep_bad_grid_path(tmp_path):
-    cfg = {"base": dict(BASE_RUN), "grid": {"schedules.mu.value": [1.0]}}
+@pytest.mark.parametrize("path", ["schedules.mu.value", "schedules.lambda.step", "mu",
+                                  "start.spatial", "schedules.lambda.value.x"])
+def test_sweep_bad_grid_path(tmp_path, capsys, path):
+    # a missing key at any depth, or a path that runs through a non-object
+    cfg = {"base": dict(BASE_RUN), "grid": {path: [1.0]}}
     assert run_cli("sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == \
+        f"config error: grid path {path!r} does not exist in the base config\n"
 
 
 def test_sweep_byte_identical_reruns(tmp_path):

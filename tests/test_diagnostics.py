@@ -12,6 +12,7 @@ from hadamard_iter import (
     OperatorSequence,
     RunConfig,
     Segment,
+    SpacePoint,
     Spider,
     bifunction_fixture,
     catalog_operator,
@@ -78,7 +79,8 @@ class BentPlane(Euclidean):
 
     def _combine(self, x, y, t, d=None):
         (x0, x1), (y0, y1) = x.xs, y.xs
-        return self._wrap(((1 - t) * x0 + t * y0, (1 - t) * x1 + t * y1 + t * (1 - t)))
+        return SpacePoint(self.space_id,
+                          ((1 - t) * x0 + t * y0, (1 - t) * x1 + t * y1 + t * (1 - t)))
 
 
 class QuadraticTimePlane(Euclidean):
@@ -115,7 +117,7 @@ class SphereCap(Euclidean):
         if rho == 0.0:
             return self.base_point()
         r = math.atan2(rho, z2) / rho
-        return self._wrap((r * z0, r * z1))
+        return SpacePoint(self.space_id, (r * z0, r * z1))
 
 
 class HalvedHyperboloid(Hyperboloid):

@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import pickle
-from operator import mul
+from operator import mul, sub
 
 import numpy as np
 import pytest
@@ -730,7 +730,7 @@ class UniformEuclidean(Euclidean):
     ``sample_point`` alone leaves ``sample_many`` the loop over it."""
 
     def sample_point(self, rng, scale=1.0):
-        return self._wrap(tuple(rng.uniform(-scale, scale, size=self.dim).tolist()))
+        return SpacePoint(self.space_id, tuple(rng.uniform(-scale, scale, size=self.dim).tolist()))
 
 
 @pytest.mark.parametrize("space", [E2, H2, pytest.param(UniformEuclidean(2), id="uniform:2")],
@@ -987,7 +987,7 @@ def hyperboloid_pair(draw):
 @given(pair=hyperboloid_pair(), t=UNIT_T)
 @settings(max_examples=400, deadline=None)
 @example(pair=(H2.base_point(), H2.from_spatial([math.sinh(40.0), 0.0])), t=0.5)
-@example(pair=(H2._wrap((1.0, 5.2116001133558605e-15, 0.0)), H2.base_point()), t=1.0)
+@example(pair=(SpacePoint(H2.space_id, (1.0, 5.2116001133558605e-15, 0.0)), H2.base_point()), t=1.0)
 def test_hyperboloid_float_primitives_match_the_array_formulas(pair, t):
     x, y = pair
     X, Y = x.coords, y.coords
@@ -1003,12 +1003,13 @@ def test_hyperboloid_float_primitives_match_the_array_formulas(pair, t):
                              for a, b in zip(_sequences(u), reversed(_sequences(v)))])
     # geodesic points, compared as points of the space
     z = H2.combine(x, y, t)
-    assert H2.distance(z, H2._wrap(ref_h_combine(X, Y, t))) <= dtol
+    assert H2.distance(z, SpacePoint(H2.space_id, ref_h_combine(X, Y, t))) <= dtol
     if t in (0.0, 1.0):
         assert z is (x if t == 0.0 else y)
     ball = Ball(x, 0.5)
     p = H2.project(ball, y)
-    assert H2.distance(p, H2._wrap(ref_h_combine(X, Y, 0.5 / d) if d > 0.5 else Y)) <= dtol
+    want = ref_h_combine(X, Y, 0.5 / d) if d > 0.5 else Y
+    assert H2.distance(p, SpacePoint(H2.space_id, want)) <= dtol
     # tangent maps, at a base within distance 3 of the apex: at a far base
     # the tangent form w = y + <x,y> x cancels in any formula
     if X[0] > math.cosh(3.0) * (1.0 + 1e-12):
@@ -1309,9 +1310,10 @@ def ref_h_project_segment(A, B, X):
     if A[0] > B[0]:  # the geodesic starts at the end nearer the apex
         A, B = B, A
     al, xl = A.tolist(), X.tolist()
-    v, L = H2._tangent_toward(al, B.tolist())
+    w, nw, L = H2._tangent_toward(al, B.tolist())
     if L == 0.0:
         return A
+    v = [c / nw for c in w]
     a_, b_ = -_mink(xl, al), -_mink(xl, v)
     ratio = min(1.0 - 1e-16, max(-1.0 + 1e-16, -b_ / a_))
     t = min(1.0, max(0.0, math.atanh(ratio) / L))
@@ -1500,3 +1502,170 @@ def test_minkowski_takes_any_flat_sequence_of_numbers():
     for u, v in (((2, 1, -3), [0.5, 4, 1.0]), (np.array([2.0, 1.0, -3.0]), iter([0.5, 4.0, 1.0])),
                  ([np.float64(2.0), 1.0, -3.0], (0.5, 4.0, 1.0))):
         assert _bits(Hyperboloid.minkowski(u, v)) == _bits(want)
+
+
+# The hyperboloid kernels as they were when each called _mink and _lift, on
+# coordinate tuples. The kernels that take the Minkowski products inline and
+# build their points directly must keep these bits: hyperboloid_ball is not
+# digest-pinned (its bits follow libm), and these copies use the same libm.
+
+def old_mink(u, v):
+    products = map(mul, u, v)
+    u0v0 = next(products)
+    return sum(products) - u0v0
+
+
+def old_h_distance(x, y, m=None):
+    if m is None:
+        m = -old_mink(x, y)
+    if 16.0 < m < math.inf:
+        q = 2.0 * (m - 1.0)
+    else:
+        dl = list(map(sub, x, y))
+        d0 = dl[0]
+        q = sum(map(mul, dl, dl)) - 2.0 * d0 * d0
+        if q <= 0.0:
+            return 0.0
+    return 2.0 * math.asinh(0.5 * math.sqrt(q))
+
+
+def old_lift(spatial):
+    return (math.sqrt(1.0 + sum(map(mul, spatial, spatial))), *spatial)
+
+
+def old_tangent_toward(x, y):
+    m = old_mink(x, y)
+    d = old_h_distance(x, y, -m)
+    if d < 1e-14:
+        return [0.0] * len(x), 0.0
+    w = [b + m * a for a, b in zip(x, y)]
+    nw = old_mink(w, w)
+    nw = math.sqrt(nw) if nw > 0 else 0.0
+    if nw == 0.0:
+        return [0.0] * len(x), d
+    return [c / nw for c in w], d
+
+
+def old_log(x, y):
+    v, d = old_tangent_toward(x, y)
+    return tuple([c * d for c in v])
+
+
+def old_combine(x, y, t, d=None):
+    if d is None:
+        d = old_h_distance(x, y)
+    if d < 1e-14:
+        return x
+    s = t * d
+    try:
+        sd = math.sinh(d)
+        a, b = math.sinh(d - s) / sd, math.sinh(s) / sd
+    except OverflowError:
+        a = b = math.nan
+    return old_lift([a * p + b * q for p, q in zip(x[1:], y[1:])])
+
+
+def old_exp_map(b, v):
+    m = old_mink(b, v)
+    v = [c + m * p for c, p in zip(v, b)]
+    t = old_mink(v, v)
+    t = math.sqrt(t) if t > 0 else 0.0
+    if t < 1e-16:
+        return b
+    try:
+        ch, sh = math.cosh(t), math.sinh(t)
+    except OverflowError:
+        ch = sh = math.inf
+    return old_lift([ch * p + sh * (c / t) for p, c in zip(b[1:], v[1:])])
+
+
+def old_tangent_norm(v):
+    v = tuple(map(float, v))
+    q = old_mink(v, v)
+    return math.sqrt(q) if q > 0 else 0.0
+
+
+def _assert_h_kernels_keep_their_bits(space, x, y, t, v):
+    xs, ys = x.xs, y.xs
+    d = old_h_distance(xs, ys)
+    assert _bits(_h_distance(xs, ys)) == _bits(d)
+    assert _bits(space.distance(x, y)) == _bits(d)
+    w, nw, dt = space._tangent_toward(xs, ys)
+    unit, du = old_tangent_toward(xs, ys)
+    assert _bits([c / nw for c in w]) == _bits(unit) and _bits(dt) == _bits(du)
+    assert _bits(space._log(x, y)) == _bits(old_log(xs, ys))
+    for given_d in (None, d):
+        assert _bits(space._combine(x, y, t, given_d).xs) == \
+            _bits(old_combine(xs, ys, t, given_d))
+    assert _bits(space.tangent_norm(x, v)) == _bits(old_tangent_norm(v))
+    assert _bits(space.exp_map(x, v).xs) == _bits(old_exp_map(xs, tuple(v)))
+
+
+def _unchecked(space, spatial):
+    # a lifted point that ``point`` may refuse (past the radius bound)
+    return SpacePoint(space.space_id, old_lift(spatial))
+
+
+_R16 = math.sqrt(255.0)  # from the apex, -<x,y>_M = 16: the switch of formulas
+_FAR = 355.0  # opposite points at this radius lie farther apart than sinh's 710.48
+
+
+@pytest.mark.parametrize("space, a, b, case", [
+    (H2, [0.3, 0.2], [0.31, 0.19], "chordal"),
+    (H2, [0.0, 0.0], [_R16, 0.0], "chordal"),
+    (H2, [0.0, 0.0], [_R16 + 4e-15, 0.0], "acosh"),
+    (H3, [0.0, 0.0, 0.0], [0.0, _R16, 0.0], "chordal"),
+    (H3, [1.0, -2.0, 0.5], [-30.0, 12.0, 4.0], "acosh"),
+    (H2, [5.0, 1.0], [5.0, 1.0], "cut"),
+    (H3, [5.0, 1.0, -2.0], [5.0, 1.0 + 1e-15, -2.0], "cut"),
+    (H2, [9.15625, 0.0], [9.15625, 1.4593195335122492e-14], "cancel"),
+    (H2, [math.sinh(_FAR), 0.0], [-math.sinh(_FAR), 0.0], "overflow"),
+    (H3, [0.0, math.sinh(_FAR), 0.0], [0.0, -math.sinh(_FAR), 0.0], "overflow"),
+])
+def test_hyperboloid_kernels_keep_the_bits_of_the_list_reference(space, a, b, case):
+    x, y = _unchecked(space, a), _unchecked(space, b)
+    xs, ys = x.xs, y.xs
+    m = -old_mink(xs, ys)
+    d = old_h_distance(xs, ys)
+    # each pair takes the branch it stands for
+    assert {"chordal": m <= 16.0, "acosh": 16.0 < m < math.inf, "cut": d < 1e-14,
+            "cancel": d >= 1e-14 and not any(old_tangent_toward(xs, ys)[0]),
+            "overflow": d > 710.48}[case]
+    n = space.dim + 1
+    ortho = old_log(xs, ys) if d else (0.0,) + (1.0,) * space.dim
+    vectors = [ortho, tuple(0.5 * c for c in ortho), (0.25,) * n, (0.0,) * n,
+               (0.0, 720.0) + (0.0,) * (n - 2)]  # the last one overflows cosh
+    for t in (1e-3, 0.25, 0.5, 0.999):
+        for v in vectors:
+            _assert_h_kernels_keep_their_bits(space, x, y, t, v)
+
+
+@st.composite
+def h_kernel_pairs(draw):
+    """(space, x, y): points of H2 or H3 within the radius bound, at any
+    radius, and the second apart from the first, near it, or within 1e-14."""
+    space = draw(st.sampled_from([H2, H3]))
+    unit = st.floats(-1.0, 1.0)
+
+    def spatial():
+        scale = 10.0 ** draw(st.floats(-3.0, 42.0))
+        return [draw(unit) * scale for _ in range(space.dim)]
+
+    a = spatial()
+    kind = draw(st.sampled_from(["apart", "near", "within 1e-14"]))
+    if kind == "apart":
+        b = spatial()
+    else:
+        eps = 1e-3 if kind == "near" else 1e-15
+        b = [c * (1.0 + draw(unit) * eps) + draw(unit) * eps for c in a]
+    return space, space.from_spatial(a), space.from_spatial(b)
+
+
+@given(pair=h_kernel_pairs(), t=st.floats(0.0, 1.0), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_hyperboloid_kernels_keep_their_bits_on_drawn_pairs(pair, t, data):
+    space, x, y = pair
+    raw = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=space.dim + 1,
+                             max_size=space.dim + 1))
+    for v in (space._log(x, y), tuple(raw)):
+        _assert_h_kernels_keep_their_bits(space, x, y, t, v)
