@@ -11,20 +11,27 @@ For every workload of BENCHMARK.json and every seed from 1 to 10 it runs
 each checkout, alternating which side runs first from one seed to the next,
 and then one traced run per side of ``inner_solvers``. Runs are sequential,
 one process at a time.
-The JSON written holds the context (commits, CPU, Python and numpy, the
-settings), the median and quartiles of every end-to-end metric per side with
-every run and the pairs the change won, and the traced per-layer table of
-both sides with the names of its counts (unit ``count``) that differ between
-them, which it also prints: a change that moves calls past the tracer's
-wrappers shows there when it is recorded. It ends by printing one line per
+The JSON written holds the context (commits, the state of each side's
+``src/``, CPU, Python and numpy, the settings), the median and quartiles of
+every end-to-end metric per side with every run and the pairs the change
+won, and the traced per-layer table of both sides with the names of its
+counts (unit ``count``) that differ between them, which it also prints: a
+change that moves calls past the tracer's wrappers shows there when it is
+recorded. It ends by printing one line per
 workload and end-to-end metric: the parent's median [q1, q3], the change's,
 and the pairs of the 10 the change won. Nothing under perfbench/ is
 changed; both checkouts run their own copy of it.
+
+A side's commit is the HEAD that perfbench/run.py reads, which names the
+code measured only when ``src/`` matches it. So each side also records
+whether ``git status --porcelain -- src`` is empty and, when it is not, the
+sha256 of ``git diff HEAD -- src`` (``src_state``).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -47,6 +54,21 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     context = next(json.loads(line[len("context "):]) for line in lines
                    if line.startswith("context "))
     return {"context": context, "result": json.loads(lines[-1])}
+
+
+def src_state(checkout: Path) -> dict:
+    """Whether ``src/`` of a git checkout matches its HEAD, and otherwise the
+    sha256 of ``git diff HEAD -- src``. No file or commit of the checkout
+    changes: ``--no-optional-locks`` keeps ``git status`` from refreshing
+    the index."""
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", "--no-optional-locks", *args], cwd=checkout,
+                              capture_output=True, check=True).stdout
+
+    clean = not git("status", "--porcelain", "--", "src")
+    return {"src_clean": clean,
+            "src_diff_sha256": None if clean else hashlib.sha256(
+                git("diff", "HEAD", "--", "src")).hexdigest()}
 
 
 def spread(values: list[float]) -> dict:
@@ -76,6 +98,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": ROOT}
+    trees = {side: src_state(checkouts[side]) for side in SIDES}
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     contexts = {}
@@ -115,6 +138,7 @@ def main(argv=None) -> int:
     keys = ("nproc", "cpu", "python", "numpy", "ref_seconds", "OPENBLAS_NUM_THREADS")
     record = {
         "context": {"commits": {side: contexts[side]["commit"] for side in SIDES},
+                    "trees": trees,
                     **{k: contexts["change"][k] for k in keys},
                     "seconds": seconds, "seeds": list(SEEDS),
                     "order": "alternating: the parent runs first at even seed positions",

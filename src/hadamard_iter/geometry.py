@@ -735,7 +735,7 @@ class Hyperboloid(ModelSpace):
         products = map(mul, v, v)
         v0v0 = next(products)
         q = sum(products) - v0v0
-        return math.sqrt(q) if q > 0 else 0.0
+        return 0.0 if q <= 0 else math.sqrt(q)  # NaN stays NaN
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
         # minimize cosh d(x, gamma(s)) = A cosh s + B sinh s over s in [0, L]

@@ -134,7 +134,7 @@ def convex_resolvent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
     closed_form, gradient = f.closed_form_resolvent, f.gradient
     if closed_form is not None:
         y = closed_form(lam, x)
-    elif gradient is not None:  # log_map refuses a space without tangent structure
+    elif gradient is not None:  # _log refuses a space without tangent structure
         y = _prox_by_descent(f, lam, x)
     else:
         raise UnsupportedOperationError(
@@ -146,22 +146,21 @@ def convex_resolvent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
     return y
 
 
-def _subproblem_grad(f: ObjectiveFunction, lam: float, x: SpacePoint, y: SpacePoint) -> list:
-    # grad of d^2(y, x)/(2 lam) is -log_y(x)/lam; on floats, each entry
-    # rounded as numpy's elementwise form rounds it
-    return [a - b / lam for a, b in zip(f.gradient(y), f.space.log_map(y, x), strict=True)]
+def _subproblem_grad(gradient: Callable, lam: float, y: SpacePoint, back) -> list:
+    # grad at y of f + d^2(., x)/(2 lam), with back = log_y(x); on floats,
+    # each entry rounded as numpy's elementwise form rounds it
+    return [a - b / lam for a, b in zip(gradient(y), back, strict=True)]
 
 
 def _recheck_first_order(
     space: ModelSpace, gradient: Callable, lam: float, x: SpacePoint, y: SpacePoint
 ) -> None:
-    # _subproblem_grad on the unchecked _log, whose norm d(x, y) sets the scale
+    # d(x, y) = |log_y(x)| sets the scale; a NaN norm fails the gate
     space.check_point(y)
     back = space._log(y, x)
-    g = [a - b / lam for a, b in zip(gradient(y), back, strict=True)]
-    norm = space.tangent_norm(y, g)
+    norm = space.tangent_norm(y, _subproblem_grad(gradient, lam, y, back))
     scale = 1.0 + space.tangent_norm(y, back) / lam
-    if norm > 1e-8 * scale:
+    if not norm <= 1e-8 * scale:
         raise SolverError(
             f"resolvent output fails first-order optimality: |grad| = {norm:.3e} "
             f"(lam={lam})"
@@ -174,12 +173,15 @@ def _prox_by_descent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
     Near the optimum the Armijo decrease falls below the resolution of the
     objective values themselves; from that point on the method keeps the
     last certified step size and trusts the gradients alone, which stay
-    accurate long after function differences drown in rounding.
+    accurate long after function differences drown in rounding. x is
+    checked by ``convex_resolvent`` and the iterates are this loop's own
+    ``exp_map`` outputs, so it takes the unchecked ``_distance`` and ``_log``.
     """
     space = f.space
+    gradient, dist, log = f.gradient, space._distance, space._log
 
     def value(p: SpacePoint) -> float:
-        d = space.distance(p, x)
+        d = dist(p, x)
         return f.eval(p) + d * d / (2.0 * lam)
 
     y = x
@@ -188,7 +190,7 @@ def _prox_by_descent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
     noise_mode = False
     prev_gnorm = math.inf
     for _ in range(PROX_MAX_ITERS):
-        g = _subproblem_grad(f, lam, x, y)
+        g = _subproblem_grad(gradient, lam, y, log(y, x))
         gnorm = space.tangent_norm(y, g)
         if gnorm <= PROX_GRAD_TOL:
             return y
@@ -227,7 +229,7 @@ def _prox_by_descent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
                     f"(|grad| = {gnorm:.3e}, lam = {lam})"
                 )
         y, fy = cand, fc
-    g = _subproblem_grad(f, lam, x, y)
+    g = _subproblem_grad(gradient, lam, y, log(y, x))
     raise SolverError(
         f"prox subproblem did not reach |grad| <= {PROX_GRAD_TOL} within "
         f"{PROX_MAX_ITERS} steps (residual {space.tangent_norm(y, g):.3e})"
@@ -431,7 +433,7 @@ def _verify_equilibrium(
 ) -> None:
     for y in grid:
         margin = f.eval(z, y) + lam * f.space.quasilin(x, z, z, y)
-        if margin < -EQ_INEQUALITY_SLACK:
+        if not margin >= -EQ_INEQUALITY_SLACK:  # a NaN margin fails
             raise SolverError(
                 f"equilibrium inequality violated by {-margin:.3e} at sample "
                 f"y=({', '.join(f'{c:.6g}' for c in y.xs)})"

@@ -14,10 +14,10 @@ the run as a solver error that keeps the trace so far; invalid start,
 anchor or reference points and an invalid trace stride raise before the
 first step.
 
-Those points are checked once, at entry. A step checks the operator's output
-by the public ``distance`` of the residual; with an anchor, the public
-``combine`` that mixes in u checks u and that output again. The movement and
-the distances to the reference, between checked points, take ``_distance``.
+Validate at entry, not inside the loop: a step checks only the operator's
+output T_k x_k, once, inside its error handling: by the residual's public
+``distance`` without an anchor, by the public ``combine`` that mixes in u
+with one. Every other distance is between checked points: ``_distance``.
 
 All built-in schemes are Fejer monotone toward the common fixed set without
 an anchor; with one, d(x_k, x*) stays bounded by max(d(x*, u), d(x*, x_1)).
@@ -109,13 +109,11 @@ def _recorded_steps(stride: int | None) -> Iterator[int]:
 
 def iterate_sequence(seq: OperatorSequence, cfg: RunConfig) -> IterationTrace:
     """Run x_{k+1} = T_k x_k until the residual meets the tolerance."""
-    check_entry(seq, cfg, None)
     return _iterate(seq, None, cfg)
 
 
 def halpern_iterate(seq: OperatorSequence, anchors: Schedule, cfg: RunConfig) -> IterationTrace:
     """Run x_{k+1} = a_k u (+) (1 - a_k) T_k x_k; stop on step movement."""
-    check_entry(seq, cfg, anchors)
     return _iterate(seq, anchors, cfg)
 
 
@@ -153,12 +151,8 @@ def check_entry(seq: OperatorSequence, cfg: RunConfig, anchors: Schedule | None)
 def _iterate(seq, anchors, cfg) -> IterationTrace:
     """The one loop: x_{k+1} = a_k u (+) (1 - a_k) T_k x_k, or T_k x_k when
     the config has no anchor. It stops when the step movement d(x_k, x_{k+1})
-    meets the tolerance; without an anchor that movement is the residual.
-    The entry points have run ``check_entry``.
-
-    A recorded step's d(x_{k+1}, ref) is reused as d(x_k, ref) by the next
-    recorded step whose x_k is that same point object: the same call on the
-    same objects, so the same bits."""
+    meets the tolerance; without an anchor that movement is the residual."""
+    check_entry(seq, cfg, anchors)
     space = cfg.space
     factory = seq.factory
     dist = space._distance
@@ -170,17 +164,18 @@ def _iterate(seq, anchors, cfg) -> IterationTrace:
     next_recorded = next(recorded)
     steps: list[TraceStep] = []
     x = cfg.start
-    carried = d_next = None  # x_{k+1} of the step last recorded, and d(x_{k+1}, ref)
     k = 1
     while True:
         try:
-            w = factory(k).apply(x)
-            x_next = w if u is None else space.combine(u, w, 1.0 - anchors(k))
+            x_next = w = factory(k).apply(x)
+            if u is None:
+                res = move = space.distance(x, w)
+            else:
+                x_next = space.combine(u, w, 1.0 - anchors(k))
+                res, move = dist(x, w), dist(x, x_next)
         except HadamardIterError as err:
             return _finish(steps, space, cfg, x, float("nan"), k - 1, StopReason.SOLVER_ERROR,
                            k, str(err))
-        res = space.distance(x, w)
-        move = res if u is None else dist(x, x_next)
         if not (math.isfinite(res) and (move is res or math.isfinite(move))):
             return _finish(steps, space, cfg, x, res, k - 1, StopReason.SOLVER_ERROR, k,
                            f"non-finite residual at step {k}")
@@ -190,9 +185,8 @@ def _iterate(seq, anchors, cfg) -> IterationTrace:
             if ref is None:
                 steps.append(TraceStep(k, x, res, None, None))
             else:
-                dx = d_next if x is carried else dist(x, ref)
-                carried, d_next = x_next, dist(x_next, ref)
-                steps.append(TraceStep(k, x, res, dx, dx - d_next))
+                dx = dist(x, ref)
+                steps.append(TraceStep(k, x, res, dx, dx - dist(x_next, ref)))
         if done:
             return _finish(steps, space, cfg, x_next, res, k,
                            StopReason.CONVERGED if move <= tol else StopReason.BUDGET_EXHAUSTED)

@@ -1126,6 +1126,14 @@ def test_hyperboloid_primitives_do_not_raise_on_overflow(length, t):
         H2.tangent_norm(p, far.coords)
 
 
+def test_a_nan_tangent_vector_has_a_nan_norm():
+    # a NaN square is not read as a nonpositive one (which reads 0)
+    for space, v in ((E1, [math.nan]), (E2, [math.nan, 0.0]), (H2, [0.0, math.nan, 0.0]),
+                     (H2, [math.nan, 0.0, 0.0])):
+        x = space.base_point()
+        assert math.isnan(space.tangent_norm(x, v))
+
+
 def test_overflowing_runs_end_as_solver_errors():
     from hadamard_iter import (OperatorSequence, OperatorSpec, RunConfig, StopReason,
                                build_scheme, halpern_schedule, iterate_sequence,
@@ -1597,7 +1605,11 @@ def _assert_h_kernels_keep_their_bits(space, x, y, t, v):
     for given_d in (None, d):
         assert _bits(space._combine(x, y, t, given_d).xs) == \
             _bits(old_combine(xs, ys, t, given_d))
-    assert _bits(space.tangent_norm(x, v)) == _bits(old_tangent_norm(v))
+    # a NaN square (inf - inf, from an overflowed vector) reads NaN, where
+    # the list reference read 0; every other square keeps its bits
+    norm = space.tangent_norm(x, v)
+    assert math.isnan(norm) if math.isnan(old_mink(v, v)) else \
+        _bits(norm) == _bits(old_tangent_norm(v))
     assert _bits(space.exp_map(x, v).xs) == _bits(old_exp_map(xs, tuple(v)))
 
 

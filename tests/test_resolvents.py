@@ -255,6 +255,21 @@ def test_recheck_cases_fall_on_the_side_of_the_gate_they_are_drawn_on(space, rat
         assert (_message(check) is not None) is trips
 
 
+@pytest.mark.parametrize("space", [E1, E2, H2], ids=lambda s: s.space_id)
+@pytest.mark.parametrize("route", ["closed_form", "descent"])
+def test_a_nan_gradient_is_a_solver_error(space, route):
+    # the recheck's gate is "|grad| <= 1e-8 (1 + d(x, y) / lam)", which a
+    # NaN norm fails; by descent, a NaN norm never meets the descent's own
+    # tolerance either
+    f = objective_fixture(space, "quadratic")
+    if route == "descent":
+        f = dataclasses.replace(f, closed_form_resolvent=None)
+    f = dataclasses.replace(f, gradient=lambda y: (math.nan,) * len(y.xs))
+    x = space.from_spatial([1.2, -0.4]) if space is H2 else space.point([1.2, -0.4][:space.dim])
+    with pytest.raises(SolverError):
+        convex_resolvent(f, 0.5, x)
+
+
 def test_resolvent_operators_look_up_convex_resolvent_when_called(monkeypatch):
     # a span tracer replaces the module-level name once operators exist; an
     # operator built before must reach the replacement, in the engine too
@@ -535,6 +550,21 @@ def test_equilibrium_verification_catches_broken_solver():
     )
     with pytest.raises(SolverError):
         equilibrium_resolvent(broken, 1.0, E2.point([0.9, 0.0]))
+
+
+@pytest.mark.parametrize("case", ["nan_eval", "nan_solver_output"])
+def test_a_nan_margin_fails_the_equilibrium_verification(case):
+    # the gate is "margin >= -slack", which a NaN margin fails: from a NaN
+    # bifunction value, or from a solver output with a NaN coordinate
+    # (built past ``point``'s checks)
+    f = _projection_bifunction(E2, Ball(E2.base_point(), 1.0))
+    if case == "nan_eval":
+        f = dataclasses.replace(f, eval=lambda z, y: math.nan)
+    else:
+        f = dataclasses.replace(f, structure=CustomSolver(
+            solve=lambda lam, x: SpacePoint(E2.space_id, (math.nan, 0.0))))
+    with pytest.raises(SolverError, match="violated by nan"):
+        equilibrium_resolvent(f, 1.0, E2.base_point())
 
 
 def _projection_bifunction(space, K):

@@ -121,29 +121,89 @@ def test_solver_error_truncates_trace():
     assert "blowup" in tr.summary.error_message
 
 
+_STEP_FAULTS = {
+    # T_5 raises, as a failing inner solver does
+    "raises": (lambda x: _raise(HadamardIterError("inner fault")), "inner fault"),
+    # T_5 returns a point of another space
+    "wrong_space": (lambda x: E2.point([0.0, 0.0]), f"point belongs to space {E2.space_id!r}"),
+    # T_5 returns a non-finite point, built past ``point``'s checks
+    "non_finite_point": (lambda x: SpacePoint(E1.space_id, (math.nan,)),
+                         "non-finite residual at step 5"),
+}
+
+
+def _raise(err):
+    raise err
+
+
+@pytest.mark.parametrize("fault", sorted(_STEP_FAULTS))
 @pytest.mark.parametrize("engine", ["sequence", "halpern"])
-def test_domain_error_mid_run_keeps_the_trace(engine):
-    # an operator that yields a non-finite point at step 50
+def test_a_step_fault_ends_both_engines_as_a_solver_error(engine, fault):
+    faulty, message = _STEP_FAULTS[fault]
+
     def factory(k):
         def apply(x):
-            return E1.point([float("nan") if k == 50 else 0.5 * float(x.coords[0])])
+            return faulty(x) if k == 5 else E1.point([0.5 * x.xs[0]])
         return OperatorSpec(space=E1, apply=apply, domain=WholeSpace(E1.space_id))
 
     seq = OperatorSequence(space=E1, factory=factory)
     start = E1.point([4.0])
     cfg = RunConfig(space=E1, start=start, anchor=start if engine == "halpern" else None,
-                    max_iterations=100, tolerance=0.0)
+                    max_iterations=100, tolerance=0.0, reference=E1.point([0.0]))
     run = (lambda c: iterate_sequence(seq, c)) if engine == "sequence" else (
         lambda c: halpern_iterate(seq, halpern_schedule(), c))
     tr = run(cfg)
     assert tr.summary.stop_reason is StopReason.SOLVER_ERROR
-    assert tr.summary.error_step == 50
-    assert tr.summary.iterations_run == 49
-    assert [s.k for s in tr.steps] == list(range(1, 50))
-    assert "finite" in tr.summary.error_message
+    assert tr.summary.error_step == 5
+    assert tr.summary.iterations_run == 4
+    assert [s.k for s in tr.steps] == [1, 2, 3, 4]
+    assert message in tr.summary.error_message
     # a bad start is still an error of the call, not of a step
     with pytest.raises(DomainError):
         run(dataclasses.replace(cfg, start=E2.point([0.0, 0.0])))
+
+
+def _checked_points(monkeypatch):
+    """The list of points ``check_point`` is called on from now on."""
+    checked = []
+    real = E2.check_point.__func__
+
+    def record(space, p):
+        checked.append(p)
+        return real(space, p)
+
+    monkeypatch.setattr(type(E2), "check_point", record)
+    return checked
+
+
+def test_a_plain_step_checks_its_two_points_once(monkeypatch):
+    # the residual's public distance checks x_k and T_k x_k; nothing else
+    # in the step checks a point
+    seq = OperatorSequence(space=E2, factory=lambda k: catalog_operator(E2, "rotation", angle=0.5))
+    start, ref = E2.point([1.0, 2.0]), E2.base_point()
+    checked = _checked_points(monkeypatch)
+    tr = iterate_sequence(seq, RunConfig(space=E2, start=start, max_iterations=40,
+                                         tolerance=0.0, reference=ref))
+    xs = [s.point for s in tr.steps] + [tr.summary.final_point]  # x_1 .. x_41
+    assert len(xs) == 41
+    # at entry, then (x_k, T_k x_k = x_{k+1}) at every step, then the
+    # summary's target distance
+    want = [start, ref] + [p for k in range(40) for p in xs[k:k + 2]] + [xs[-1], ref]
+    assert list(map(id, checked)) == list(map(id, want))
+
+
+def test_an_anchored_step_checks_the_anchor_and_the_operator_output_once(monkeypatch):
+    # combine(u, T_k x_k, 1 - a_k) checks its two points; the residual, the
+    # movement and the reference distances take the unchecked _distance
+    p, u, ref = E2.point([1.0, 0.0]), E2.point([3.0, 1.0]), E2.base_point()
+    seq = const_seq(E2, p)
+    start = E2.point([1.0, 2.0])
+    checked = _checked_points(monkeypatch)
+    tr = halpern_iterate(seq, halpern_schedule(), RunConfig(
+        space=E2, start=start, anchor=u, max_iterations=40, tolerance=0.0, reference=ref))
+    final = tr.summary.final_point
+    # at entry, then every step, then the summary's target distance
+    assert list(map(id, checked)) == list(map(id, [start, u, ref] + [u, p] * 40 + [final, ref]))
 
 
 # ---------------------------------------------------------------------------
