@@ -26,6 +26,8 @@ from typing import Any, Callable, Mapping
 from .config import READERS, pick, point_to_config, read, reads
 from .diagnostics import (
     CheckReport,
+    _nested_entry,
+    _sampling_entry,
     check_fejer,
     check_halpern_target,
     check_nested_fixed_sets,
@@ -38,8 +40,8 @@ from .fixtures import _BIFUNCTIONS, _OBJECTIVES, bifunction_fixture, objective_f
 from .geometry import ConvexSubset, ModelSpace, SpacePoint, Spider
 from .operators import _CATALOG as _OPERATORS
 from .operators import OperatorSpec, catalog_operator, ishikawa_operator
-from .resolvents import (Bifunction, ObjectiveFunction, equilibrium_resolvent_operator,
-                         lipschitz_resolvent_operator)
+from .resolvents import (Bifunction, ObjectiveFunction, _convex_entry,
+                         equilibrium_resolvent_operator, lipschitz_resolvent_operator)
 from .schedules import (
     Schedule,
     ScheduleClass,
@@ -311,20 +313,25 @@ def _parse_embedded(space: ModelSpace, desc: Any, overrides: Mapping
 
 # Each check is read against the parameters of its entry after (space,
 # overrides): the check config's space, and the seed and iteration budget
-# that the command and the check config give its embedded runs.
+# that the command and the check config give its embedded runs. Each entry
+# applies its checker's rules, so that no check runs before all are valid.
 
 def _space_axioms(space, overrides, samples: int = 1000, scale: float = 2.0):
+    _sampling_entry(samples, overrides["seed"], scale)
     return functools.partial(check_space_axioms, space, samples=samples,
                              seed=overrides["seed"], scale=scale)
 
 
 def _quasi_firm(space, overrides, objective: ObjectiveFunction, lam: float,
                 witness: SpacePoint | None = None, samples: int = 500, scale: float = 2.0):
+    _convex_entry(objective, lam)
+    _sampling_entry(samples, overrides["seed"], scale)
     return functools.partial(check_quasi_firm, objective, lam, witness, samples=samples,
                              seed=overrides["seed"], scale=scale)
 
 
 def _sqn(op: OperatorSpec, overrides, witness, samples, scale):
+    _sampling_entry(samples, overrides["seed"], scale)
     return functools.partial(check_sqn_inequality, op, witness, samples=samples,
                              seed=overrides["seed"], scale=scale)
 
@@ -350,6 +357,7 @@ def _sqn_equilibrium_resolvent(space, overrides, bifunction: Bifunction, lam: fl
 
 def _nested_fixed_sets(space, overrides, objective: ObjectiveFunction, lam: float, mu: float,
                        candidates: list[SpacePoint]):
+    _nested_entry(objective, lam, mu)
     return functools.partial(check_nested_fixed_sets, objective, lam, mu, candidates)
 
 

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from .errors import ConfigError, DomainError
 from .geometry import ConvexSubset, ModelSpace, SpacePoint
 from .operators import OperatorSpec
-from .resolvents import ObjectiveFunction, _argmin_witness, convex_resolvent
+from .resolvents import ObjectiveFunction, _argmin_witness, _convex_entry, convex_resolvent
 from .schemes import IterationTrace
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where an array is built
@@ -81,15 +81,28 @@ class _Collector:
         )
 
 
-def _sampler(samples: int, seed: int, scale: float) -> np.random.Generator:
-    """The generator of a sampling checker; a negative sample count or seed,
-    or a sampling scale outside [0, inf), raises ``DomainError``."""
+def _sampling_entry(samples: int, seed: int, scale: float) -> None:
+    """A sampling checker's rule: a negative sample count or seed, or a
+    sampling scale outside [0, inf), raises ``DomainError``."""
     if samples < 0 or seed < 0:
         raise DomainError(f"samples and seed must be >= 0, got {samples} and {seed}")
     if not (0.0 <= scale < math.inf):
         raise DomainError(f"scale must be finite and >= 0, got {scale}")
+
+
+def _sampler(samples: int, seed: int, scale: float) -> np.random.Generator:
+    """The generator of a sampling checker, under ``_sampling_entry``."""
+    _sampling_entry(samples, seed, scale)
     import numpy as np
     return np.random.default_rng(seed)
+
+
+def _nested_entry(f: ObjectiveFunction, lam: float, mu: float) -> None:
+    """``check_nested_fixed_sets``' rule: 0 < mu < lam, and lam (so mu too)
+    passes the prox's entry rule for ``f``."""
+    if not 0.0 < mu < lam:
+        raise DomainError(f"need 0 < mu < lam, got mu={mu}, lam={lam}")
+    _convex_entry(f, lam)
 
 
 def check_fejer(space: ModelSpace, trace: IterationTrace, p: SpacePoint) -> CheckReport:
@@ -179,8 +192,7 @@ def check_nested_fixed_sets(
 ) -> CheckReport:
     """Fixed points of the prox at parameter lam stay fixed at any smaller
     parameter mu. Candidates must actually be fixed at lam (checked)."""
-    if not (0.0 < mu < lam):
-        raise DomainError(f"need 0 < mu < lam, got mu={mu}, lam={lam}")
+    _nested_entry(f, lam, mu)
     space = f.space
     col = _Collector("nested_fixed_sets")
     for i, p in enumerate(candidates):

@@ -174,15 +174,15 @@ class WholeSpace:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Ball:
-    """Closed geodesic ball of positive radius."""
+    """Closed geodesic ball of positive finite radius."""
 
     center: SpacePoint
     radius: float
     kind: str = field(default="ball", init=False)
 
     def __post_init__(self):
-        if not (self.radius > 0):
-            raise DomainError("ball radius must be positive")
+        if not (0 < self.radius < math.inf):
+            raise DomainError(f"ball radius must be positive and finite, got {self.radius}")
 
     @property
     def space_id(self) -> str:
@@ -219,6 +219,8 @@ class Halfspace:
         n = floats(self.normal, None, "halfspace normal", finite=True)
         if sum(map(mul, n, n)) == 0.0:
             raise DomainError("halfspace normal must be nonzero")
+        if not math.isfinite(self.offset):
+            raise DomainError(f"halfspace offset must be finite, got {self.offset}")
         object.__setattr__(self, "normal", n)
 
 
@@ -344,9 +346,9 @@ class ModelSpace:
         raise UnsupportedOperationError(f"{self.space_id} has no tangent structure")
 
     def _exp_entry(self, base: SpacePoint, v) -> tuple[float, ...]:
-        # exp_map's checks; v, any sequence of numbers, is read once as floats
+        # exp_map's checks; v, any sequence of finite numbers, is read once as floats
         self.check_point(base)
-        return floats(v, len(base.xs), "tangent vector")
+        return floats(v, len(base.xs), "tangent vector", finite=True)
 
     def tangent_norm(self, base: SpacePoint, v) -> float:
         raise UnsupportedOperationError(f"{self.space_id} has no tangent structure")
@@ -735,7 +737,8 @@ class Hyperboloid(ModelSpace):
         products = map(mul, v, v)
         v0v0 = next(products)
         q = sum(products) - v0v0
-        return 0.0 if q <= 0 else math.sqrt(q)  # NaN stays NaN
+        # a square of -inf (an infinite time part) reads NaN, as a NaN square does
+        return math.sqrt(q) if q > 0 else 0.0 if q > -math.inf else math.nan
 
     def _project_segment(self, a: SpacePoint, b: SpacePoint, x: SpacePoint) -> SpacePoint:
         # minimize cosh d(x, gamma(s)) = A cosh s + B sinh s over s in [0, L]

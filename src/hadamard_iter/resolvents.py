@@ -5,18 +5,17 @@ Convex-function resolvent
     Solved by a closed form when the objective carries one, otherwise by
     Riemannian gradient descent in the tangent chart (log/exp maps) with
     Armijo backtracking. For an a-weakly convex f the subproblem is
-    (1/(2 lam) - a)-strongly convex, so lam < 1/(2a) is required.
+    (1/(2 lam) - a)-strongly convex.
 
 Lipschitz-map resolvent
     J_lam(x) = the unique fixed point of y -> (1/(1+lam)) x (+) (lam/(1+lam)) T y,
-    which is a contraction with factor c = a lam / (1 + lam) whenever
-    lam < 1/(a-1) (no restriction for a <= 1). Solved by fixed-point
-    iteration from y0 = x; observed per-step contraction ratios are
-    monitored against c.
+    a contraction with factor c = a lam / (1 + lam) < 1. Solved by
+    fixed-point iteration from y0 = x; observed per-step contraction ratios
+    are monitored against c.
 
 Equilibrium resolvent
-    For a bifunction f on a feasible set K and lam > theta, the point z in K
-    with  f(z, y) + lam <xz, zy> >= 0  for all y in K. Constructive cases:
+    For a bifunction f on a feasible set K, the point z in K with
+    f(z, y) + lam <xz, zy> >= 0  for all y in K. Constructive cases:
     minimization bifunctions reduce to the convex resolvent with parameter
     1/lam, and variational inequalities z = P_K(z - g (F(z) + lam (z - x)))
     are solved by projected fixed-point iteration with g = 1/(L + lam).
@@ -116,31 +115,84 @@ class Bifunction:
 
 
 # ---------------------------------------------------------------------------
+# entry rules: each resolvent's preconditions, stated once. The one-shot
+# solve calls its kind's rule at entry, the operator builder when it builds,
+# and resolvent_sequence on the schedule's certified bounds. Each returns the
+# upper end of its lam window.
+# ---------------------------------------------------------------------------
+
+def _outside(lam: float, lo: float, hi: float, lo_is: str, hi_is: str) -> DomainError:
+    # the error of a lam outside (lo, hi), naming the bound it broke; only on failure
+    if lam != lam or lam > lo and hi == math.inf:  # NaN, or inf
+        return DomainError(f"resolvent parameter lam={lam} must be finite")
+    if not lam > lo:
+        return DomainError(f"resolvent parameter lam={lam} must exceed {lo_is}{lo}")
+    return DomainError(f"resolvent parameter lam={lam} must be below {hi_is}{hi}")
+
+
+def _convex_entry(f: ObjectiveFunction, lam: float) -> float:
+    """The prox needs a finite lam > 0, and lam < 1/(2 alpha) for an
+    alpha-weakly convex f, where its subproblem is strongly convex; and a
+    closed form or a gradient to solve it by."""
+    alpha = f.weak_convexity_alpha
+    hi = 0.5 / alpha if alpha is not None and alpha > 0.0 else math.inf  # 1/(2 alpha)
+    if not 0.0 < lam < hi:
+        raise _outside(lam, 0.0, hi, "", "1/(2 alpha) = ")
+    if f.closed_form_resolvent is None and f.gradient is None:
+        raise UnsupportedOperationError(f"objective {f.name or '<anonymous>'} has neither a "
+                                        "closed-form resolvent nor a gradient")
+    return hi
+
+
+def _lipschitz_entry(T: OperatorSpec, lam: float) -> float:
+    """The Lipschitz-map resolvent needs a declared Lipschitz constant a and
+    a finite lam > 0, with lam < 1/(a - 1) when a > 1, where its fixed-point
+    map contracts."""
+    a = T.lipschitz_const
+    if a is None:
+        raise DomainError("the Lipschitz-map resolvent needs a declared Lipschitz constant")
+    hi = 1.0 / (a - 1.0) if a > 1.0 else math.inf
+    if not 0.0 < lam < hi:
+        raise _outside(lam, 0.0, hi, "", "1/(a - 1) = ")
+    return hi
+
+
+def _equilibrium_entry(f: Bifunction, lam: float) -> float:
+    """A finite lam above the under-monotonicity modulus theta. A minimization
+    over the whole space is the prox of its objective at 1/lam; a variational
+    inequality, and a minimization over a smaller K (the VI of its gradient),
+    are solved in Euclidean spaces only."""
+    if not f.theta < lam < math.inf:
+        raise _outside(lam, f.theta, math.inf, "the under-monotonicity modulus theta = ", "")
+    s = f.structure
+    if isinstance(s, Minimization):
+        g = s.objective
+        if f.feasible_set.kind == "whole_space":  # 1/lam at lam = 0 (a theta < 0): inf
+            _convex_entry(g, 1.0 / lam if lam else math.inf)
+        elif not isinstance(f.space, Euclidean):
+            raise UnsupportedOperationError(
+                "constrained minimization bifunctions are solved in Euclidean spaces only")
+        elif g.gradient is None or g.gradient_lipschitz is None:
+            raise UnsupportedOperationError(
+                "constrained minimization needs gradient and gradient_lipschitz")
+    elif isinstance(s, VariationalInequality) and not isinstance(f.space, Euclidean):
+        raise UnsupportedOperationError(
+            "variational-inequality resolvents are solved in Euclidean spaces only")
+    return math.inf
+
+
+# ---------------------------------------------------------------------------
 # convex-function resolvent
 # ---------------------------------------------------------------------------
 
 def convex_resolvent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePoint:
     """Minimizer of y -> f(y) + d^2(y, x) / (2 lam)."""
-    if not (lam > 0.0):
-        raise DomainError(f"resolvent parameter lam={lam} must be positive")
-    alpha = f.weak_convexity_alpha
-    if alpha is not None and alpha > 0.0 and not (lam < 1.0 / (2.0 * alpha)):
-        raise DomainError(
-            f"lam={lam} too large for weak-convexity modulus {alpha}: "
-            f"the subproblem is strongly convex only for lam < {1.0 / (2.0 * alpha)}"
-        )
+    _convex_entry(f, lam)
     space = f.space
     space.check_point(x)
     closed_form, gradient = f.closed_form_resolvent, f.gradient
-    if closed_form is not None:
-        y = closed_form(lam, x)
-    elif gradient is not None:  # _log refuses a space without tangent structure
-        y = _prox_by_descent(f, lam, x)
-    else:
-        raise UnsupportedOperationError(
-            f"objective {f.name or '<anonymous>'} has neither a closed-form "
-            "resolvent nor a gradient"
-        )
+    # without a closed form, descent: _log refuses a space without tangent structure
+    y = closed_form(lam, x) if closed_form is not None else _prox_by_descent(f, lam, x)
     if gradient is not None:
         _recheck_first_order(space, gradient, lam, x, y)
     return y
@@ -194,6 +246,8 @@ def _prox_by_descent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
         gnorm = space.tangent_norm(y, g)
         if gnorm <= PROX_GRAD_TOL:
             return y
+        if not gnorm < math.inf:  # NaN too
+            raise SolverError(f"prox subproblem gradient norm is {gnorm} (lam = {lam})")
         if noise_mode:
             # function values can no longer resolve progress; do plain
             # gradient steps and shrink whenever the gradient norm grows
@@ -237,12 +291,12 @@ def _prox_by_descent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
 
 
 def convex_resolvent_operator(f: ObjectiveFunction, lam: float) -> OperatorSpec:
-    witness = _argmin_witness(f)
+    _convex_entry(f, lam)
     return OperatorSpec(
         space=f.space,
         apply=lambda x: convex_resolvent(f, lam, x),
         domain=WholeSpace(f.space.space_id),
-        fixed_point_witness=witness,
+        fixed_point_witness=_argmin_witness(f),
         quasi_nonexpansive=True,
         tag="convex_resolvent", sqn_coefficient=1.0,
     )
@@ -271,29 +325,14 @@ def lipschitz_resolvent_detailed(
 
     Ratios are recorded only while the step length is well above the noise
     floor of the metric, so the reported maximum is meaningful against the
-    analytic factor a lam / (1 + lam).
-
-    x and lam are validated here, once, which puts the mixing weight
-    lam / (1 + lam) in (0, 1]; inside the loop only the space of each T
-    output is checked, and the geodesic steps use the space's unchecked
-    primitives.
+    analytic factor a lam / (1 + lam). x and lam are checked at entry;
+    inside the loop, only the space of each T output.
     """
-    if not (lam > 0.0):
-        raise DomainError(f"resolvent parameter lam={lam} must be positive")
-    if not math.isfinite(lam):
-        raise DomainError(f"resolvent parameter lam={lam} must be finite")
-    if T.lipschitz_const is None:
-        raise DomainError("lipschitz_resolvent needs an operator with a declared Lipschitz constant")
-    a = T.lipschitz_const
-    if a > 1.0 and not (lam < 1.0 / (a - 1.0)):
-        raise DomainError(
-            f"lam={lam} outside the contraction window: a Lipschitz constant "
-            f"{a} > 1 requires lam < {1.0 / (a - 1.0)}"
-        )
+    _lipschitz_entry(T, lam)
     space = T.space
     space.check_point(x)
     t = lam / (1.0 + lam)
-    factor = a * t
+    factor = T.lipschitz_const * t
     y = x
     prev_step = None
     max_ratio = 0.0
@@ -328,6 +367,7 @@ def lipschitz_resolvent_detailed(
 
 
 def lipschitz_resolvent_operator(T: OperatorSpec, lam: float) -> OperatorSpec:
+    _lipschitz_entry(T, lam)
     return OperatorSpec(
         space=T.space,
         apply=lambda x: lipschitz_resolvent(T, lam, x),
@@ -354,60 +394,34 @@ def equilibrium_resolvent(
     so it is built once and kept in a small memo keyed on them (sets compare
     by identity). For any other K the grid's radius follows x and z, so it
     is built on each call.
-
-    x and lam are validated at entry, not inside the loop: the inner
-    iteration re-checks only what it does not produce itself.
     """
-    if not (lam > f.theta):
-        raise DomainError(
-            f"lam={lam} must exceed the under-monotonicity modulus theta={f.theta}"
-        )
-    space = f.space
+    _equilibrium_entry(f, lam)
+    space, K, s = f.space, f.feasible_set, f.structure
     space.check_point(x)
-    K = f.feasible_set
-
-    if isinstance(f.structure, Minimization):
-        z = _solve_min_structure(f.structure.objective, K, lam, x)
-    elif isinstance(f.structure, VariationalInequality):
-        z = _solve_vi_structure(f.structure, space, K, lam, x)
+    if isinstance(s, Minimization) and K.kind == "whole_space":
+        # f(z, y) = g(y) - g(z): the resolvent inequality is the optimality
+        # condition of argmin_{y in K} g(y) + (lam/2) d^2(y, x), the prox of
+        # g at 1/lam restricted to K; on a smaller K, the VI of its gradient
+        z = convex_resolvent(s.objective, 1.0 / lam, x)
+    elif isinstance(s, Minimization):
+        g = s.objective
+        vi = VariationalInequality(field=g.gradient, lipschitz=g.gradient_lipschitz)
+        z = _solve_vi_structure(vi, space, K, lam, x)
+    elif isinstance(s, VariationalInequality):
+        z = _solve_vi_structure(s, space, K, lam, x)
     else:
-        z = f.structure.solve(lam, x)
+        z = s.solve(lam, x)
         space.check_point(z)
         z = space.project(K, z)
-
     _verify_equilibrium(f, lam, x, z, _verification_points(space, K, x, z, *_grid))
     return z
-
-
-def _solve_min_structure(
-    g: ObjectiveFunction, K: ConvexSubset, lam: float, x: SpacePoint
-) -> SpacePoint:
-    # f(z, y) = g(y) - g(z): the resolvent inequality is the optimality
-    # condition of argmin_{y in K} g(y) + (lam/2) d^2(y, x), i.e. the prox of
-    # g with parameter 1/lam restricted to K.
-    if K.kind == "whole_space":
-        return convex_resolvent(g, 1.0 / lam, x)
-    if not isinstance(g.space, Euclidean):
-        raise UnsupportedOperationError(
-            "constrained minimization bifunctions are solved in Euclidean spaces only"
-        )
-    if g.gradient is None or g.gradient_lipschitz is None:
-        raise UnsupportedOperationError(
-            "constrained minimization needs gradient and gradient_lipschitz"
-        )
-    vi = VariationalInequality(field=g.gradient, lipschitz=g.gradient_lipschitz)
-    return _solve_vi_structure(vi, g.space, K, lam, x)
 
 
 def _solve_vi_structure(
     vi: VariationalInequality, space: ModelSpace, K: ConvexSubset, lam: float, x: SpacePoint
 ) -> SpacePoint:
-    # x is checked by the caller; the iterates are this loop's own points
-    if not isinstance(space, Euclidean):
-        raise UnsupportedOperationError(
-            "variational-inequality resolvents are solved in Euclidean spaces only"
-        )
-    # on floats, each entry rounded as numpy's z - g (F(z) + lam (z - x)) rounds it
+    # x is checked by the caller; the iterates are this loop's own points.
+    # On floats, each entry rounded as numpy's z - g (F(z) + lam (z - x)) rounds it
     field = vi.field
     step = 1.0 / (vi.lipschitz + lam)
     z = space.project(K, x)
@@ -505,6 +519,7 @@ def equilibrium_resolvent_operator(f: Bifunction, lam: float) -> OperatorSpec:
     Every call still verifies on all of the grid, which for a ball or
     segment K comes from the memo of ``equilibrium_resolvent``: every
     operator on the same K, at any lam, shares one grid."""
+    _equilibrium_entry(f, lam)
     return OperatorSpec(
         space=f.space,
         apply=lambda x: equilibrium_resolvent(f, lam, x, _grid=EQ_OPERATOR_GRID),
@@ -524,44 +539,28 @@ def resolvent_sequence(
 ) -> OperatorSequence:
     """The operator family k -> resolvent of ``source`` at lam_k.
 
-    Schedule requirements: a certified positive lower bound (liminf > 0) in
-    all cases; for a Lipschitz map with constant a > 1 additionally a
-    certified upper bound below 1/(a-1); for a bifunction a lower bound
-    strictly above theta and a finite upper bound.
+    The schedule's certified bounds pass the resolvent's entry rule, and so
+    every lam_k between them; a window capped above needs a certified upper
+    bound, and so do a bifunction's lam_k in any case.
     """
     require_class(lambdas, ScheduleClass.RESOLVENT_PARAM, "lambda")
     if isinstance(source, ObjectiveFunction):
-        alpha = source.weak_convexity_alpha
-        if alpha is not None and alpha > 0.0:
-            cap = 1.0 / (2.0 * alpha)
-            if lambdas.upper_bound is None or not (lambdas.upper_bound < cap):
-                raise ConfigError(
-                    f"weakly convex objective (modulus {alpha}) needs lam_k "
-                    f"certified below {cap}"
-                )
-        build = convex_resolvent_operator
+        entry, build = _convex_entry, convex_resolvent_operator
     elif isinstance(source, OperatorSpec):
-        a = source.lipschitz_const
-        if a is None:
-            raise ConfigError("resolvent_sequence over an operator needs its Lipschitz constant")
-        if a > 1.0:
-            cap = 1.0 / (a - 1.0)
-            if lambdas.upper_bound is None or not (lambdas.upper_bound < cap):
-                raise ConfigError(
-                    f"Lipschitz constant {a} > 1 needs lam_k certified below {cap}"
-                )
-        build = lipschitz_resolvent_operator
+        entry, build = _lipschitz_entry, lipschitz_resolvent_operator
     elif isinstance(source, Bifunction):
-        if not (lambdas.lower_bound > source.theta):
-            raise ConfigError(
-                f"equilibrium parameters need a certified lower bound strictly above "
-                f"theta={source.theta} (a positive margin), got {lambdas.lower_bound}"
-            )
-        if lambdas.upper_bound is None:
-            raise ConfigError("equilibrium parameters need a finite upper bound")
-        build = equilibrium_resolvent_operator
+        entry, build = _equilibrium_entry, equilibrium_resolvent_operator
     else:
         raise ConfigError(f"cannot build resolvents from {type(source).__name__}")
+    lo, hi = lambdas.lower_bound, lambdas.upper_bound
+    try:
+        cap = entry(source, lo)
+        if hi is not None:
+            entry(source, hi)
+    except (DomainError, UnsupportedOperationError) as err:
+        raise ConfigError(f"resolvents at the certified bounds of lam_k: {err}") from err
+    if hi is None and (cap < math.inf or isinstance(source, Bifunction)):
+        raise ConfigError(f"lam_k need a certified finite upper bound below {cap}")
     return OperatorSequence(space=source.space,
                             factory=_cached_factory(lambdas, functools.partial(build, source)))
 

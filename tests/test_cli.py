@@ -591,6 +591,71 @@ def test_check_config_is_validated_before_any_check_runs(tmp_path, monkeypatch):
     assert ran == []
 
 
+@pytest.mark.parametrize("second, message", [
+    pytest.param({"name": "sqn_inequality", "variant": "lipschitz_resolvent",
+                  "operator": {"name": "rotation", "angle": 1.0}, "lambda": -1.0},
+                 "resolvent parameter lam=-1.0 must exceed 0.0", id="lipschitz-resolvent-lam"),
+    pytest.param({"name": "sqn_inequality", "variant": "equilibrium_resolvent",
+                  "bifunction": {"name": "rotation_vi"}, "lambda": 0.0},
+                 "lam=0.0 must exceed the under-monotonicity modulus", id="equilibrium-lam"),
+    pytest.param({"name": "quasi_firm", "objective": {"name": "plateau_quartic"}, "lambda": 0.5},
+                 "lam=0.5 must be below 1/(2 alpha) = 0.0625", id="quasi-firm-lam"),
+    pytest.param({"name": "nested_fixed_sets", "objective": {"name": "quadratic"},
+                  "lambda": 1.0, "mu": 2.0, "candidates": [[0.0, 0.0]]},
+                 "need 0 < mu < lam, got mu=2.0, lam=1.0", id="nested-mu-above-lam"),
+    pytest.param({"name": "nested_fixed_sets", "objective": {"name": "plateau_quartic"},
+                  "lambda": 0.5, "mu": 0.01, "candidates": [[2.0]]},
+                 "lam=0.5 must be below 1/(2 alpha)", id="nested-lam-outside-window"),
+    pytest.param({"name": "sqn_inequality", "variant": "ishikawa",
+                  "operator": {"name": "rotation", "angle": 1.0}, "scale": -1.0},
+                 "scale must be finite and >= 0, got -1.0", id="sqn-scale"),
+    pytest.param({"name": "space_axioms", "scale": -1.0},
+                 "scale must be finite and >= 0, got -1.0", id="axioms-scale"),
+])
+def test_every_check_is_validated_before_the_first_runs(tmp_path, monkeypatch, capsys, second,
+                                                        message):
+    # each check's rules hold at parse, so the first check never runs
+    ran = []
+    monkeypatch.setattr(cli, "check_space_axioms", lambda *a, **k: ran.append(a))
+    dim = 1 if "plateau_quartic" in json.dumps(second) else 2
+    cfg = dict(CHECK_CFG, space={"kind": "euclidean", "dim": dim},
+               checks=[CHECK_CFG["checks"][0], second])
+    assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err and "Traceback" not in err
+    assert ran == []
+    assert not (tmp_path / "o").exists()
+
+
+# a minimization over a ball of H2: constrained minimization is solved in
+# Euclidean spaces only
+H2_CONSTRAINED_MIN = {
+    "space": {"kind": "hyperboloid", "dim": 2},
+    "scheme": "ppa_equilibrium",
+    "source": {"bifunction": {"name": "min_quadratic", "set": {
+        "kind": "ball", "center": {"spatial": [0.0, 0.0]}, "radius": 1.0}}},
+    "schedules": {"lambda": {"kind": "constant", "value": 1.0}},
+    "start": {"spatial": [0.5, 0.2]},
+    "max_iterations": 10,
+}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("run", H2_CONSTRAINED_MIN),
+    ("sweep", {"base": H2_CONSTRAINED_MIN, "grid": {"schedules.lambda.value": [1.0, 2.0]}}),
+])
+def test_an_unsupported_resolvent_is_a_config_error(tmp_path, monkeypatch, capsys, command, cfg):
+    # at the parent the run ended as a solver error at step 1 (exit 3), and
+    # the sweep wrote two solver_error rows and exited 0
+    monkeypatch.setattr(cli.BuiltScheme, "run", _no_work)
+    assert run_cli(command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "constrained minimization bifunctions are solved in Euclidean spaces only" in err
+    assert not (tmp_path / "o").exists()
+    assert multiprocessing.active_children() == []
+
+
 def test_check_whose_checker_raises_a_solver_error_exits_3(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise SolverError("injected inner failure")

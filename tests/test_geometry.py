@@ -1127,11 +1127,38 @@ def test_hyperboloid_primitives_do_not_raise_on_overflow(length, t):
 
 
 def test_a_nan_tangent_vector_has_a_nan_norm():
-    # a NaN square is not read as a nonpositive one (which reads 0)
+    # a NaN square is not read as a nonpositive one (which reads 0), nor is
+    # the -inf square of an infinite time part
     for space, v in ((E1, [math.nan]), (E2, [math.nan, 0.0]), (H2, [0.0, math.nan, 0.0]),
-                     (H2, [math.nan, 0.0, 0.0])):
+                     (H2, [math.nan, 0.0, 0.0]), (H2, [math.inf, 0.0, 0.0]),
+                     (H2, [-math.inf, 1.0, 0.0])):
         x = space.base_point()
         assert math.isnan(space.tangent_norm(x, v))
+    assert H2.tangent_norm(H2.base_point(), [0.0, math.inf, 0.0]) == math.inf
+
+
+@pytest.mark.parametrize("space", [E1, E2, H2], ids=lambda s: s.space_id)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exp_map_refuses_a_non_finite_tangent_vector(space, bad):
+    # at the parent, H2 returned the base point itself for a NaN vector and
+    # E2 a point with a NaN coordinate
+    x = space.base_point()
+    for i in range(len(x.xs)):
+        v = [0.0] * len(x.xs)
+        v[i] = bad
+        with pytest.raises(DomainError, match="tangent vector must be finite"):
+            space.exp_map(x, v)
+
+
+def test_sets_read_their_numbers_as_points_do():
+    for radius in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="ball radius must be positive and finite"):
+            Ball(E2.base_point(), radius)
+    for offset in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="halfspace offset must be finite"):
+            Halfspace(E2.space_id, (1.0, 0.0), offset)
+    assert E2.project(Halfspace(E2.space_id, (1.0, 0.0), 0.5), E2.point([2.0, 1.0])).xs == \
+        (0.5, 1.0)
 
 
 def test_overflowing_runs_end_as_solver_errors():
@@ -1610,7 +1637,11 @@ def _assert_h_kernels_keep_their_bits(space, x, y, t, v):
     norm = space.tangent_norm(x, v)
     assert math.isnan(norm) if math.isnan(old_mink(v, v)) else \
         _bits(norm) == _bits(old_tangent_norm(v))
-    assert _bits(space.exp_map(x, v).xs) == _bits(old_exp_map(xs, tuple(v)))
+    if all(map(math.isfinite, v)):
+        assert _bits(space.exp_map(x, v).xs) == _bits(old_exp_map(xs, tuple(v)))
+    else:  # the list reference took any vector; a non-finite one is refused
+        with pytest.raises(DomainError, match="tangent vector must be finite"):
+            space.exp_map(x, v)
 
 
 def _unchecked(space, spatial):

@@ -890,3 +890,296 @@ def test_per_step_paths_build_no_arrays(monkeypatch):
     assert len(again) == len(first) == 9
     for a, b in zip(first, again):
         assert (a.xs == b.xs) if hasattr(a, "xs") else (a == b)
+
+
+# ---------------------------------------------------------------------------
+# entry rules: one per resolvent kind, reached by the one-shot solve, the
+# operator builder and resolvent_sequence alike
+# ---------------------------------------------------------------------------
+
+ROT = catalog_operator(E2, "rotation", angle=1.0)
+DOUBLING = OperatorSpec(space=E1, apply=lambda p: E1.point([2.0 * p.xs[0]]),
+                        domain=WholeSpace(E1.space_id), lipschitz_const=2.0)
+QUARTIC = objective_fixture(E1, "plateau_quartic")  # 8-weakly convex: lam < 1/16
+ROT_VI = bifunction_fixture(E2, "rotation_vi")
+
+# kind: (source, one-shot, operator builder, a point)
+KINDS = {
+    "convex": (QUARTIC, convex_resolvent, resolvents.convex_resolvent_operator, E1.point([3.0])),
+    "lipschitz": (ROT, lipschitz_resolvent, resolvents.lipschitz_resolvent_operator,
+                  E2.point([1.0, 0.5])),
+    "doubling": (DOUBLING, lipschitz_resolvent, resolvents.lipschitz_resolvent_operator,
+                 E1.point([1.0])),
+    "equilibrium": (ROT_VI, equilibrium_resolvent, equilibrium_resolvent_operator,
+                    E2.point([0.5, 0.3])),
+}
+
+
+@pytest.mark.parametrize("kind, lam, message", [
+    ("convex", 0.0, "lam=0.0 must exceed 0.0"),
+    ("convex", 0.5, "lam=0.5 must be below 1/(2 alpha) = 0.0625"),
+    ("convex", 1.0 / 16.0, "lam=0.0625 must be below 1/(2 alpha) = 0.0625"),
+    ("convex", math.nan, "lam=nan must be finite"),
+    ("lipschitz", -1.0, "lam=-1.0 must exceed 0.0"),
+    ("lipschitz", -0.5, "lam=-0.5 must exceed 0.0"),
+    ("lipschitz", math.inf, "lam=inf must be finite"),
+    ("lipschitz", -math.inf, "lam=-inf must exceed 0.0"),
+    ("doubling", 1.0, "lam=1.0 must be below 1/(a - 1) = 1.0"),
+    ("doubling", math.inf, "lam=inf must be below 1/(a - 1) = 1.0"),
+    ("equilibrium", 0.0, "lam=0.0 must exceed the under-monotonicity modulus theta = 0.0"),
+    ("equilibrium", math.inf, "lam=inf must be finite"),
+    ("equilibrium", math.nan, "lam=nan must be finite"),
+])
+def test_a_lambda_outside_its_window_is_refused_by_one_rule(kind, lam, message):
+    # the one-shot at entry and the builder when it builds raise the same
+    # DomainError, naming lam and the bound it broke; a sequence whose
+    # certified bounds hold that lam raises it as a ConfigError
+    source, one_shot, build, x = KINDS[kind]
+    with pytest.raises(DomainError) as shot:
+        one_shot(source, lam, x)
+    with pytest.raises(DomainError) as built:
+        build(source, lam)
+    assert str(shot.value) == str(built.value) == f"resolvent parameter {message}"
+    if lam > 0.0 and lam < math.inf:  # a resolvent-class schedule's bounds
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            resolvent_sequence(source, resolvent_constant(lam))
+
+
+def test_built_operators_are_valid():
+    # each of these was built at the parent, or died on a ZeroDivisionError
+    for build in (lambda: resolvents.lipschitz_resolvent_operator(ROT, -1.0),
+                  lambda: resolvents.lipschitz_resolvent_operator(ROT, -0.5),
+                  lambda: resolvents.convex_resolvent_operator(QUARTIC, 0.5),
+                  lambda: equilibrium_resolvent_operator(ROT_VI, 0.0)):
+        with pytest.raises(DomainError):
+            build()
+    assert resolvents.lipschitz_resolvent_operator(ROT, 3.0).sqn_coefficient == 0.75
+
+
+def _h2_sources():
+    K = Ball(H2.base_point(), 1.0)
+    vi = Bifunction(space=H2, eval=lambda z, y: 0.0, theta=0.0,
+                    structure=VariationalInequality(field=lambda z: (0.0,) * 3, lipschitz=1.0),
+                    feasible_set=K)
+    g = ObjectiveFunction(space=H2, eval=lambda p: 0.0, gradient=lambda p: (0.0,) * 3,
+                          gradient_lipschitz=1.0)
+    return vi, dataclasses.replace(vi, structure=Minimization(objective=g))
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("h2_vi", UnsupportedOperationError,
+     "variational-inequality resolvents are solved in Euclidean spaces only"),
+    ("h2_constrained_min", UnsupportedOperationError,
+     "constrained minimization bifunctions are solved in Euclidean spaces only"),
+    ("constrained_min_without_gradient_lipschitz", UnsupportedOperationError,
+     "constrained minimization needs gradient and gradient_lipschitz"),
+    ("bare_objective", UnsupportedOperationError,
+     "objective <anonymous> has neither a closed-form resolvent nor a gradient"),
+    ("undeclared_lipschitz", DomainError, "needs a declared Lipschitz constant"),
+    # the prox of the objective at 1/lam: 1/lam = 1/8 is outside its window below 1/16
+    ("weakly_convex_min", DomainError, "lam=0.125 must be below 1/(2 alpha) = 0.0625"),
+    # a theta < 0 lets lam = 0 through the equilibrium window; the prox at
+    # 1/0 is refused (at the parent: a ZeroDivisionError)
+    ("zero_lam_min", DomainError, "lam=inf must be finite"),
+])
+def test_a_source_the_resolvent_cannot_use_is_refused_when_built(case, error, message):
+    lam = 0.0 if case == "zero_lam_min" else 8.0
+    if case.startswith("h2"):
+        source, x = _h2_sources()[case != "h2_vi"], H2.from_spatial([0.2, 0.1])
+    elif case == "constrained_min_without_gradient_lipschitz":
+        f = bifunction_fixture(E2, "min_quadratic", cset=Ball(E2.base_point(), 1.0))
+        source = dataclasses.replace(f, structure=Minimization(objective=dataclasses.replace(
+            f.structure.objective, gradient_lipschitz=None)))
+        x = E2.point([0.5, 0.0])
+    elif case == "bare_objective":
+        source, x = ObjectiveFunction(space=E1, eval=lambda p: 0.0), E1.point([1.0])
+    elif case == "undeclared_lipschitz":
+        source = OperatorSpec(space=E1, apply=lambda p: p, domain=WholeSpace(E1.space_id))
+        x = E1.point([1.0])
+    elif case == "zero_lam_min":
+        source = dataclasses.replace(bifunction_fixture(E1, "min_quadratic"), theta=-1.0)
+        x = E1.point([3.0])
+    else:
+        f = bifunction_fixture(E1, "min_quadratic")
+        source = dataclasses.replace(f, structure=Minimization(objective=QUARTIC))
+        x = E1.point([3.0])
+    one_shot, build = {
+        ObjectiveFunction: (convex_resolvent, resolvents.convex_resolvent_operator),
+        OperatorSpec: (lipschitz_resolvent, resolvents.lipschitz_resolvent_operator),
+        Bifunction: (equilibrium_resolvent, equilibrium_resolvent_operator),
+    }[type(source)]
+    for call in (lambda: one_shot(source, lam, x), lambda: build(source, lam)):
+        with pytest.raises(error, match=re.escape(message)):
+            call()
+    # a varying schedule builds no operator at sequence build; its bounds
+    # are checked all the same (a resolvent-class schedule's are positive)
+    if lam > 0.0:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            resolvent_sequence(source, resolvent_schedule(lambda k: lam + 1.0 / k, lower=lam,
+                                                          upper=lam + 1.0))
+
+
+def test_a_sequence_needs_a_resolvent_source():
+    with pytest.raises(ConfigError, match="cannot build resolvents from Schedule"):
+        resolvent_sequence(resolvent_constant(1.0), resolvent_constant(1.0))
+
+
+def test_a_sequence_checks_both_certified_bounds():
+    # lower bound inside the window, upper bound outside it
+    with pytest.raises(ConfigError, match=re.escape("lam=0.07 must be below 1/(2 alpha)")):
+        resolvent_sequence(QUARTIC, resolvent_schedule(lambda k: 0.01 + 0.06 / k, lower=0.01,
+                                                       upper=0.07))
+    with pytest.raises(ConfigError, match="certified finite upper bound below 1.0"):
+        resolvent_sequence(DOUBLING, resolvent_schedule(lambda k: 0.5, lower=0.5))
+    lam = 1.0 + 1.0 / 3
+    assert resolvent_sequence(ROT, resolvent_schedule(lambda k: 1.0 + 1.0 / k, lower=1.0)
+                              ).factory(3).sqn_coefficient == lam / (1.0 + lam)
+
+
+# ---------------------------------------------------------------------------
+# inner-solver failure exits
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("space", [E1, E2, H2], ids=lambda s: s.space_id)
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_descent_stops_at_the_first_non_finite_gradient(space, bad):
+    calls = []
+
+    def gradient(y):
+        calls.append(y)
+        return (bad,) + (0.0,) * (len(y.xs) - 1)
+
+    f = dataclasses.replace(objective_fixture(space, "quadratic"), closed_form_resolvent=None,
+                            gradient=gradient)
+    x = space.from_spatial([1.2, -0.4]) if space is H2 else space.point([1.2, -0.4][:space.dim])
+    with pytest.raises(SolverError, match=r"gradient norm is (nan|inf) \(lam = 0.5\)"):
+        convex_resolvent(f, 0.5, x)
+    assert len(calls) == 1
+
+
+def test_descent_reports_stalled_gradient_steps():
+    # values far above the resolution of the decrease send descent to its
+    # gradient-only mode at once; a gradient that doubles at every call then
+    # halves the step until it stalls
+    calls = []
+
+    def gradient(y):
+        calls.append(y)
+        return (2.0 ** len(calls),)
+
+    f = ObjectiveFunction(space=E1, eval=lambda p: 1e20 - 1e6 * p.xs[0], gradient=gradient)
+    with pytest.raises(SolverError, match=r"gradient steps stalled at \|grad\| = .* \(lam = 1.0\)"):
+        convex_resolvent(f, 1.0, E1.point([0.0]))
+    assert 60 < len(calls) < 100
+
+
+def test_descent_reports_a_stalled_armijo_search():
+    # a gradient of +1 where the objective falls to the right: every step
+    # against it raises the objective, by more than the values' resolution
+    f = ObjectiveFunction(space=E1, eval=lambda p: -p.xs[0], gradient=lambda p: (1.0,))
+    with pytest.raises(SolverError, match=re.escape(
+            "Armijo backtracking stalled; sufficient decrease unattainable "
+            "(|grad| = 1.000e+00, lam = 1.0)")):
+        convex_resolvent(f, 1.0, E1.point([0.0]))
+
+
+def test_descent_reports_its_iteration_budget(monkeypatch):
+    # the quartic's prox at lam = 0.01 from 3 takes some 50 descent steps
+    monkeypatch.setattr(resolvents, "PROX_MAX_ITERS", 5)
+    f = dataclasses.replace(QUARTIC, closed_form_resolvent=None)
+    with pytest.raises(SolverError, match=re.escape(
+            "prox subproblem did not reach |grad| <= 1e-10 within 5 steps (residual ")):
+        convex_resolvent(f, 0.01, E1.point([3.0]))
+
+
+def test_lipschitz_resolvent_reports_divergence():
+    # a constant map is 0-Lipschitz; the first step from x to halfway toward
+    # its far value is a distance whose square overflows
+    far = catalog_operator(E2, "constant", point=E2.point([-1e200, -1e200]))
+    with pytest.raises(SolverError, match="resolvent iteration diverged at inner step 1"):
+        lipschitz_resolvent(far, 1.0, E2.point([1e200, 1e200]))
+
+
+def test_lipschitz_resolvent_reports_its_iteration_budget(monkeypatch):
+    monkeypatch.setattr(resolvents, "FIXED_POINT_BUDGET", 3)
+    with pytest.raises(SolverError, match=re.escape(
+            "fixed-point iteration did not contract to 1e-12 within 3 steps (last step ")):
+        lipschitz_resolvent(ROT, 1.0, E2.point([1.0, 0.5]))
+
+
+def _constant_field_vi(c):
+    """The VI of the constant field c on the whole plane: 0-Lipschitz."""
+    return Bifunction(space=E2, eval=lambda z, y: c[0] * (y.xs[0] - z.xs[0])
+                      + c[1] * (y.xs[1] - z.xs[1]), theta=0.0,
+                      structure=VariationalInequality(field=lambda z: c, lipschitz=1.0),
+                      feasible_set=WholeSpace(E2.space_id))
+
+
+def test_vi_solver_reports_divergence():
+    # step 1/(L + lam) = 1/2 moves x = (1e200, 1e200) to (-1e200, -1e200)
+    with pytest.raises(SolverError, match="projected iteration diverged at inner step 1"):
+        equilibrium_resolvent(_constant_field_vi((4e200, 4e200)), 1.0,
+                              E2.point([1e200, 1e200]))
+
+
+def test_vi_solver_reports_its_iteration_budget(monkeypatch):
+    monkeypatch.setattr(resolvents, "VI_BUDGET", 2)
+    with pytest.raises(SolverError, match=re.escape(
+            "projected iteration did not reach movement <= 1e-10 within 2 steps")):
+        equilibrium_resolvent(ROT_VI, 1.0, E2.point([0.5, 0.3]))
+
+
+def _assert_solver_error_keeps_the_trace(tr, message):
+    assert tr.summary.stop_reason is StopReason.SOLVER_ERROR
+    assert tr.summary.error_step > 1
+    assert tr.summary.iterations_run == tr.summary.error_step - 1
+    assert [s.k for s in tr.steps] == list(range(1, tr.summary.error_step))
+    assert re.search(message, tr.summary.error_message)
+
+
+def test_descent_failure_mid_run_keeps_the_trace():
+    # ppa from 8 on |y|^2/2 at lam = 1 halves x; the gradient turns NaN
+    # below 1.5, inside the descent of the third step
+    q = objective_fixture(E1, "quadratic")
+    f = dataclasses.replace(q, closed_form_resolvent=None, gradient=lambda y: (
+        y.xs[0] if y.xs[0] >= 1.5 else math.nan,))
+    built = build_scheme("ppa", f, {"lambda": resolvent_constant(1.0)})
+    tr = built.run(RunConfig(space=E1, start=E1.point([8.0]), max_iterations=50,
+                             tolerance=0.0))
+    _assert_solver_error_keeps_the_trace(tr, "gradient norm is nan")
+    assert tr.summary.error_step == 3
+
+
+def test_lipschitz_divergence_mid_run_keeps_the_trace():
+    # a 1/2-Lipschitz map whose 40th value lies far away
+    calls = [0]
+
+    def apply(p):
+        calls[0] += 1
+        return E2.point([-1e200, -1e200] if calls[0] == 40 else [0.5 * c for c in p.xs])
+
+    T = OperatorSpec(space=E2, apply=apply, domain=WholeSpace(E2.space_id),
+                     lipschitz_const=0.5, fixed_point_witness=E2.base_point())
+    built = build_scheme("ppa_lipschitz", T, {"lambda": resolvent_constant(1.0)})
+    tr = built.run(RunConfig(space=E2, start=E2.point([3.0, -1.0]), max_iterations=100,
+                             tolerance=0.0))
+    _assert_solver_error_keeps_the_trace(tr, "resolvent iteration diverged at inner step")
+
+
+def test_vi_divergence_mid_run_keeps_the_trace():
+    # the rotation field on the whole plane, whose 200th value lies far away
+    calls = [0]
+
+    def field(z):
+        calls[0] += 1
+        x0, x1 = z.xs
+        return (4e200, 4e200) if calls[0] == 200 else (x1, -x0)
+
+    f = Bifunction(space=E2, eval=lambda z, y: z.xs[1] * (y.xs[0] - z.xs[0])
+                   - z.xs[0] * (y.xs[1] - z.xs[1]), theta=0.0,
+                   structure=VariationalInequality(field=field, lipschitz=1.0),
+                   feasible_set=WholeSpace(E2.space_id), equilibrium_witness=E2.base_point())
+    built = build_scheme("ppa_equilibrium", f, {"lambda": resolvent_constant(1.0)})
+    tr = built.run(RunConfig(space=E2, start=E2.point([0.9, 0.2]), max_iterations=100,
+                             tolerance=0.0))
+    _assert_solver_error_keeps_the_trace(tr, "projected iteration diverged at inner step")
