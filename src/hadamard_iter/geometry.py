@@ -21,8 +21,9 @@ point stores its coordinates as a tuple of Python floats (``xs``), the
 primitives compute on those floats, and ``coords`` builds a read-only array
 on demand for callers that want numpy. Besides the primitives, each space
 has array kernels over (N, d) coordinate blocks, one point per row:
-``sample_many``, ``distance_many`` and ``combine_many``. They stay on numpy,
-compute the scalar formulas row by row and serve the batched checkers.
+``sample_many``, its one sampler (``sample_point`` is row 0 of a block of
+one), and ``distance_many`` and ``combine_many``, which compute the scalar
+formulas row by row. They stay on numpy and serve the batched checkers.
 
 numpy is imported by the calls that build or read an array, ``coords`` and
 the array kernels, not with this module. Spaces, points and every scalar
@@ -52,8 +53,6 @@ T_SNAP = 4 * math.ulp(1.0)  # combine parameters this far outside [0, 1] snap to
 # included (those overflow from a radius of about 118).
 HYPERBOLOID_MAX_RADIUS = 100.0
 _X0_MAX = math.cosh(HYPERBOLOID_MAX_RADIUS) * (1.0 + POINT_TOL)
-_SAMPLE_TOO_FAR = (f"a sample drawn lies beyond distance {HYPERBOLOID_MAX_RADIUS:g} of the "
-                   "apex; use a smaller sampling scale")
 # The switch between the two hyperboloid distance formulas, one rule for the
 # scalar and the batched path: acosh(-<x,y>_M) when -<x,y>_M lies in
 # (_ACOSH_FROM, inf), i.e. beyond d = acosh(16) ~ 3.47, and the chordal asinh
@@ -63,9 +62,8 @@ _SAMPLE_TOO_FAR = (f"a sample drawn lies beyond distance {HYPERBOLOID_MAX_RADIUS
 _ACOSH_FROM = 16.0
 _JUST_FLOAT = frozenset([float])  # the entry types of a float tuple, as a set
 
-# each array kernel and the scalar primitives whose results it reproduces
+# each array kernel that reproduces scalar primitives, and those primitives
 _KERNEL_PRIMITIVES = {
-    "sample_many": ("sample_point", "perturb"),
     "distance_many": ("_distance",),
     "combine_many": ("_distance", "_combine"),
 }
@@ -113,6 +111,15 @@ def floats(v, n: int | None, what: str, finite: bool = False) -> tuple[float, ..
     if finite and not all(map(math.isfinite, xs)):
         raise DomainError(f"{what} must be finite")
     return xs
+
+
+def _row_sq(A: np.ndarray) -> np.ndarray:
+    # the squared norm of each row, summed column by column in the order of
+    # the scalar loops; a numpy reduction's order may follow the SIMD path
+    q = A[:, 0] * A[:, 0]
+    for j in range(1, A.shape[1]):
+        q = q + A[:, j] * A[:, j]
+    return q
 
 
 def _snap_unit(t: float) -> float:
@@ -234,8 +241,9 @@ class ModelSpace:
     the quasi-linearization pairing is metric-generic and lives here. All
     operations are pure functions of immutable values.
 
-    The array kernels here loop over the scalar primitives. A space may
-    replace them with vectorized versions; a subclass that redefines a
+    ``sample_point`` is row 0 of ``sample_many``, the space's one sampler.
+    The other array kernels here loop over the scalar primitives. A space
+    may replace them with vectorized versions; a subclass that redefines a
     scalar primitive without the kernels built on it gets the loops back,
     so the kernels always compute what the scalar methods compute.
     """
@@ -293,11 +301,9 @@ class ModelSpace:
     # -- array kernels -------------------------------------------------------
 
     def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-        """``n`` random points, distributed as ``sample_point``'s, as the
-        rows of an (n, d) coordinate block."""
-        import numpy as np
-        rows = [self.sample_point(rng, scale).xs for _ in range(n)]
-        return np.array(rows, dtype=float).reshape(n, len(self.base_point().xs))
+        """``n`` random points, spread about the base point by ``scale``, as
+        the rows of an (n, d) coordinate block; the space's one sampler."""
+        raise NotImplementedError
 
     def distance_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row-wise distances d(X[i], Y[i]) of two coordinate blocks."""
@@ -411,21 +417,9 @@ class ModelSpace:
     # -- sampling ------------------------------------------------------------
 
     def sample_point(self, rng: np.random.Generator, scale: float = 1.0) -> SpacePoint:
-        raise NotImplementedError
-
-    def sample_in(self, cset: ConvexSubset, rng: np.random.Generator, scale: float = 1.0) -> SpacePoint:
-        """A random point of the set (projection of a nearby random point)."""
-        self.check_set(cset)
-        if cset.kind == "segment":
-            return self.combine(cset.a, cset.b, float(rng.uniform()))
-        if cset.kind == "ball":
-            raw = self.perturb(cset.center, rng, cset.radius * float(rng.uniform(0, 1.5)))
-            return self.project(cset, raw)
-        return self.project(cset, self.sample_point(rng, scale))
-
-    def perturb(self, p: SpacePoint, rng: np.random.Generator, scale: float) -> SpacePoint:
-        """A random point at controlled distance from p (used by samplers)."""
-        raise NotImplementedError
+        """One random point: row 0 of ``sample_many(rng, 1, scale)``, which
+        leaves ``rng`` in the same state."""
+        return SpacePoint(self.space_id, tuple(self.sample_many(rng, 1, scale)[0].tolist()))
 
     def _distance(self, x: SpacePoint, y: SpacePoint) -> float:
         raise NotImplementedError
@@ -477,8 +471,7 @@ class Euclidean(ModelSpace):
 
     def distance_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         import numpy as np
-        D = X - Y
-        return np.sqrt(np.einsum("ij,ij->i", D, D))
+        return np.sqrt(_row_sq(X - Y))
 
     def combine_many(self, X: np.ndarray, Y: np.ndarray, t) -> np.ndarray:
         t = _snap_unit_many(t)[:, None]
@@ -511,13 +504,6 @@ class Euclidean(ModelSpace):
             return x
         k = excess / sum(map(mul, n, n))
         return SpacePoint(self.space_id, tuple([c - k * a for c, a in zip(x.xs, n)]))
-
-    def sample_point(self, rng: np.random.Generator, scale: float = 1.0) -> SpacePoint:
-        return SpacePoint(self.space_id, tuple((rng.normal(size=self.dim) * scale).tolist()))
-
-    def perturb(self, p: SpacePoint, rng: np.random.Generator, scale: float) -> SpacePoint:
-        step = (rng.normal(size=self.dim) * scale).tolist()
-        return SpacePoint(self.space_id, tuple(map(add, p.xs, step)))
 
 
 # Hyperboloid float primitives on coordinate tuples or lists. Products and sums
@@ -567,17 +553,17 @@ class Hyperboloid(ModelSpace):
 
     Points lie within distance HYPERBOLOID_MAX_RADIUS = 100 of the apex e0
     (x0 <= cosh 100, up to POINT_TOL); ``point`` and ``from_spatial`` raise
-    ``DomainError`` beyond it, and so do the samplers (``sample_point``,
-    ``perturb`` and ``sample_many``) for a draw that lands beyond it. Up to
-    that radius, distances from the apex, geodesic points from it and
-    distances between points on opposite rays from it keep about 1e-12
-    relative accuracy. Between two far points that are close in direction,
-    the formulas here cancel, and they do on one ray from the apex too: for
-    the points at R and R + 5 on a ray, ``distance`` reads 5.00054 at R = 15,
-    5.25747 at R = 18 and 0.0 from R = 19. Against a ``decimal`` oracle the
-    worst distance errors are 1.6e-11, 2e-7 and 9e-3 at R = 5, 10 and 15
-    from the apex, where the rounding of the coordinates alone would allow
-    about 1.1e-16 cosh R (ROADMAP item 1).
+    ``DomainError`` beyond it, and so does ``sample_many``, and with it
+    ``sample_point``, for a draw that lands beyond it. Up to that radius,
+    distances from the apex, geodesic points from it and distances between
+    points on opposite rays from it keep about 1e-12 relative accuracy.
+    Between two far points that are close in direction, the formulas here
+    cancel, and they do on one ray from the apex too: for the points at R
+    and R + 5 on a ray, ``distance`` reads 5.00054 at R = 15, 5.25747 at
+    R = 18 and 0.0 from R = 19. Against a ``decimal`` oracle the worst
+    distance errors are 1.6e-11, 2e-7 and 9e-3 at R = 5, 10 and 15 from the
+    apex, where the rounding of the coordinates alone would allow about
+    1.1e-16 cosh R (ROADMAP item 1).
 
     The space stores no array: ``distance_many`` builds the Minkowski
     signature (-1, 1, ..., 1) on each call, so making a hyperboloid, like
@@ -666,17 +652,18 @@ class Hyperboloid(ModelSpace):
         return SpacePoint(self.space_id, (math.sqrt(1.0 + sum(map(mul, s, s))), *s))
 
     def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-        # perturb at the apex, row by row: the tangent space there is the
-        # spatial part, so a raw draw's tangent projection is its spatial part
+        # a Gaussian tangent at the apex (a raw draw's spatial part), given
+        # the length of an independent Gaussian displacement
         import numpy as np
         draw = rng.normal(size=(n, 2 * self.dim + 1))
         v = draw[:, 1:self.dim + 1]
         g = draw[:, self.dim + 1:]
-        nv = np.sqrt(np.einsum("ij,ij->i", v, v))
-        length = np.sqrt(np.einsum("ij,ij->i", g, g)) * scale
+        nv = np.sqrt(_row_sq(v))
+        length = np.sqrt(_row_sq(g)) * scale
         moved = (nv >= 1e-15) & (length != 0.0)
         if not (length[moved] <= HYPERBOLOID_MAX_RADIUS).all():  # before sinh overflows
-            raise DomainError(_SAMPLE_TOO_FAR)
+            raise DomainError(f"a sample drawn lies beyond distance {HYPERBOLOID_MAX_RADIUS:g} "
+                              "of the apex; use a smaller sampling scale")
         gain = np.sinh(length) / np.where(moved, nv, 1.0)
         Z = np.zeros((n, self.dim + 1))
         Z[:, 1:] = np.where(moved, gain, 0.0)[:, None] * v
@@ -708,7 +695,7 @@ class Hyperboloid(ModelSpace):
     def _renorm_many(Z: np.ndarray) -> np.ndarray:
         # _lift on the spatial part of every row, in place
         import numpy as np
-        Z[:, 0] = np.sqrt(1.0 + np.einsum("ij,ij->i", Z[:, 1:], Z[:, 1:]))
+        Z[:, 0] = np.sqrt(1.0 + _row_sq(Z[:, 1:]))
         return Z
 
     def _log(self, base: SpacePoint, target: SpacePoint) -> tuple[float, ...]:
@@ -762,26 +749,6 @@ class Hyperboloid(ModelSpace):
         s = math.atanh(ratio)
         t = min(1.0, max(0.0, s / L))
         return self.combine(a, b, t)
-
-    def sample_point(self, rng: np.random.Generator, scale: float = 1.0) -> SpacePoint:
-        return self.perturb(self.base_point(), rng, scale)
-
-    def perturb(self, p: SpacePoint, rng: np.random.Generator, scale: float) -> SpacePoint:
-        # Gaussian tangent at p: project a raw draw onto the tangent space,
-        # then give it the length of an independent Gaussian displacement
-        draw = rng.normal(size=2 * self.dim + 1)
-        raw = draw[: self.dim + 1].tolist()
-        m = _mink(p.xs, raw)
-        v = [r + m * c for r, c in zip(raw, p.xs)]
-        n = self.tangent_norm(p, v)
-        g = draw[self.dim + 1:]
-        length = math.sqrt(float(g @ g)) * scale
-        if n < 1e-15 or length == 0.0:
-            return p
-        q = self.exp_map(p, [c * (length / n) for c in v])
-        if not q.xs[0] <= _X0_MAX:  # NaN included
-            raise DomainError(_SAMPLE_TOO_FAR)
-        return q
 
 
 @dataclass(frozen=True, eq=True)
@@ -907,17 +874,6 @@ class Spider(ModelSpace):
         if lx == lb and rx > 0.0:
             return self._pt(lb, min(rb, rx))
         return self._pt(0, 0.0)
-
-    def sample_point(self, rng: np.random.Generator, scale: float = 1.0) -> SpacePoint:
-        leg = int(rng.integers(self.num_legs))
-        return self._pt(leg, float(rng.exponential(scale)))
-
-    def perturb(self, p: SpacePoint, rng: np.random.Generator, scale: float) -> SpacePoint:
-        q = self.sample_point(rng, scale)
-        d = self._distance(p, q)
-        if d == 0.0:
-            return p
-        return self.combine(p, q, min(1.0, abs(float(rng.normal())) * scale / d))
 
 
 def canonical_point(space: ModelSpace, cset: ConvexSubset) -> SpacePoint:

@@ -1,11 +1,13 @@
 """The outputs of the Euclidean demos in ``scripts/configs``, pinned by digest.
 
-``scripts/demo_digests.json`` holds the sha256 of every file the four demos
+``scripts/demo_digests.json`` holds the sha256 of every file the five demos
 below write. A change that moves any bit of them fails here, and the failure
-prints the new table, to commit when the change is meant. Two demos are left
-out because their bits may differ across machines: ``hyperboloid_ball``,
-whose ``math.sinh`` and ``math.asinh`` come from the platform's libm, and
-``check_inequalities``, whose numpy ``einsum`` may take other SIMD paths.
+prints the new table, to commit when the change is meant. The check demo's
+array kernels take only elementwise float operations, in a fixed order, so
+numpy's SIMD paths do not move its bits; its one libm use is the rotation's
+cosine and sine, taken once. ``hyperboloid_ball`` is left out: every step
+of it takes ``math.sinh`` and ``math.asinh`` from the platform's libm, whose
+last bits may differ across machines.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ from hadamard_iter.cli import main
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DEMOS = {"ppa_quartic": "run", "halpern_ppa_segment": "run", "halpern_equilibrium": "run",
-         "sweep_lambda": "sweep"}
+         "sweep_lambda": "sweep", "check_inequalities": "check"}
 
 
 def test_euclidean_demo_outputs_match_their_digests(tmp_path):

@@ -46,6 +46,7 @@ from hadamard_iter import (
     vanishing_schedule,
 )
 from hadamard_iter import resolvents
+from sampling import sample_in
 
 E1 = Euclidean(1)
 E2 = Euclidean(2)
@@ -775,8 +776,8 @@ def test_bifunction_sampled_axioms():
     rng = np.random.default_rng(5)
     vi = bifunction_fixture(E2, "rotation_vi")
     for _ in range(200):
-        x = E2.sample_in(vi.feasible_set, rng)
-        y = E2.sample_in(vi.feasible_set, rng)
+        x = sample_in(E2, vi.feasible_set, rng)
+        y = sample_in(E2, vi.feasible_set, rng)
         assert vi.eval(x, x) == 0.0
         # theta-under monotone with theta = 0, and pseudo-monotone
         s = vi.eval(x, y) + vi.eval(y, x)
