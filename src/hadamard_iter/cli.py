@@ -484,7 +484,9 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     ``taskset`` limits a sweep; all CPUs where the platform has no affinity
     call) and the number of cells. A cell whose run raises, or whose worker
     dies, gets a ``solver_error`` row with empty numeric fields and a
-    message on stderr; the sweep then exits 3 after writing the whole CSV.
+    message on stderr. The sweep exits 3 after writing the whole CSV when
+    any row's stop reason is ``solver_error``, whether its cell raised or
+    the engine ended its run on a failed step.
     Cells that a dying worker took down with it rerun one by one, each in a
     pool of its own, so a dying worker costs no other cell its run.
     """
@@ -520,8 +522,8 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
                 print(f"sweep: cell {i + 1} ({where}) failed: {type(err).__name__}: {err}",
                       file=sys.stderr)
                 result = ["", StopReason.SOLVER_ERROR.value, "", ""]
-                failed += 1
             rows.append([*map(_grid_cell, values), *result])
+            failed += result[1] == StopReason.SOLVER_ERROR.value  # raised, or its run failed
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

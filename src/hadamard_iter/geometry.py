@@ -478,6 +478,8 @@ class Euclidean(ModelSpace):
         return (1.0 - t) * X + t * Y
 
     def _log(self, base: SpacePoint, target: SpacePoint) -> tuple[float, ...]:
+        if self.dim == 1:
+            return (target.xs[0] - base.xs[0],)
         return tuple(map(sub, target.xs, base.xs))
 
     def exp_map(self, base: SpacePoint, v) -> SpacePoint:

@@ -200,8 +200,13 @@ def convex_resolvent(f: ObjectiveFunction, lam: float, x: SpacePoint) -> SpacePo
 
 def _subproblem_grad(gradient: Callable, lam: float, y: SpacePoint, back) -> list:
     # grad at y of f + d^2(., x)/(2 lam), with back = log_y(x); on floats,
-    # each entry rounded as numpy's elementwise form rounds it
-    return [a - b / lam for a, b in zip(gradient(y), back, strict=True)]
+    # each entry rounded as numpy's elementwise form rounds it. The lengths
+    # are compared once here: zip's strict mode costs more on a 1-entry vector
+    g = gradient(y)
+    if len(g) != len(back):
+        raise DomainError(f"gradient has {len(g)} entries where the tangent space "
+                          f"at the point has {len(back)}")
+    return [a - b / lam for a, b in zip(g, back)]
 
 
 def _recheck_first_order(

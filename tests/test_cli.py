@@ -932,6 +932,21 @@ def test_sweep_failing_cell_gets_error_row(tmp_path, monkeypatch, capsys):
     assert rows[0][2] == rows[2][2] == "converged"
 
 
+def test_sweep_whose_runs_end_as_solver_errors_exits_3(tmp_path):
+    # the expanding quadratic's runs raise nothing: the engine ends each on a
+    # non-finite residual, and those rows fail the sweep as a raising cell does
+    base = dict(BASE_RUN, space={"kind": "euclidean", "dim": 2}, start=[8.0, 1.0],
+                reference=[0.0, 0.0], source={"objective": {"name": "expanding_quadratic"}},
+                tolerance=1e-12)
+    cfg = write_cfg(tmp_path, {"base": base, "grid": {"max_iterations": [5000, 10000]}})
+    assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "o")) == 3
+    assert multiprocessing.active_children() == []
+    with open(tmp_path / "o" / "sweep.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert [(r[0], r[2], r[3]) for r in rows] == [("5000", "solver_error", "inf"),
+                                                  ("10000", "solver_error", "inf")]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_dead_worker_gets_error_row(tmp_path, monkeypatch, capsys, workers):
     # the dying cell sits in the middle, so cells after it (and, with two

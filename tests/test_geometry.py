@@ -1306,6 +1306,22 @@ def test_log_map_is_the_private_log_as_a_float_tuple(space, data):
     assert _bits(got) == _bits(space._log(x, y))
 
 
+# signed zeros, subnormals and +-1e300, whose differences reach 2e300
+LINE_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308,
+                              1e300, -1e300])
+
+
+@given(b=st.one_of(LINE_EDGES, FINITE), t=st.one_of(LINE_EDGES, FINITE))
+@settings(max_examples=400, deadline=None)
+def test_the_line_log_is_the_generic_difference_bit_for_bit(b, t):
+    # E1._log takes its one entry by index; the map over both coordinate
+    # tuples it skips gives the same bits
+    base, target = E1.point([b]), E1.point([t])
+    want = _bits(tuple(map(sub, target.xs, base.xs)))
+    for got in (E1._log(base, target), E1.log_map(base, target)):
+        assert type(got) is tuple and _bits(got) == want
+
+
 def test_spider_has_no_private_log():
     with pytest.raises(UnsupportedOperationError):
         S3._log(S3.base_point(), S3.point((1, 1.0)))

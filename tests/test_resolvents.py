@@ -271,6 +271,52 @@ def test_a_nan_gradient_is_a_solver_error(space, route):
         convex_resolvent(f, 0.5, x)
 
 
+@pytest.mark.parametrize("space", [E1, E2, H2], ids=lambda s: s.space_id)
+@pytest.mark.parametrize("route", ["closed_form", "descent"])
+def test_a_wrong_length_gradient_is_a_domain_error_and_a_run_s_solver_error(space, route):
+    # the prox centred at (1, 0) from (3, 1), as far as the space has
+    # coordinates; a gradient one entry short (one too long on the line)
+    point = space.from_spatial if space is H2 else space.point
+    f = objective_fixture(space, "quadratic", center=point([1.0, 0.0][:space.dim]))
+    if route == "descent":
+        f = dataclasses.replace(f, closed_form_resolvent=None)
+    x = point([3.0, 1.0][:space.dim])
+    n = len(x.xs)
+    wrong = n + 1 if space is E1 else n - 1
+    f = dataclasses.replace(f, gradient=lambda y: (0.0,) * wrong)
+    message = f"gradient has {wrong} entries where the tangent space at the point has {n}"
+    with pytest.raises(DomainError, match=message):
+        convex_resolvent(f, 0.5, x)
+    trace = iterate_sequence(resolvent_sequence(f, resolvent_constant(0.5)),
+                             RunConfig(space=space, start=x, max_iterations=10))
+    s = trace.summary
+    assert s.stop_reason is StopReason.SOLVER_ERROR and s.error_message == message
+    assert (s.error_step, s.iterations_run, trace.steps, s.final_point) == (1, 0, [], x)
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7e308,
+                                    math.inf, -math.inf, math.nan]), st.floats())
+
+
+def _bits(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_subproblem_grad_is_the_strict_zip_form_bit_for_bit(data):
+    n = data.draw(st.integers(1, 3))
+    g = tuple(data.draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+    back = tuple(data.draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+    lam = data.draw(st.floats(1e-12, 1e3))
+    want = [a - b / lam for a, b in zip(g, back, strict=True)]
+    got = resolvents._subproblem_grad(lambda y: g, lam, None, back)
+    assert len(got) == n
+    for w, v in zip(want, got):
+        # NaN wherever the old form gives NaN, and otherwise the same bytes
+        assert math.isnan(v) if math.isnan(w) else _bits(v) == _bits(w)
+
+
 def test_resolvent_operators_look_up_convex_resolvent_when_called(monkeypatch):
     # a span tracer replaces the module-level name once operators exist; an
     # operator built before must reach the replacement, in the engine too
