@@ -63,7 +63,8 @@ class ObjectiveFunction:
 
     ``gradient`` returns the Riemannian gradient as an ambient tangent
     vector at the query point, a sequence of floats (a tuple for the built-in
-    fixtures). ``weak_convexity_alpha`` is the weak
+    fixtures); a return without a length, or of another length, is a
+    ``DomainError``. ``weak_convexity_alpha`` is the weak
     convexity modulus (0 means convex). ``known_argmin`` may be a point or a
     convex set. A ``closed_form_resolvent`` (lam, x) -> point short-circuits
     the inner solver.
@@ -203,8 +204,12 @@ def _subproblem_grad(gradient: Callable, lam: float, y: SpacePoint, back) -> lis
     # each entry rounded as numpy's elementwise form rounds it. The lengths
     # are compared once here: zip's strict mode costs more on a 1-entry vector
     g = gradient(y)
-    if len(g) != len(back):
-        raise DomainError(f"gradient has {len(g)} entries where the tangent space "
+    try:
+        n = len(g)
+    except TypeError:  # an iterator, or no sequence at all
+        raise DomainError(f"gradient returned a {type(g).__name__}, not a sequence") from None
+    if n != len(back):
+        raise DomainError(f"gradient has {n} entries where the tangent space "
                           f"at the point has {len(back)}")
     return [a - b / lam for a, b in zip(g, back)]
 

@@ -294,6 +294,15 @@ def test_a_wrong_length_gradient_is_a_domain_error_and_a_run_s_solver_error(spac
     assert (s.error_step, s.iterations_run, trace.steps, s.final_point) == (1, 0, [], x)
 
 
+@pytest.mark.parametrize("bad", [lambda y: iter((0.0,) * len(y.xs)), lambda y: 0.0],
+                         ids=["iterator", "float"])
+def test_a_gradient_that_returns_no_sequence_is_a_domain_error(bad):
+    # its length is read before any entry, and len() takes sequences only
+    f = dataclasses.replace(objective_fixture(E2, "quadratic"), gradient=bad)
+    with pytest.raises(DomainError, match="not a sequence"):
+        convex_resolvent(f, 0.5, E2.point([3.0, 1.0]))
+
+
 _ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7e308,
                                     math.inf, -math.inf, math.nan]), st.floats())
 
