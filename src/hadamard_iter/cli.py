@@ -1,8 +1,8 @@
 """Experiment runner: ``run``, ``check`` and ``sweep`` subcommands.
 
-Configs are single JSON files. Exit codes: 0 converged (or all checks
-passed), 1 config error, 2 iteration budget exhausted, 3 solver error,
-4 a check failed.
+Configs are single JSON files. Exit codes: 1 config error; otherwise
+``_exit_code`` reads them off what the command did: 3 solver error, 4 a check
+failed, 2 ``run``'s iteration budget exhausted, 0 otherwise.
 Trace CSVs are written with 17 significant digits so reruns with the same
 config and seed are byte-identical.
 """
@@ -21,7 +21,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .config import READERS, pick, point_to_config, read, reads
 from .diagnostics import (
@@ -267,12 +267,15 @@ def summary_dict(space: ModelSpace, built: BuiltScheme, trace: IterationTrace,
     }
 
 
-def _stop_exit_code(reason: StopReason) -> int:
-    return {
-        StopReason.CONVERGED: EXIT_OK,
-        StopReason.BUDGET_EXHAUSTED: EXIT_BUDGET,
-        StopReason.SOLVER_ERROR: EXIT_SOLVER,
-    }[reason]
+def _exit_code(command: str, stops: Iterable[StopReason], verdicts: Iterable[bool] = ()) -> int:
+    """A command's exit code from the stop reasons of the runs it executed (a
+    sweep cell that raised or lost its worker, and a solver error raised out
+    of a command, end as solver errors) and the verdicts of its checks."""
+    stops = set(stops)
+    return (EXIT_SOLVER if StopReason.SOLVER_ERROR in stops
+            else EXIT_CHECK_FAILED if not all(verdicts)
+            else EXIT_BUDGET if command == "run" and StopReason.BUDGET_EXHAUSTED in stops
+            else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +303,7 @@ def cmd_run(config_path: str, out_dir: str, overrides: Mapping | None = None) ->
           f"{_fmt(summary['final_residual'])}"
           + (f", target distance {_fmt(summary['target_distance'])}"
              if summary["target_distance"] is not None else ""))
-    return _stop_exit_code(trace.summary.stop_reason)
+    return _exit_code("run", [trace.summary.stop_reason])
 
 
 def _parse_embedded(space: ModelSpace, desc: Any, overrides: Mapping
@@ -314,26 +317,39 @@ def _parse_embedded(space: ModelSpace, desc: Any, overrides: Mapping
 # Each check is read against the parameters of its entry after (space,
 # overrides): the check config's space, and the seed and iteration budget
 # that the command and the check config give its embedded runs. Each entry
-# applies its checker's rules, so that no check runs before all are valid.
+# applies its checker's rules, so that no check runs before all are valid,
+# and returns a call that runs the check and returns its reports.json entry.
+
+def _judged(name: str, trace: IterationTrace, checker: Callable[..., CheckReport],
+            space: ModelSpace, *args) -> dict:
+    # the entry of a check of an embedded run, which says how the run ended;
+    # a run that ended as a solver error is not judged (no sample), and fails
+    s = trace.summary
+    failed = s.stop_reason is StopReason.SOLVER_ERROR
+    report = CheckReport(name, 0, [], 0.0) if failed else checker(space, trace, *args)
+    return {**report.to_dict(), "passed": report.passed and not failed,
+            "stop_reason": s.stop_reason.value, "iterations": s.iterations_run,
+            "error_step": s.error_step}
+
 
 def _space_axioms(space, overrides, samples: int = 1000, scale: float = 2.0):
     _sampling_entry(samples, overrides["seed"], scale)
-    return functools.partial(check_space_axioms, space, samples=samples,
-                             seed=overrides["seed"], scale=scale)
+    return lambda: check_space_axioms(space, samples=samples, seed=overrides["seed"],
+                                      scale=scale).to_dict()
 
 
 def _quasi_firm(space, overrides, objective: ObjectiveFunction, lam: float,
                 witness: SpacePoint | None = None, samples: int = 500, scale: float = 2.0):
     _convex_entry(objective, lam)
     _sampling_entry(samples, overrides["seed"], scale)
-    return functools.partial(check_quasi_firm, objective, lam, witness, samples=samples,
-                             seed=overrides["seed"], scale=scale)
+    return lambda: check_quasi_firm(objective, lam, witness, samples=samples,
+                                    seed=overrides["seed"], scale=scale).to_dict()
 
 
 def _sqn(op: OperatorSpec, overrides, witness, samples, scale):
     _sampling_entry(samples, overrides["seed"], scale)
-    return functools.partial(check_sqn_inequality, op, witness, samples=samples,
-                             seed=overrides["seed"], scale=scale)
+    return lambda: check_sqn_inequality(op, witness, samples=samples, seed=overrides["seed"],
+                                        scale=scale).to_dict()
 
 
 def _sqn_ishikawa(space, overrides, operator: OperatorSpec, alpha: float = 0.5,
@@ -358,20 +374,20 @@ def _sqn_equilibrium_resolvent(space, overrides, bifunction: Bifunction, lam: fl
 def _nested_fixed_sets(space, overrides, objective: ObjectiveFunction, lam: float, mu: float,
                        candidates: list[SpacePoint]):
     _nested_entry(objective, lam, mu)
-    return functools.partial(check_nested_fixed_sets, objective, lam, mu, candidates)
+    return lambda: check_nested_fixed_sets(objective, lam, mu, candidates).to_dict()
 
 
 def _fejer(space, overrides, run: dict, witness: SpacePoint):
     built, run_cfg = _parse_embedded(space, run, overrides)
-    return lambda: check_fejer(space, built.run(run_cfg), witness)
+    return lambda: _judged("fejer", built.run(run_cfg), check_fejer, space, witness)
 
 
 def _halpern_target(space, overrides, run: dict, fixed_set: ConvexSubset, tolerance: float):
     built, run_cfg = _parse_embedded(space, run, overrides)
     if run_cfg.anchor is None:
         raise ConfigError("check 'halpern_target' needs an embedded run with an 'anchor'")
-    return lambda: check_halpern_target(space, built.run(run_cfg), run_cfg.anchor, fixed_set,
-                                        tolerance)
+    return lambda: _judged("halpern_target", built.run(run_cfg), check_halpern_target, space,
+                           run_cfg.anchor, fixed_set, tolerance)
 
 
 _CHECKS = {
@@ -387,7 +403,7 @@ _CHECKS = {
 
 
 def _check(desc: Any, key: str, space: ModelSpace, overrides: Mapping
-           ) -> Callable[[], CheckReport]:
+           ) -> Callable[[], dict]:
     """The check ``desc`` names, with every field read and validated, as a
     call that runs it."""
     _, entry, ctx = pick(_CHECKS, desc, key, "check config", "check", by="name")
@@ -400,7 +416,7 @@ def _check(desc: Any, key: str, space: ModelSpace, overrides: Mapping
 
 def _check_config(overrides: Mapping, space: ModelSpace, checks: list[dict], seed: int = 0,
                   outputs: CheckOutputs | None = None
-                  ) -> tuple[list[Callable[[], CheckReport]], int, str]:
+                  ) -> tuple[list[Callable[[], dict]], int, str]:
     seed = overrides.get("seed", seed)
     overrides = {**overrides, "seed": seed}
     return ([_check(desc, f"checks[{i}]", space, overrides) for i, desc in enumerate(checks)],
@@ -412,16 +428,16 @@ def cmd_check(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     checks, seed, out_name = _parse(_check_config, _load_json(config_path), "check config",
                                     overrides)
     (path,) = _output_paths(out_dir, out_name)
-    reports = [run() for run in checks]
-    bundle = {"all_passed": all(r.passed for r in reports),
-              "seed": seed,
-              "reports": [r.to_dict() for r in reports]}
+    entries = [run() for run in checks]
+    verdicts = [e["passed"] for e in entries]
+    bundle = {"all_passed": all(verdicts), "seed": seed, "reports": entries}
     _atomic_write(path, json.dumps(bundle, indent=2, sort_keys=True) + "\n")
-    for r in reports:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{status} {r.check_name}: samples={r.samples_tested} "
-              f"max_violation={r.max_violation:.3e} violations={len(r.violations)}")
-    return EXIT_OK if bundle["all_passed"] else EXIT_CHECK_FAILED
+    for e in entries:
+        print(f"{'PASS' if e['passed'] else 'FAIL'} {e['check_name']}: samples={e['samples_tested']}"
+              f" max_violation={e['max_violation']:.3e} violations={len(e['violations'])}"
+              + (f" run={e['stop_reason']}" if "stop_reason" in e else ""))
+    stops = [StopReason(e["stop_reason"]) for e in entries if "stop_reason" in e]
+    return _exit_code("check", stops, verdicts)
 
 
 def _set_by_path(cfg: dict, dotted: str, value: Any) -> None:
@@ -484,9 +500,9 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     ``taskset`` limits a sweep; all CPUs where the platform has no affinity
     call) and the number of cells. A cell whose run raises, or whose worker
     dies, gets a ``solver_error`` row with empty numeric fields and a
-    message on stderr. The sweep exits 3 after writing the whole CSV when
-    any row's stop reason is ``solver_error``, whether its cell raised or
-    the engine ended its run on a failed step.
+    message on stderr. After writing the whole CSV the sweep exits 3 when
+    a row's stop reason is ``solver_error`` (its cell raised, or the engine
+    ended its run on a failed step), 0 otherwise, budget stops included.
     Cells that a dying worker took down with it rerun one by one, each in a
     pool of its own, so a dying worker costs no other cell its run.
     """
@@ -505,7 +521,7 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     from concurrent.futures.process import BrokenProcessPool
 
     fork = multiprocessing.get_context("fork")
-    rows, failed = [], 0
+    rows, stops = [], []
     with ProcessPoolExecutor(workers, mp_context=fork) as pool:
         futures = [pool.submit(_run_cell, c, overrides) for c in cell_cfgs]
         for i, (values, fut) in enumerate(zip(cells, futures)):
@@ -523,7 +539,7 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
                       file=sys.stderr)
                 result = ["", StopReason.SOLVER_ERROR.value, "", ""]
             rows.append([*map(_grid_cell, values), *result])
-            failed += result[1] == StopReason.SOLVER_ERROR.value  # raised, or its run failed
+            stops.append(StopReason(result[1]))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -531,7 +547,7 @@ def cmd_sweep(config_path: str, out_dir: str, overrides: Mapping | None = None) 
     writer.writerows(rows)
     _atomic_write(path, buf.getvalue())
     print(f"sweep: {len(cells)} cells -> {path}")
-    return EXIT_SOLVER if failed else EXIT_OK
+    return _exit_code("sweep", stops)
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +586,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, DomainError, UnsupportedOperationError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except HadamardIterError as err:
+    except HadamardIterError as err:  # a solver error raised out of the command
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_SOLVER
+        return _exit_code(args.command, [StopReason.SOLVER_ERROR])
 
 
 if __name__ == "__main__":

@@ -134,6 +134,7 @@ def check_quasi_firm(
     inequality of the prox operator. The witness defaults to the one the
     resolvent operator of ``f`` declares: its known argmin, or a point of
     its known argmin set."""
+    _convex_entry(f, lam)
     if witness is None:
         witness = _argmin_witness(f)
     if witness is None:

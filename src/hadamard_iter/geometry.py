@@ -632,6 +632,12 @@ class Hyperboloid(ModelSpace):
             return [0.0] * len(x), 1.0, d
         return w, math.sqrt(nw), d
 
+    @staticmethod
+    def _tangent_at(x, v) -> list:
+        # v + <x, v>_M x from coordinate tuples: v moved into the tangent space at x
+        m = _mink(x, v)
+        return [c + m * a for c, a in zip(v, x)]
+
     def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
         # slerp form: gamma(s) = (sinh(d-s) x + sinh(s) y) / sinh(d). A
         # positive combination of the endpoints, so no cancellation on long

@@ -506,11 +506,8 @@ def _radial_grid(
     dim = len(anchor.xs) - (1 if curved else 0)
     for _ in range(n_dir):
         d = [gauss(0.0, 1.0) for _ in range(dim)]
-        if curved:
-            # the spatial direction moved into the tangent space at the anchor,
-            # so that exp_map puts the point r along it at distance r
-            m = space.minkowski(anchor.xs, [0.0, *d])
-            d = [c + m * a for c, a in zip([0.0, *d], anchor.xs)]
+        if curved:  # into the tangent space, so that exp_map puts r along it at distance r
+            d = space._tangent_at(anchor.xs, [0.0, *d])
         norm = space.tangent_norm(anchor, d) if curved else math.sqrt(sum([c * c for c in d]))
         d = [c / norm for c in d]
         for i in range(1, n_rad + 1):

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from hadamard_iter import Halfspace, SolverError, WholeSpace, cli, config, objective_fixture
+from hadamard_iter import (Halfspace, SolverError, WholeSpace, cli, config, objective_fixture,
+                          schemes)
 from hadamard_iter.cli import main
 
 BASE_RUN = {
@@ -966,6 +967,110 @@ def test_sweep_dead_worker_gets_error_row(tmp_path, monkeypatch, capsys, workers
     got = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
     assert got[2] == "1,,solver_error,,"
     assert got[:2] + got[3:] == want[:2] + want[3:]
+
+
+# ---------------------------------------------------------------------------
+# one exit-code rule for every command
+# ---------------------------------------------------------------------------
+
+def _raise_solver_error(self, cfg):
+    raise SolverError("injected solver failure")
+
+
+def _kill_worker(self, cfg):
+    os._exit(1)
+
+
+# outcome -> (changes to BASE_RUN, a replacement of BuiltScheme.run or None)
+OUTCOMES = {
+    "converged": ({}, None),
+    "budget": ({"max_iterations": 3, "tolerance": 1e-15}, None),
+    "engine solver_error": ({"source": {"objective": {"name": "expanding_quadratic"}},
+                             "max_iterations": 10000, "tolerance": 1e-12}, None),
+    "raised SolverError": ({}, _raise_solver_error),
+    "dead worker": ({}, _kill_worker),
+}
+# (command, outcome) -> exit code (for check: with a passing and with a failing
+# Fejer witness), and the files the command writes
+EXIT_TABLE = {
+    ("run", "converged"): (0, {"trace.csv", "summary.json"}),
+    ("run", "budget"): (2, {"trace.csv", "summary.json"}),
+    ("run", "engine solver_error"): (3, {"trace.csv", "summary.json"}),
+    ("run", "raised SolverError"): (3, set()),
+    ("sweep", "converged"): (0, {"sweep.csv"}),
+    ("sweep", "budget"): (0, {"sweep.csv"}),
+    ("sweep", "engine solver_error"): (3, {"sweep.csv"}),
+    ("sweep", "raised SolverError"): (3, {"sweep.csv"}),
+    ("sweep", "dead worker"): (3, {"sweep.csv"}),
+    ("check", "converged"): ((0, 4), {"reports.json"}),
+    ("check", "budget"): ((0, 4), {"reports.json"}),
+    ("check", "engine solver_error"): ((3, 3), {"reports.json"}),
+    ("check", "raised SolverError"): ((3, 3), set()),
+}
+STOP_REASONS = {"converged": "converged", "budget": "budget_exhausted"}
+
+
+@pytest.mark.parametrize("command, outcome", EXIT_TABLE, ids=[" ".join(k) for k in EXIT_TABLE])
+def test_one_exit_code_rule_for_every_command(tmp_path, monkeypatch, capsys, command, outcome):
+    changes, run = OUTCOMES[outcome]
+    if run is not None:
+        monkeypatch.setattr(schemes.BuiltScheme, "run", run)  # forked sweep workers inherit it
+    run_cfg = dict(BASE_RUN, **changes)
+    codes, files = EXIT_TABLE[command, outcome]
+    if command == "check":
+        witnesses = {0.0: codes[0], 5.0: codes[1]}  # 5 lies between x_1 = 8 and x_3 = 2
+        for i, (witness, code) in enumerate(witnesses.items()):
+            cfg = {"space": run_cfg["space"],
+                   "checks": [{"name": "fejer", "run": run_cfg, "witness": [witness]}]}
+            out = tmp_path / f"o{i}"
+            assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(out)) == code
+            assert {f.name for f in out.glob("*")} == files
+            if files:
+                (entry,) = json.loads((out / "reports.json").read_text())["reports"]
+                stop = STOP_REASONS.get(outcome, "solver_error")
+                assert (entry["stop_reason"], entry["passed"]) == (stop, code == 0)
+                assert (entry["error_step"] is None) == (stop != "solver_error")
+        return
+    cfg = run_cfg if command == "run" else {"base": run_cfg, "grid": {"seed": [1, 2]}}
+    out = tmp_path / "o"
+    assert run_cli(command, "--config", write_cfg(tmp_path, cfg), "--out", str(out)) == codes
+    assert {f.name for f in out.glob("*")} == files
+    if command == "sweep":
+        with open(out / "sweep.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert [r[2] for r in rows] == [STOP_REASONS.get(outcome, "solver_error")] * 2
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("objective, lam, error_step", [
+    # the prox recheck refuses the closed form at step 1: the trace is empty
+    ({"name": "quadratic", "center": [1.0, 0.0]}, 1e-12, 1),
+    # the expanding quadratic's residual goes non-finite
+    ({"name": "expanding_quadratic"}, 1.0, 869),
+], ids=["recheck-at-step-1", "expanding"])
+def test_a_check_on_a_failed_embedded_run_is_a_solver_error(tmp_path, capsys, objective, lam,
+                                                            error_step):
+    run_desc = dict(E2_RUN, start=[8.0, -3.0], source={"objective": objective},
+                    schedules={"lambda": {"kind": "constant", "value": lam}},
+                    max_iterations=5000, tolerance=1e-12)
+    cfg = {"space": E2_RUN["space"], "checks": [
+        {"name": "fejer", "run": run_desc, "witness": [1.0, 0.0]},
+        {"name": "space_axioms", "samples": 10}]}
+    assert run_cli("check", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")) == 3
+    bundle = json.loads((tmp_path / "o" / "reports.json").read_text())
+    fejer, axioms = bundle["reports"]
+    assert not bundle["all_passed"] and axioms["passed"] and "stop_reason" not in axioms
+    assert fejer == {"check_name": "fejer", "samples_tested": 0, "violations": [],
+                     "max_violation": 0.0, "passed": False, "stop_reason": "solver_error",
+                     "iterations": error_step - 1, "error_step": error_step}
+    assert "FAIL fejer: samples=0" in capsys.readouterr().out
+
+
+def test_every_exit_code_but_a_config_error_comes_from_one_function():
+    source = Path(cli.__file__).read_text()
+    assert not hasattr(cli, "_stop_exit_code")
+    for name in ("EXIT_OK", "EXIT_BUDGET", "EXIT_SOLVER", "EXIT_CHECK_FAILED"):
+        assert source.count(name) == 2, name  # its definition, and its use in _exit_code
 
 
 # ---------------------------------------------------------------------------

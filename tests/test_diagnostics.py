@@ -200,6 +200,16 @@ def test_quasi_firm_lambda_guard():
         check_quasi_firm(quart, 0.5, E1.point([0.0]), samples=10)
 
 
+@pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("samples", [0, 3])
+def test_quasi_firm_applies_the_prox_entry_rule_before_sampling(lam, samples):
+    # the prox's own rule, as the CLI's quasi_firm entry applies it: no report
+    # for a lambda the resolvent refuses, even when no sample is drawn
+    q = objective_fixture(E2, "quadratic")
+    with pytest.raises(DomainError, match="resolvent parameter"):
+        check_quasi_firm(q, lam, samples=samples)
+
+
 def test_quasi_firm_witness_defaults_to_a_point_of_the_argmin_set():
     # dist2_to_set's argmin is a set: the default witness is a point of it
     f = objective_fixture(E2, "dist2_to_set", cset=Segment(E2.point([0.0, 0.0]),

@@ -24,6 +24,24 @@ def _run(config: str) -> str:
             f"'--out', 'out']) in (0, 2)\n")
 
 
+# a check whose checks all embed runs: Fejer monotonicity and the Halpern target on E2
+_RUN = {"space": {"kind": "euclidean", "dim": 2}, "scheme": "halpern_ppa",
+        "source": {"objective": {"name": "dist2_to_set",
+                                 "set": {"kind": "segment", "a": [0.0, 0.0], "b": [1.0, 0.0]}}},
+        "schedules": {"anchor": {"kind": "power"}, "lambda": {"kind": "constant", "value": 1.0}},
+        "start": [2.0, 1.5], "anchor": [0.3, 2.0], "max_iterations": 2000, "tolerance": 1e-12}
+_EMBEDDED_CHECKS = {"space": _RUN["space"], "checks": [
+    {"name": "fejer", "run": _RUN, "witness": [0.3, 0.0]},
+    {"name": "halpern_target", "run": _RUN, "tolerance": 5e-3,
+     "fixed_set": {"kind": "segment", "a": [0.0, 0.0], "b": [1.0, 0.0]}}]}
+_CHECK_EMBEDDED = (
+    f"import json\n"
+    f"from hadamard_iter import cli\n"
+    f"open('check.json', 'w').write(json.dumps({_EMBEDDED_CHECKS!r}))\n"
+    f"assert cli.main(['check', '--config', 'check.json', '--out', 'out']) == 0\n"
+    f"assert json.load(open('out/reports.json'))['reports'][1]['stop_reason']\n")
+
+
 def _fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -39,8 +57,9 @@ def _fresh_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
     ("import hadamard_iter as hi\nhi.Euclidean(2).base_point().coords\n", True),
     ("import hadamard_iter as hi\nhi.check_space_axioms(hi.Hyperboloid(2), samples=4)\n", True),
     (_run("halpern_equilibrium.json"), False),
+    (_CHECK_EMBEDDED, False),
 ], ids=["package", "cli", "run_ppa_quartic", "run_hyperboloid_ball", "coords",
-        "space_axioms", "run_halpern_equilibrium"])
+        "space_axioms", "run_halpern_equilibrium", "check_embedded_runs"])
 def test_numpy_is_imported_only_where_an_array_is_built(tmp_path, code, imports_numpy):
     probe = code + "import json, sys\nprint(json.dumps('numpy' in sys.modules))\n"
     done = _fresh_python(probe, tmp_path)

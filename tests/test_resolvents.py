@@ -748,6 +748,63 @@ def test_hyperboloid_grid_points_lie_at_their_stated_radius():
         assert H2.distance(anchor, p) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _frozen_radial_grid(space, K, anchor, radius, n_dir, n_rad):
+    """``resolvents._radial_grid`` as it was when it did the Minkowski
+    projection of the H2 direction itself, kept to pin the grid's bits."""
+    pts = []
+    if isinstance(space, Spider):
+        for leg in range(space.num_legs):
+            for i in range(1, n_rad + 1):
+                cand = space.point((leg, radius * i / n_rad))
+                pts.append(space.project(K, cand))
+        pts.append(space.base_point() if K.kind != "ball" else space.project(K, space.base_point()))
+        return tuple(pts)
+    gauss = random.Random(271828).gauss
+    curved = isinstance(space, Hyperboloid)
+    dim = len(anchor.xs) - (1 if curved else 0)
+    for _ in range(n_dir):
+        d = [gauss(0.0, 1.0) for _ in range(dim)]
+        if curved:
+            m = space.minkowski(anchor.xs, [0.0, *d])
+            d = [c + m * a for c, a in zip([0.0, *d], anchor.xs)]
+        norm = space.tangent_norm(anchor, d) if curved else math.sqrt(sum([c * c for c in d]))
+        d = [c / norm for c in d]
+        for i in range(1, n_rad + 1):
+            r = radius * i / n_rad
+            cand = (space.exp_map(anchor, [c * r for c in d]) if curved
+                    else space.point([a + c * r for a, c in zip(anchor.xs, d)]))
+            pts.append(space.project(K, cand))
+    pts.append(anchor)
+    return tuple(pts)
+
+
+H3 = Hyperboloid(3)
+RADIAL_GRID_CASES = [  # every ball, whole space and halfspace a space can project onto
+    ("E1 ball", E1, Ball(E1.point([0.3]), 0.9)),
+    ("E1 whole space", E1, WholeSpace(E1.space_id)),
+    ("E1 halfspace", E1, Halfspace(E1.space_id, [2.0], 0.5)),
+    ("E2 ball", E2, Ball(E2.point([0.2, -0.1]), 0.7)),
+    ("E2 whole space", E2, WholeSpace(E2.space_id)),
+    ("E2 halfspace", E2, Halfspace(E2.space_id, [1.0, 1.0], 0.5)),
+    ("H2 ball", H2, Ball(H2.from_spatial([0.3, 0.2]), 0.4)),
+    ("H2 far ball", H2, Ball(H2.from_spatial([3.0, -1.0]), 2.5)),
+    ("H2 whole space", H2, WholeSpace(H2.space_id)),
+    ("H3 ball", H3, Ball(H3.from_spatial([0.3, 0.2, -0.5]), 1.1)),
+    ("H3 whole space", H3, WholeSpace(H3.space_id)),
+    ("spider ball", S3, Ball(S3.point((1, 0.5)), 1.2)),
+    ("spider whole space", S3, WholeSpace(S3.space_id)),
+]
+
+
+@pytest.mark.parametrize("name,space,K", RADIAL_GRID_CASES, ids=[c[0] for c in RADIAL_GRID_CASES])
+def test_radial_grid_keeps_the_bits_of_the_frozen_grid(name, space, K):
+    anchor = resolvents.canonical_point(space, K)
+    for radius in (K.radius if K.kind == "ball" else 3.7, 0.25):
+        got = resolvents._radial_grid(space, K, anchor, radius, 8, 3)
+        want = _frozen_radial_grid(space, K, anchor, radius, 8, 3)
+        assert [_hex(p) for p in got] == [_hex(p) for p in want]
+
+
 def test_operator_verifies_every_call_with_the_cached_grid():
     bif, calls = _wrong_on_third_call(Ball(E2.point([0.0, 0.0]), 1.0))
     op = equilibrium_resolvent_operator(bif, 1.0)
