@@ -17,7 +17,7 @@ from .errors import ConfigError, DomainError
 from .geometry import ConvexSubset, ModelSpace, SpacePoint
 from .operators import OperatorSpec
 from .resolvents import ObjectiveFunction, _argmin_witness, _convex_entry, convex_resolvent
-from .schemes import IterationTrace
+from .schemes import IterationTrace, StopReason
 
 if TYPE_CHECKING:  # annotations only: numpy is imported where an array is built
     import numpy as np
@@ -105,12 +105,24 @@ def _nested_entry(f: ObjectiveFunction, lam: float, mu: float) -> None:
     _convex_entry(f, lam)
 
 
-def check_fejer(space: ModelSpace, trace: IterationTrace, p: SpacePoint) -> CheckReport:
-    """Distances to p along the trace must be nonincreasing (Fejer
-    monotonicity with respect to a common fixed point)."""
-    space.check_point(p)
+def _finished_entry(trace: IterationTrace) -> None:
+    """The rule of a checker that judges a run by its trace: a run that ended
+    as a solver error gave no iterates for the inequality to hold on, and an
+    empty trace gives none either; both raise ``DomainError``."""
+    s = trace.summary
+    if s.stop_reason is StopReason.SOLVER_ERROR:
+        raise DomainError(f"the run ended as {s.stop_reason.value} at step {s.error_step}; "
+                          "a failed run is not judged")
     if not trace.steps:
         raise DomainError("empty trace")
+
+
+def check_fejer(space: ModelSpace, trace: IterationTrace, p: SpacePoint) -> CheckReport:
+    """Distances to p along the trace must be nonincreasing (Fejer
+    monotonicity with respect to a common fixed point). A run that ended as
+    a solver error, or an empty trace, raises ``DomainError``."""
+    space.check_point(p)
+    _finished_entry(trace)
     col = _Collector("fejer")
     pts = [s.point for s in trace.steps] + [trace.summary.final_point]
     ks = [s.k for s in trace.steps] + [trace.summary.iterations_run + 1]
@@ -271,10 +283,10 @@ def check_halpern_target(
 ) -> CheckReport:
     """The run must end within ``tolerance`` of the projection of the anchor
     onto the fixed set, and stay inside the a-priori bound
-    max(d(x*, u), d(x*, x_1)) along the way."""
+    max(d(x*, u), d(x*, x_1)) along the way. A run that ended as a solver
+    error, or an empty trace, raises ``DomainError``."""
     space.check_point(u)
-    if not trace.steps:
-        raise DomainError("empty trace")
+    _finished_entry(trace)
     target = space.project(fixed_set, u)
     col = _Collector("halpern_target")
     col.check("final distance to projection",

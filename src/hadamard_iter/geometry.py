@@ -513,9 +513,19 @@ class Euclidean(ModelSpace):
 # OverflowError instead, so their callers turn it into non-finite
 # coordinates, which the engines report as a solver error.
 
+# Each kernel has a 3-coordinate path (H2) with its products and sums written
+# out, and the generic loop for H3 and up. A written-out sum is the left fold
+# that ``sum`` takes on Python 3.10 and 3.11, from 0.0: ``0.0 + p1 + p2`` (0.0
+# + -0.0 is 0.0), so both paths give the same bits; on 3.12 and later, where
+# ``sum`` of floats is compensated, the H2 path still does.
+
 def _mink(u: list, v: list) -> float:
     # <u, v>_M = -u0 v0 + sum_i ui vi, the products taken once, without slices;
     # a PPA step's primitives inline these products in this order: same bits, one call less
+    if len(u) == 3:
+        u0, u1, u2 = u
+        v0, v1, v2 = v
+        return 0.0 + u1 * v1 + u2 * v2 - u0 * v0
     products = map(mul, u, v)
     u0v0 = next(products)
     return sum(products) - u0v0
@@ -526,6 +536,19 @@ def _h_distance(x: list, y: list, m: float | None = None) -> float:
     # from m = -<x,y>_M = cosh d as 2 (m - 1), so that d = acosh(m), and near
     # pairs from the chordal square <x-y, x-y>_M. m, when the caller has
     # it, is -<x,y>_M.
+    if len(x) == 3:
+        x0, x1, x2 = x
+        y0, y1, y2 = y
+        if m is None:
+            m = -(0.0 + x1 * y1 + x2 * y2 - x0 * y0)
+        if _ACOSH_FROM < m < math.inf:
+            q = 2.0 * (m - 1.0)
+        else:
+            d0, d1, d2 = x0 - y0, x1 - y1, x2 - y2
+            q = 0.0 + d0 * d0 + d1 * d1 + d2 * d2 - 2.0 * d0 * d0
+            if q <= 0.0:
+                return 0.0
+        return 2.0 * math.asinh(0.5 * math.sqrt(q))
     if m is None:
         products = map(mul, x, y)
         x0y0 = next(products)
@@ -618,6 +641,18 @@ class Hyperboloid(ModelSpace):
     def _tangent_toward(self, x, y) -> tuple[list, float, float]:
         # (w, nw, d) from coordinate tuples: the unit tangent at x toward y is
         # w / nw; (zero, 1, 0) if d < 1e-14, (zero, 1, d) if the tangent cancels
+        if len(x) == 3:
+            x0, x1, x2 = x
+            y0, y1, y2 = y
+            m = 0.0 + x1 * y1 + x2 * y2 - x0 * y0
+            d = _h_distance(x, y, -m)
+            if d < 1e-14:
+                return [0.0, 0.0, 0.0], 1.0, 0.0
+            w0, w1, w2 = y0 + m * x0, y1 + m * x1, y2 + m * x2
+            nw = 0.0 + w1 * w1 + w2 * w2 - w0 * w0
+            if not nw > 0:
+                return [0.0, 0.0, 0.0], 1.0, d
+            return [w0, w1, w2], math.sqrt(nw), d
         products = map(mul, x, y)
         x0y0 = next(products)
         m = sum(products) - x0y0
@@ -654,6 +689,9 @@ class Hyperboloid(ModelSpace):
             a, b = math.sinh(d - s) / sd, math.sinh(s) / sd
         except OverflowError:  # d > 710, only beyond HYPERBOLOID_MAX_RADIUS
             a = b = math.nan
+        if len(xs) == 3:
+            s1, s2 = a * xs[1] + b * ys[1], a * xs[2] + b * ys[2]
+            return SpacePoint(self.space_id, (math.sqrt(1.0 + (0.0 + s1 * s1 + s2 * s2)), s1, s2))
         pairs = zip(xs, ys)
         next(pairs)  # the time coordinate, recomputed by the lift
         s = [a * p + b * q for p, q in pairs]
@@ -708,6 +746,9 @@ class Hyperboloid(ModelSpace):
 
     def _log(self, base: SpacePoint, target: SpacePoint) -> tuple[float, ...]:
         w, nw, d = self._tangent_toward(base.xs, target.xs)
+        if len(w) == 3:
+            w0, w1, w2 = w
+            return ((w0 / nw) * d, (w1 / nw) * d, (w2 / nw) * d)
         return tuple([(c / nw) * d for c in w])
 
     def exp_map(self, base: SpacePoint, v) -> SpacePoint:
@@ -724,14 +765,21 @@ class Hyperboloid(ModelSpace):
             ch, sh = math.cosh(t), math.sinh(t)
         except OverflowError:  # t > 710: the point is not representable
             ch = sh = math.inf
+        if len(b) == 3:
+            s1, s2 = ch * b[1] + sh * (v[1] / t), ch * b[2] + sh * (v[2] / t)
+            return SpacePoint(self.space_id, (math.sqrt(1.0 + (0.0 + s1 * s1 + s2 * s2)), s1, s2))
         s = [ch * p + sh * (c / t) for p, c in zip(b[1:], v[1:])]
         return SpacePoint(self.space_id, (math.sqrt(1.0 + sum(map(mul, s, s))), *s))
 
     def tangent_norm(self, base: SpacePoint, v) -> float:
         v = tuple(map(float, v))
-        products = map(mul, v, v)
-        v0v0 = next(products)
-        q = sum(products) - v0v0
+        if len(v) == 3:
+            v0, v1, v2 = v
+            q = 0.0 + v1 * v1 + v2 * v2 - v0 * v0
+        else:
+            products = map(mul, v, v)
+            v0v0 = next(products)
+            q = sum(products) - v0v0
         # a square of -inf (an infinite time part) reads NaN, as a NaN square does
         return math.sqrt(q) if q > 0 else 0.0 if q > -math.inf else math.nan
 

@@ -14,7 +14,9 @@ from hadamard_iter import (
     Segment,
     SpacePoint,
     Spider,
+    StopReason,
     bifunction_fixture,
+    build_scheme,
     catalog_operator,
     check_fejer,
     check_halpern_target,
@@ -162,6 +164,54 @@ def test_fejer_negative_control():
     assert not rep.passed
     assert rep.max_violation > 0.0
     assert rep.violations[0].lhs > rep.violations[0].rhs
+
+
+def _failed_run_at_step_1():
+    # the prox recheck refuses the closed form at lambda = 1e-9 (ROADMAP item 4)
+    q = objective_fixture(E2, "quadratic", center=[1.0, 0.0])
+    cfg = RunConfig(space=E2, start=E2.point([8.0, -3.0]), max_iterations=50, tolerance=1e-12)
+    return build_scheme("ppa", q, {"lambda": resolvent_constant(1e-9)}).run(cfg)
+
+
+def _failed_h2_halpern_run():
+    # ROADMAP item 1's R = 10 run: the far pairs cancel, and the prox
+    # recheck fails after 21 steps
+    r = math.sinh(10.0)
+    q = objective_fixture(H2, "quadratic", center=H2.from_spatial([r, 0.0]))
+    cfg = RunConfig(space=H2, start=H2.from_spatial([0.0, r]),
+                    anchor=H2.from_spatial([math.sinh(0.5), 0.0]),
+                    max_iterations=10000, tolerance=1e-12)
+    built = build_scheme("halpern_ppa", q, {"anchor": halpern_schedule(),
+                                            "lambda": resolvent_constant(1.0)})
+    return built.run(cfg)
+
+
+@pytest.mark.parametrize("space, run, steps, error_step", [
+    (E2, _failed_run_at_step_1, 0, 1),
+    (H2, _failed_h2_halpern_run, 21, 22),
+])
+def test_trace_checkers_refuse_a_run_that_ended_as_a_solver_error(space, run, steps,
+                                                                  error_step):
+    trace = run()
+    s = trace.summary
+    assert s.stop_reason is StopReason.SOLVER_ERROR
+    assert (len(trace.steps), s.iterations_run, s.error_step) == (steps, steps, error_step)
+    p = space.base_point()
+    message = f"ended as solver_error at step {error_step}"
+    with pytest.raises(DomainError, match=message):
+        check_fejer(space, trace, p)
+    with pytest.raises(DomainError, match=message):
+        check_halpern_target(space, trace, p, Segment(p, p), 1e-3)
+
+
+def test_trace_checkers_still_refuse_an_empty_trace():
+    trace = _ppa_trace()[0]
+    empty = dataclasses.replace(trace, steps=[])
+    with pytest.raises(DomainError, match="empty trace"):
+        check_fejer(E2, empty, E2.base_point())
+    with pytest.raises(DomainError, match="empty trace"):
+        check_halpern_target(E2, empty, E2.base_point(),
+                             Segment(E2.base_point(), E2.base_point()), 1e-3)
 
 
 # ---------------------------------------------------------------------------

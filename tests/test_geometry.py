@@ -2,7 +2,9 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import random
 from operator import mul, sub
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from hadamard_iter import (
     space_from_config,
     space_to_config,
 )
+from hadamard_iter import cli, geometry
 from hadamard_iter.geometry import (
     HYPERBOLOID_MAX_RADIUS,
     POINT_TOL,
@@ -1780,3 +1783,43 @@ def test_hyperboloid_kernels_keep_their_bits_on_drawn_pairs(pair, t, data):
                              max_size=space.dim + 1))
     for v in (space._log(x, y), tuple(raw)):
         _assert_h_kernels_keep_their_bits(space, x, y, t, v)
+
+
+# The H2 kernels write their sums out as the left fold that ``sum`` takes on
+# Python 3.10 and 3.11; ``sum`` of floats is compensated from 3.12. So no H2
+# result may depend on how ``sum`` rounds: a correctly rounded one gives the
+# same bits.
+
+def _correctly_rounded_sum(items, start=0):
+    return math.fsum([start, *items])
+
+
+def _h2_kernel_bits(rng):
+    out = []
+    for _ in range(50):
+        scale = 10.0 ** rng.uniform(-3.0, 1.3)
+        a = [rng.uniform(-1.0, 1.0) * scale for _ in range(2)]
+        near = rng.random() < 0.5
+        b = [c + rng.uniform(-1.0, 1.0) * (1e-3 if near else scale) for c in a]
+        x, y = H2.from_spatial(a), H2.from_spatial(b)
+        v = H2._log(x, y)
+        w, nw, d = H2._tangent_toward(x.xs, y.xs)
+        out += [_h_distance(x.xs, y.xs), _mink(x.xs, y.xs), *w, nw, d, *v,
+                *H2._combine(x, y, rng.random()).xs, *H2.exp_map(x, v).xs,
+                H2.tangent_norm(x, v), H2.distance(x, y)]
+    return _bits(out)
+
+
+def test_h2_results_do_not_depend_on_how_sum_rounds(tmp_path, monkeypatch):
+    config = Path(__file__).resolve().parent.parent / "scripts" / "configs" / "hyperboloid_ball.json"
+
+    def results(out):
+        code = cli.main(["run", "--config", str(config), "--max-iters", "40", "--out", str(out)])
+        return code, {f.name: f.read_bytes() for f in out.iterdir()}, \
+            _h2_kernel_bits(random.Random(29))
+
+    plain = results(tmp_path / "plain")
+    monkeypatch.setattr(geometry, "sum", _correctly_rounded_sum, raising=False)
+    # the patch reaches the generic path, where a left fold reads 0.0
+    assert _mink((0.0, 1e16, 1.0, -1e16), (1.0, 1.0, 1.0, 1.0)) == 1.0
+    assert results(tmp_path / "fsum") == plain
