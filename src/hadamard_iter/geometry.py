@@ -590,6 +590,14 @@ class Hyperboloid(ModelSpace):
     apex, where the rounding of the coordinates alone would allow about
     1.1e-16 cosh R (ROADMAP item 1).
 
+    On H2 (3 coordinates) every scalar kernel writes its products and sums
+    out, each sum the left fold from 0.0 that ``sum`` takes on Python 3.10
+    and 3.11; H3 and up take the generic loops. Both paths give the bits of
+    the same frozen list-based kernels (tests/test_geometry.py). Since
+    ``sum`` of floats is compensated from Python 3.12, only the H2 path is
+    sure to keep its bits there: the bundled run configs and the
+    ``sweep_lambda`` sweep write the same bytes under 3.12 as under 3.11.
+
     The space stores no array: ``distance_many`` builds the Minkowski
     signature (-1, 1, ..., 1) on each call, so making a hyperboloid, like
     every scalar primitive on it, does not import numpy.
