@@ -210,7 +210,6 @@ def min_quadratic(space: ModelSpace, center: SpacePoint | None = None,
     center."""
     g = quadratic(space, center)
     K = cset if cset is not None else WholeSpace(space.space_id)
-    space.check_set(K)
     witness = space.project(K, g.known_argmin)
 
     def val(x: SpacePoint, y: SpacePoint) -> float:

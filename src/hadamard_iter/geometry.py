@@ -485,6 +485,10 @@ class Euclidean(ModelSpace):
     def exp_map(self, base: SpacePoint, v) -> SpacePoint:
         return SpacePoint(self.space_id, tuple(map(add, base.xs, self._exp_entry(base, v))))
 
+    @staticmethod
+    def _tangent_at(x, v) -> list:
+        return v  # every tangent space is R^n itself
+
     def tangent_norm(self, base: SpacePoint, v) -> float:
         if self.dim == 1:
             return abs(float(v[0]))
@@ -590,13 +594,17 @@ class Hyperboloid(ModelSpace):
     apex, where the rounding of the coordinates alone would allow about
     1.1e-16 cosh R (ROADMAP item 1).
 
-    On H2 (3 coordinates) every scalar kernel writes its products and sums
-    out, each sum the left fold from 0.0 that ``sum`` takes on Python 3.10
-    and 3.11; H3 and up take the generic loops. Both paths give the bits of
-    the same frozen list-based kernels (tests/test_geometry.py). Since
-    ``sum`` of floats is compensated from Python 3.12, only the H2 path is
-    sure to keep its bits there: the bundled run configs and the
-    ``sweep_lambda`` sweep write the same bytes under 3.12 as under 3.11.
+    On H2 (3 coordinates) the scalar kernels ``_mink``, ``_h_distance``,
+    ``_tangent_toward``, ``_tangent_at``, ``_combine``, ``_log``, the lift
+    of ``exp_map`` and ``tangent_norm`` write their products and sums out,
+    each sum the left fold from 0.0 that ``sum`` takes on Python 3.10 and
+    3.11; H3 and up take the generic loops. ``point``, the ``floats`` read
+    of ``exp_map``'s tangent and ``_project_segment`` stay generic on every
+    dimension. Both paths give the bits of the same frozen list-based
+    kernels (tests/test_geometry.py). Since ``sum`` of floats is
+    compensated from Python 3.12, only the H2 path is sure to keep its bits
+    there: the bundled run configs and the ``sweep_lambda`` sweep write the
+    same bytes under 3.12 as under 3.11.
 
     The space stores no array: ``distance_many`` builds the Minkowski
     signature (-1, 1, ..., 1) on each call, so making a hyperboloid, like
@@ -678,6 +686,11 @@ class Hyperboloid(ModelSpace):
     @staticmethod
     def _tangent_at(x, v) -> list:
         # v + <x, v>_M x from coordinate tuples: v moved into the tangent space at x
+        if len(x) == 3:
+            x0, x1, x2 = x
+            v0, v1, v2 = v
+            m = 0.0 + x1 * v1 + x2 * v2 - x0 * v0
+            return [v0 + m * x0, v1 + m * x1, v2 + m * x2]
         m = _mink(x, v)
         return [c + m * a for c, a in zip(v, x)]
 
@@ -762,9 +775,7 @@ class Hyperboloid(ModelSpace):
     def exp_map(self, base: SpacePoint, v) -> SpacePoint:
         v = self._exp_entry(base, v)
         b = base.xs
-        # re-orthogonalize against the base point (absorbs drift <= 1e-8)
-        m = _mink(b, v)
-        v = [c + m * p for c, p in zip(v, b)]
+        v = self._tangent_at(b, v)  # re-orthogonalized: absorbs drift <= 1e-8
         t = _mink(v, v)
         t = math.sqrt(t) if t > 0 else 0.0
         if t < 1e-16:

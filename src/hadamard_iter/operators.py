@@ -147,7 +147,6 @@ def catalog_operator(space: ModelSpace, name: str, **params) -> OperatorSpec:
 
 
 def _projection_operator(space: ModelSpace, cset: ConvexSubset) -> OperatorSpec:
-    space.check_set(cset)
     witness = canonical_point(space, cset)
     return OperatorSpec(
         space=space, apply=lambda x: space.project(cset, x),

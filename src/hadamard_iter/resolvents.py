@@ -34,7 +34,6 @@ from .errors import ConfigError, DomainError, SolverError, UnsupportedOperationE
 from .geometry import (
     ConvexSubset,
     Euclidean,
-    Hyperboloid,
     ModelSpace,
     SpacePoint,
     Spider,
@@ -420,9 +419,7 @@ def equilibrium_resolvent(
     elif isinstance(s, VariationalInequality):
         z = _solve_vi_structure(s, space, K, lam, x)
     else:
-        z = s.solve(lam, x)
-        space.check_point(z)
-        z = space.project(K, z)
+        z = space.project(K, s.solve(lam, x))
     _verify_equilibrium(f, lam, x, z, _verification_points(space, K, x, z, *_grid))
     return z
 
@@ -497,24 +494,20 @@ def _radial_grid(
     if isinstance(space, Spider):
         for leg in range(space.num_legs):
             for i in range(1, n_rad + 1):
-                cand = space.point((leg, radius * i / n_rad))
-                pts.append(space.project(K, cand))
-        pts.append(space.base_point() if K.kind != "ball" else space.project(K, space.base_point()))
+                pts.append(space.project(K, space.point((leg, radius * i / n_rad))))
+        pts.append(space.project(K, space.base_point()))
         return tuple(pts)
     gauss = random.Random(271828).gauss  # fixed: verification must be reproducible
-    curved = isinstance(space, Hyperboloid)
-    dim = len(anchor.xs) - (1 if curved else 0)
+    time_part = [0.0] * (len(anchor.xs) - space.dim)  # a hyperboloid's x0
     for _ in range(n_dir):
-        d = [gauss(0.0, 1.0) for _ in range(dim)]
-        if curved:  # into the tangent space, so that exp_map puts r along it at distance r
-            d = space._tangent_at(anchor.xs, [0.0, *d])
-        norm = space.tangent_norm(anchor, d) if curved else math.sqrt(sum([c * c for c in d]))
+        d = [*time_part, *[gauss(0.0, 1.0) for _ in range(space.dim)]]
+        # a unit tangent at the anchor, so that exp_map puts r along it at distance r
+        d = space._tangent_at(anchor.xs, d)
+        norm = space.tangent_norm(anchor, d)
         d = [c / norm for c in d]
         for i in range(1, n_rad + 1):
             r = radius * i / n_rad
-            cand = (space.exp_map(anchor, [c * r for c in d]) if curved
-                    else space.point([a + c * r for a, c in zip(anchor.xs, d)]))
-            pts.append(space.project(K, cand))
+            pts.append(space.project(K, space.exp_map(anchor, [c * r for c in d])))
     pts.append(anchor)
     return tuple(pts)
 

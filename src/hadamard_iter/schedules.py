@@ -67,7 +67,7 @@ class Schedule:
             if self.lower_bound is None or not (self.lower_bound > 0.0):
                 raise ConfigError(
                     "resolvent-class schedule needs a certified lower bound m > 0 "
-                    "(liminf of the parameters must be positive)"
+                    f"(liminf of the parameters must be positive), got {self.lower_bound}"
                 )
             if v < self.lower_bound - 1e-15:
                 raise ConfigError(f"resolvent parameter at k={k} is {v}, below {self.lower_bound}")
@@ -121,8 +121,6 @@ def halpern_schedule(scale: float = 1.0, offset: float = 1.0, power: float = 1.0
             "the Halpern hypothesis needs a divergent sum (power <= 1) with limit 0"
         )
     check_power_term("anchor weights scale/(k+offset)^power", offset, power)
-    if not (0.0 < inverse_power(scale, 1.0 + offset, power) < 1.0):
-        raise ConfigError("anchor weights must start inside (0, 1)")
     return Schedule(
         lambda k: inverse_power(scale, k + offset, power),
         ScheduleClass.HALPERN_ANCHOR,
@@ -138,14 +136,12 @@ def mann_constant(alpha: float) -> Schedule:
 def vanishing_schedule(scale: float = 1.0, power: float = 1.0) -> Schedule:
     """Inner weights scale / k^power, tending to 0. The first value may
     equal 1 (e.g. 1/k at k=1), which the composites accept."""
-    if not (power > 0.0) or not (0.0 <= scale <= 1.0):
-        raise ConfigError("vanishing schedule needs power > 0 and scale in [0, 1]")
+    if not (power > 0.0):
+        raise ConfigError(f"vanishing schedule needs power > 0, got {power}")
     return Schedule(lambda k: inverse_power(scale, k, power), ScheduleClass.VANISHING_PARAM)
 
 
 def resolvent_constant(lam: float) -> Schedule:
-    if not (lam > 0.0):
-        raise ConfigError(f"resolvent parameter {lam} must be positive")
     return Schedule(lambda k: lam, ScheduleClass.RESOLVENT_PARAM,
                     lower_bound=lam, upper_bound=lam)
 

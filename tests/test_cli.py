@@ -1398,3 +1398,42 @@ def test_fuzzed_configs_are_config_errors(mutated_configs, tmp_path, data):
     assert code == 1, label
     assert err.getvalue().startswith("config error:"), (label, err.getvalue())
     assert not out.exists(), label
+
+
+def test_config_params_refuses_a_parameter_without_a_string_annotation():
+    # this module has no ``from __future__ import annotations``: int is the class
+    def build(space, count: int = 1):
+        return count
+
+    with pytest.raises(TypeError, match="a config parameter needs a string annotation, "
+                                        "got <class 'int'>"):
+        config.params(build, 1)
+
+
+def test_atomic_write_leaves_no_temporary_file_when_the_write_fails(tmp_path):
+    path = tmp_path / "out" / "trace.csv"
+    cli._atomic_write(path, "k,x0\n")
+    # a lone surrogate has no encoding: the write raises after mkstemp made its file
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(path, "k,x0\n1,\ud800\n")
+    assert [p.name for p in path.parent.iterdir()] == ["trace.csv"]
+    assert path.read_text() == "k,x0\n"
+
+
+@pytest.mark.parametrize("entry", [cli._space_axioms, cli._quasi_firm, cli._sqn_ishikawa,
+                                   cli._sqn_lipschitz_resolvent, cli._sqn_equilibrium_resolvent],
+                         ids=lambda entry: entry.__name__)
+def test_cli_sampling_checks_default_as_their_checkers_do(entry):
+    import inspect
+
+    from hadamard_iter import check_quasi_firm, check_space_axioms, check_sqn_inequality
+
+    checker = {cli._space_axioms: check_space_axioms,
+               cli._quasi_firm: check_quasi_firm}.get(entry, check_sqn_inequality)
+    given = inspect.signature(entry).parameters
+    want = inspect.signature(checker).parameters
+    restated = [name for name in ("samples", "scale", "witness") if name in given]
+    assert {"samples", "scale"} <= {*restated}
+    assert ("witness" in restated) == ("witness" in want)
+    for name in restated:
+        assert given[name].default == want[name].default, name

@@ -339,6 +339,12 @@ def test_sqn_negative_control_wrong_witness():
     assert not rep.passed
 
 
+def test_sqn_check_refuses_an_operator_without_a_witness():
+    op = dataclasses.replace(catalog_operator(E2, "rotation", angle=1.0), fixed_point_witness=None)
+    with pytest.raises(ConfigError, match="check_sqn_inequality needs a fixed-point witness"):
+        check_sqn_inequality(op, samples=5)
+
+
 def test_sqn_unknown_tag_rejected():
     rot = catalog_operator(E2, "rotation", angle=1.0)
     with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ import pytest
 
 from hadamard_iter import (
     Ball,
+    ConfigError,
     Euclidean,
     Halfspace,
     Hyperboloid,
@@ -209,3 +210,20 @@ def test_expanding_quadratic_is_the_quadratic_with_a_broken_closed_form():
             reflected = E2.point([p - 1.5 * (q - p) for p, q in zip(want.xs, y.xs)])
             for lam in (0.5, 1.0, 4.0):
                 assert _bits(f.closed_form_resolvent(lam, y)) == _bits(reflected)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: objective_fixture(E2, "nope"),
+     "unknown objective 'nope'; known: ['dist2_to_set', 'expanding_quadratic', "
+     "'plateau_quartic', 'quadratic']"),
+    (lambda: bifunction_fixture(E2, "nope"),
+     "unknown bifunction 'nope'; known: ['min_quadratic', 'rotation_vi']"),
+    (lambda: objective_fixture(E2, "plateau_quartic"), "plateau_quartic lives on the Euclidean line"),
+    (lambda: objective_fixture(H2, "expanding_quadratic"), "expanding_quadratic is Euclidean only"),
+    (lambda: bifunction_fixture(E1, "rotation_vi"), "rotation_vi lives on the Euclidean plane"),
+], ids=["unknown objective", "unknown bifunction", "quartic off the line",
+        "expanding quadratic on H2", "rotation VI off the plane"])
+def test_fixtures_refuse_an_unknown_name_and_the_wrong_space(build, message):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message

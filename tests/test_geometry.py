@@ -1216,6 +1216,26 @@ def test_sets_read_their_numbers_as_points_do():
         (0.5, 1.0)
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Euclidean(0), "dimension must be >= 1"),
+    (lambda: Hyperboloid(0), "dimension must be >= 1"),
+    (lambda: Spider(1), "spider needs at least 2 legs"),
+    (lambda: Segment(E2.base_point(), H2.base_point()),
+     "segment endpoints belong to different spaces"),
+    (lambda: E2.project(Ball(E3.base_point(), 1.0), E2.base_point()),
+     "set belongs to space 'euclidean:3', expected 'euclidean:2'"),
+], ids=["E0", "H0", "one-legged spider", "two-space segment", "another space's set"])
+def test_spaces_and_sets_refuse_what_is_not_one_of_them(build, message):
+    with pytest.raises(DomainError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_spider_has_no_tangent_norm():
+    with pytest.raises(UnsupportedOperationError, match="spider:3 has no tangent structure"):
+        S3.tangent_norm(S3.base_point(), [1.0, 0.0])
+
+
 def test_overflowing_runs_end_as_solver_errors():
     from hadamard_iter import (OperatorSequence, OperatorSpec, RunConfig, StopReason,
                                build_scheme, halpern_schedule, iterate_sequence,

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hadamard_iter import (
@@ -51,6 +53,25 @@ def test_resolvent_constant():
     assert s.lower_bound == s.upper_bound == 0.01
     with pytest.raises(ConfigError):
         resolvent_constant(0.0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: halpern_schedule(scale=2.0), "anchor weight at k=1 is 1.0, outside (0, 1)"),
+    (lambda: vanishing_schedule(scale=1.5), "vanishing weight at k=1 is 1.5, outside [0, 1]"),
+    (lambda: vanishing_schedule(power=0.0), "vanishing schedule needs power > 0, got 0.0"),
+    (lambda: resolvent_constant(0.0), "resolvent-class schedule needs a certified lower bound "
+     "m > 0 (liminf of the parameters must be positive), got 0.0"),
+    (lambda: resolvent_constant(math.nan), "resolvent-class schedule needs a certified lower "
+     "bound m > 0 (liminf of the parameters must be positive), got nan"),
+    (lambda: Schedule(lambda k: 2.0, ScheduleClass.RESOLVENT_PARAM, lower_bound=1.0,
+                      upper_bound=1.5), "resolvent parameter at k=1 is 2.0, above 1.5"),
+], ids=["halpern start", "vanishing scale", "vanishing power", "resolvent zero",
+        "resolvent nan", "above the certified bound"])
+def test_each_range_is_refused_by_the_class_rule(build, message):
+    # the constructors leave the range of the values to Schedule's one rule
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_resolvent_schedule_needs_positive_floor():
