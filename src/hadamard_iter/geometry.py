@@ -483,7 +483,9 @@ class Euclidean(ModelSpace):
         return tuple(map(sub, target.xs, base.xs))
 
     def exp_map(self, base: SpacePoint, v) -> SpacePoint:
-        return SpacePoint(self.space_id, tuple(map(add, base.xs, self._exp_entry(base, v))))
+        # the sum read as point reads coordinates: one past the float range is refused
+        xs = tuple(map(add, base.xs, self._exp_entry(base, v)))
+        return SpacePoint(self.space_id, floats(xs, None, "coordinates", finite=True))
 
     @staticmethod
     def _tangent_at(x, v) -> list:
@@ -595,12 +597,12 @@ class Hyperboloid(ModelSpace):
     1.1e-16 cosh R (ROADMAP item 1).
 
     On H2 (3 coordinates) the scalar kernels ``_mink``, ``_h_distance``,
-    ``_tangent_toward``, ``_tangent_at``, ``_combine``, ``_log``, the lift
-    of ``exp_map`` and ``tangent_norm`` write their products and sums out,
-    each sum the left fold from 0.0 that ``sum`` takes on Python 3.10 and
-    3.11; H3 and up take the generic loops. ``point``, the ``floats`` read
-    of ``exp_map``'s tangent and ``_project_segment`` stay generic on every
-    dimension. Both paths give the bits of the same frozen list-based
+    ``_tangent_toward``, ``_combine``, ``_log``, the lift of ``exp_map``
+    and ``tangent_norm`` write their products and sums out, each sum the
+    left fold from 0.0 that ``sum`` takes on Python 3.10 and 3.11; H3 and
+    up take the generic loops. ``point``, the ``floats`` read of
+    ``exp_map``'s tangent, ``_tangent_at`` (a list comprehension around
+    ``_mink``) and ``_project_segment`` stay generic on every dimension. Both paths give the bits of the same frozen list-based
     kernels (tests/test_geometry.py). Since ``sum`` of floats is
     compensated from Python 3.12, only the H2 path is sure to keep its bits
     there: the bundled run configs and the ``sweep_lambda`` sweep write the
@@ -686,11 +688,6 @@ class Hyperboloid(ModelSpace):
     @staticmethod
     def _tangent_at(x, v) -> list:
         # v + <x, v>_M x from coordinate tuples: v moved into the tangent space at x
-        if len(x) == 3:
-            x0, x1, x2 = x
-            v0, v1, v2 = v
-            m = 0.0 + x1 * v1 + x2 * v2 - x0 * v0
-            return [v0 + m * x0, v1 + m * x1, v2 + m * x2]
         m = _mink(x, v)
         return [c + m * a for c, a in zip(v, x)]
 

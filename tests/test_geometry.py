@@ -1205,6 +1205,15 @@ def test_exp_map_refuses_a_non_finite_tangent_vector(space, bad):
             space.exp_map(x, v)
 
 
+
+@pytest.mark.parametrize("space", [E1, E2], ids=lambda s: s.space_id)
+def test_euclidean_exp_map_refuses_a_sum_past_the_float_range(space):
+    # a finite tangent whose sum with the base overflows gives coordinates
+    # that ``point`` refuses, and exp_map refuses them with its message
+    x = space.point([1.7e308] * space.dim)
+    with pytest.raises(DomainError, match="^coordinates must be finite$"):
+        space.exp_map(x, [0.2e308] * space.dim)
+
 def test_sets_read_their_numbers_as_points_do():
     for radius in (math.inf, math.nan, 0.0, -1.0):
         with pytest.raises(DomainError, match="ball radius must be positive and finite"):

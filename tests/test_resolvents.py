@@ -608,6 +608,19 @@ def test_equilibrium_verification_catches_broken_solver():
         equilibrium_resolvent(broken, 1.0, E2.point([0.9, 0.0]))
 
 
+
+@pytest.mark.parametrize("x,message", [
+    (1.65e308, "coordinates must be finite"),    # a grid point past the float range
+    (1.6e308, "tangent vector must be finite"),  # a grid radius past it
+])
+def test_an_equilibrium_grid_past_the_float_range_is_refused(x, message):
+    # the grid around the anchor 1.7e308 of K leaves the floats; that is a
+    # refused input (DomainError), not a failed verification (SolverError)
+    K = Halfspace(E1.space_id, [1.0], 1.7e308)
+    f = bifunction_fixture(E1, "min_quadratic", center=[1.7e308], cset=K)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        equilibrium_resolvent(f, 1.0, E1.point([x]))
+
 @pytest.mark.parametrize("case", ["nan_eval", "nan_solver_output"])
 def test_a_nan_margin_fails_the_equilibrium_verification(case):
     # the gate is "margin >= -slack", which a NaN margin fails: from a NaN
