@@ -26,6 +26,14 @@ A side's commit is the HEAD that perfbench/run.py reads, which names the
 code measured only when ``src/`` matches it. So each side also records
 whether ``git status --porcelain -- src`` is empty and, when it is not, the
 sha256 of ``git diff HEAD -- src`` (``src_state``).
+
+Both sides run from the same bytecode state. A checkout whose ``__pycache__``
+holds stale or no bytecode compiles its changed files again in every set-up,
+and where ``PYTHONDONTWRITEBYTECODE`` is set it never stops doing so, which
+reads as a ``setup_s`` loss. So every run of a side gets that side's own
+``PYTHONPYCACHEPREFIX``, a fresh temporary directory, with
+``PYTHONDONTWRITEBYTECODE`` unset, and one untimed run per workload and
+side fills it before the first timed run (``side_env``, ``warm``).
 """
 
 from __future__ import annotations
@@ -33,27 +41,49 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SEEDS = tuple(range(1, 11))
 TRACED = "inner_solvers"
+WARM_SECONDS = 1.0  # the length of a side's untimed run that fills its bytecode cache
+BYTECODE = ("each side its own fresh PYTHONPYCACHEPREFIX, PYTHONDONTWRITEBYTECODE unset, "
+            f"filled by one untimed {WARM_SECONDS:g} s run per workload before the timed runs")
 
 
-def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def side_env(pycache: Path) -> dict:
+    """The environment of a side's runs: bytecode read from and written to
+    ``pycache`` only, whatever the checkout's ``__pycache__`` holds."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    return env
+
+
+def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
+          env: dict) -> dict:
     """One perfbench run: its context line and its result line, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True,
-                          timeout=600 + 10 * seconds)
+    done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=True, timeout=600 + 10 * seconds)
     lines = done.stdout.splitlines()
     context = next(json.loads(line[len("context "):]) for line in lines
                    if line.startswith("context "))
     return {"context": context, "result": json.loads(lines[-1])}
+
+
+def warm(checkouts: dict, envs: dict, workloads: list[str]) -> None:
+    """One untimed run per side and workload, which compiles what the
+    side's timed runs will import into its bytecode cache."""
+    for side, checkout in checkouts.items():
+        for w in workloads:
+            bench(checkout, w, SEEDS[0], WARM_SECONDS, 0, envs[side])
 
 
 def src_state(checkout: Path) -> dict:
@@ -102,15 +132,20 @@ def main(argv=None) -> int:
 
     runs = {w: {side: [] for side in SIDES} for w in workloads}
     contexts = {}
-    for w in workloads:
-        for i, seed in enumerate(SEEDS):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                run = bench(checkouts[side], w, seed, seconds, 0)
-                contexts[side] = run["context"]
-                runs[w][side].append(run["result"])
-                print(f"{w} seed {seed} {side}: "
-                      + " ".join(f"{k}={m['value']:.6g}"
-                                 for k, m in run["result"]["metrics"].items()), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache.") as pycache:
+        envs = {side: side_env(Path(pycache) / side) for side in SIDES}
+        warm(checkouts, envs, workloads)
+        for w in workloads:
+            for i, seed in enumerate(SEEDS):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    run = bench(checkouts[side], w, seed, seconds, 0, envs[side])
+                    contexts[side] = run["context"]
+                    runs[w][side].append(run["result"])
+                    print(f"{w} seed {seed} {side}: "
+                          + " ".join(f"{k}={m['value']:.6g}"
+                                     for k, m in run["result"]["metrics"].items()), flush=True)
+        traced = {side: bench(checkouts[side], TRACED, SEEDS[0], seconds, 1, envs[side])["result"]
+                  for side in SIDES}
 
     end_to_end = {}
     for w in workloads:
@@ -126,8 +161,6 @@ def main(argv=None) -> int:
         table["correct"] = all(r["correct"] for side in SIDES for r in runs[w][side])
         end_to_end[w] = table
 
-    traced = {side: bench(checkouts[side], TRACED, SEEDS[0], seconds, 1)["result"]
-              for side in SIDES}
     per_layer = {name: {"unit": m["unit"],
                         **{side: traced[side]["metrics"][name]["value"] for side in SIDES}}
                  for name, m in traced["parent"]["metrics"].items()}
@@ -142,6 +175,7 @@ def main(argv=None) -> int:
                     **{k: contexts["change"][k] for k in keys},
                     "seconds": seconds, "seeds": list(SEEDS),
                     "order": "alternating: the parent runs first at even seed positions",
+                    "bytecode": BYTECODE,
                     "command": "perfbench/run.py --trace 0, once per side and seed"},
         "end_to_end": end_to_end,
         "per_layer": {"workload": TRACED, "seed": SEEDS[0],

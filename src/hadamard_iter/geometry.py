@@ -432,7 +432,9 @@ class ModelSpace:
 
 @dataclass(frozen=True, eq=True)
 class Euclidean(ModelSpace):
-    """R^n with the usual metric; geodesics are straight segments."""
+    """R^n with the usual metric; geodesics are straight segments. ``_distance``
+    and ``_combine`` write their float work out on E1 and E2 and loop on E3
+    and up; a written-out sum is the loop's left fold from 0.0, same bits."""
 
     dim: int
     space_id: str = field(init=False, compare=False)
@@ -452,6 +454,10 @@ class Euclidean(ModelSpace):
     def _distance(self, x: SpacePoint, y: SpacePoint) -> float:
         if self.dim == 1:  # |a - b|, without the loop
             return abs(x.xs[0] - y.xs[0])
+        if self.dim == 2:  # the loop's fold from 0.0, written out
+            (x0, x1), (y0, y1) = x.xs, y.xs
+            d0, d1 = x0 - y0, x1 - y1
+            return math.sqrt(0.0 + d0 * d0 + d1 * d1)
         # the square root of the plain sum of squares, as distance_many
         # takes it, not math.dist: that one is exact where the squares
         # underflow or overflow, so the two would part at the float extremes
@@ -462,6 +468,9 @@ class Euclidean(ModelSpace):
 
     def _combine(self, x: SpacePoint, y: SpacePoint, t: float, d: float | None = None) -> SpacePoint:
         s = 1.0 - t
+        if self.dim == 2:
+            (x0, x1), (y0, y1) = x.xs, y.xs
+            return SpacePoint(self.space_id, (s * x0 + t * y0, s * x1 + t * y1))
         return SpacePoint(self.space_id, tuple([s * a + t * b for a, b in zip(x.xs, y.xs)]))
 
     def sample_many(self, rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -520,10 +529,10 @@ class Euclidean(ModelSpace):
 # coordinates, which the engines report as a solver error.
 
 # Each kernel has a 3-coordinate path (H2) with its products and sums written
-# out, and the generic loop for H3 and up. A written-out sum is the left fold
-# that ``sum`` takes on Python 3.10 and 3.11, from 0.0: ``0.0 + p1 + p2`` (0.0
-# + -0.0 is 0.0), so both paths give the same bits; on 3.12 and later, where
-# ``sum`` of floats is compensated, the H2 path still does.
+# out, as Euclidean's have for E1 and E2; H3+ and E3+ take the generic loops.
+# A written-out sum is the left fold from 0.0 that ``sum`` takes on Python
+# 3.10 and 3.11, ``0.0 + p1 + p2`` (0.0 + -0.0 is 0.0), so both paths give the
+# same bits; from 3.12, where ``sum`` of floats is compensated, H2's still do.
 
 def _mink(u: list, v: list) -> float:
     # <u, v>_M = -u0 v0 + sum_i ui vi, the products taken once, without slices;
