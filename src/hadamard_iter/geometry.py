@@ -433,8 +433,8 @@ class ModelSpace:
 @dataclass(frozen=True, eq=True)
 class Euclidean(ModelSpace):
     """R^n with the usual metric; geodesics are straight segments. ``_distance``
-    and ``_combine`` write their float work out on E1 and E2 and loop on E3
-    and up; a written-out sum is the loop's left fold from 0.0, same bits."""
+    is written out on E1 and E2, ``_combine`` on E2, and both loop on E3 and
+    up; a written-out sum is the loop's left fold from 0.0, so the same bits."""
 
     dim: int
     space_id: str = field(init=False, compare=False)
@@ -529,7 +529,7 @@ class Euclidean(ModelSpace):
 # coordinates, which the engines report as a solver error.
 
 # Each kernel has a 3-coordinate path (H2) with its products and sums written
-# out, as Euclidean's have for E1 and E2; H3+ and E3+ take the generic loops.
+# out, as the Euclidean distance (E1, E2) and combine (E2) have; H3+ and E3+ loop.
 # A written-out sum is the left fold from 0.0 that ``sum`` takes on Python
 # 3.10 and 3.11, ``0.0 + p1 + p2`` (0.0 + -0.0 is 0.0), so both paths give the
 # same bits; from 3.12, where ``sum`` of floats is compensated, H2's still do.

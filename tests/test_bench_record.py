@@ -115,19 +115,19 @@ def test_both_sides_run_from_the_same_warm_bytecode(bench_record, tmp_path, monk
     checkouts = {"parent": parent, "change": change}
     before = {side: _snapshot(c) for side, c in checkouts.items()}
 
-    def fresh(side, env):
+    def context(side, env):
         run = bench_record.bench(checkouts[side], "w", 1, 1.0, 0, env)
         assert run["result"]["correct"] is True
         return run["context"]
 
     # the plain environment: the parent compiles m.py again on every run
-    assert [fresh("parent", dict(os.environ))["fresh_before_import"] for _ in range(2)] \
+    assert [context("parent", dict(os.environ))["fresh_before_import"] for _ in range(2)] \
         == [False, False]
 
     envs = {side: bench_record.side_env(tmp_path / "pycache" / side) for side in checkouts}
     bench_record.warm(checkouts, envs, ["w"])
     for side in checkouts:
-        context = fresh(side, envs[side])
-        assert context["fresh_before_import"] is True
-        assert context["pycache_prefix"] == str(tmp_path / "pycache" / side)
+        seen = context(side, envs[side])
+        assert seen["fresh_before_import"] is True
+        assert seen["pycache_prefix"] == str(tmp_path / "pycache" / side)
     assert {side: _snapshot(c) for side, c in checkouts.items()} == before

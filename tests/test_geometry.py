@@ -33,6 +33,7 @@ from hadamard_iter import cli, geometry
 from hadamard_iter.geometry import (
     HYPERBOLOID_MAX_RADIUS,
     POINT_TOL,
+    T_SNAP,
     SpacePoint,
     _h_distance,
     _mink,
@@ -1812,6 +1813,75 @@ def test_hyperboloid_kernels_keep_their_bits_on_drawn_pairs(pair, t, data):
                              max_size=space.dim + 1))
     for v in (space._log(x, y), tuple(raw)):
         _assert_h_kernels_keep_their_bits(space, x, y, t, v)
+
+
+# The E2 kernels write out what these generic loops compute on 2 coordinates:
+# the same float operations in the same order, so the same bits.
+
+def old_e_distance(x, y):
+    s = 0.0
+    for a, b in zip(x, y):
+        s += (a - b) * (a - b)
+    return math.sqrt(s)
+
+
+def old_e_combine(x, y, t):
+    s = 1.0 - t
+    return tuple([s * a + t * b for a, b in zip(x, y)])
+
+
+def old_e_combine_public(x, y, t):
+    # combine: t within T_SNAP of [0, 1] snaps to its end, and the ends return x or y
+    t = min(1.0, max(0.0, t))
+    return x if t == 0.0 else y if t == 1.0 else old_e_combine(x, y, t)
+
+
+# signed zeros, subnormals, the smallest normal, and magnitudes whose
+# differences or squares overflow
+_E2_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, -1e-160,
+             1e200, -1e200, 1.5e308, -1.5e308, 1.7976931348623157e308]
+# t at and near the ends, inside [0, 1] and within the snap outside it
+_E2_TS = [0.0, -0.0, 1.0, 5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52,
+          -5e-324, -T_SNAP, 1.0 + 2.0 ** -52, 1.0 + T_SNAP]
+
+
+@st.composite
+def e2_kernel_pairs(draw):
+    """(x, y): coordinates of E2 points anywhere in the float range, with the
+    second apart from the first, one float step from it, or equal to it."""
+    coord = st.one_of(FINITE, st.sampled_from(_E2_EDGES))
+    x = [draw(coord), draw(coord)]
+    kind = draw(st.sampled_from(["apart", "a step", "equal"]))
+    if kind == "apart":
+        return x, [draw(coord), draw(coord)]
+    if kind == "a step":  # toward 0, -1 or 1, so never past the float range
+        return x, [math.nextafter(c, draw(st.sampled_from([0.0, -1.0, 1.0]))) for c in x]
+    return x, list(x)
+
+
+@given(pair=e2_kernel_pairs(), t=st.one_of(st.floats(0.0, 1.0), st.sampled_from(_E2_TS)))
+@example(pair=([0.0, -0.0], [-0.0, 0.0]), t=0.5)
+@example(pair=([-0.0, -0.0], [-0.0, -0.0]), t=2.0 ** -53)
+@example(pair=([5e-324, -5e-324], [-5e-324, 1e-160]), t=1.0 - 2.0 ** -53)
+@example(pair=([1.5e308, 0.0], [-1.5e308, 1.0]), t=0.5)  # the difference overflows
+@example(pair=([1e200, 3.0], [-1e200, -4.0]), t=1.0 + T_SNAP)
+@example(pair=([1.7976931348623157e308, 1.0], [1.7976931348623157e308, 2.0]), t=-T_SNAP)
+@settings(max_examples=400, deadline=None)
+def test_euclidean_plane_kernels_keep_the_bits_of_the_loops(pair, t):
+    x, y = E2.point(pair[0]), E2.point(pair[1])
+    d = old_e_distance(x.xs, y.xs)
+    assert _bits(E2._distance(x, y)) == _bits(d)
+    assert _bits(E2.distance(x, y)) == _bits(d)
+    assert _bits(E2._combine(x, y, t).xs) == _bits(old_e_combine(x.xs, y.xs, t))
+    z = E2.combine(x, y, t).xs
+    assert _bits(z) == _bits(old_e_combine_public(x.xs, y.xs, t))
+    # the array kernels' rows equal the scalar kernels; at the ends combine
+    # returns x or y itself, and the row (1 - t) x + t y has the same values
+    X, Y = np.array([x.xs]), np.array([y.xs])
+    with np.errstate(over="ignore"):
+        assert _bits(E2.distance_many(X, Y)) == _bits([d])
+        row = E2.combine_many(X, Y, np.array([t]))[0]
+    assert _bits(row) == _bits(z) if 0.0 < t < 1.0 else row.tolist() == list(z)
 
 
 # The H2 kernels write their sums out as the left fold that ``sum`` takes on
