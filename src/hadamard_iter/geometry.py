@@ -89,7 +89,14 @@ def floats(v, n: int | None, what: str, finite: bool = False) -> tuple[float, ..
     ``what``: a scalar, a nested sequence, a string, bytes or a mapping, and
     an entry that is a string, bytes or a bool (which ``float`` would take).
     A tuple or list of exact floats, what the solvers pass, is taken as it is:
-    reading it would give the same floats."""
+    reading it would give the same floats. Two read as two (an E2 point) take
+    one written-out step: ``E2.point`` of a tuple, 1.01 -> 0.52 us (``timeit``,
+    2 vCPUs, Python 3.11.7). Any other input takes the generic reader."""
+    if n == 2 and (type(v) is tuple or type(v) is list) and len(v) == 2:
+        a, b = v
+        if type(a) is float and type(b) is float and (
+                not finite or math.isfinite(a) and math.isfinite(b)):
+            return v if type(v) is tuple else (a, b)
     if (type(v) is tuple or type(v) is list) and {*map(type, v)} == _JUST_FLOAT:
         xs = tuple(v)
     else:
@@ -483,8 +490,11 @@ class Euclidean(ModelSpace):
         return np.sqrt(_row_sq(X - Y))
 
     def combine_many(self, X: np.ndarray, Y: np.ndarray, t) -> np.ndarray:
-        t = _snap_unit_many(t)[:, None]
-        return (1.0 - t) * X + t * Y
+        t = _snap_unit_many(t)
+        Z = (1.0 - t[:, None]) * X + t[:, None] * Y
+        for end, P in ((t == 0.0, X), (t == 1.0, Y)):
+            Z[end] = P[end]  # x and y themselves, as combine returns them
+        return Z
 
     def _log(self, base: SpacePoint, target: SpacePoint) -> tuple[float, ...]:
         if self.dim == 1:
