@@ -27,13 +27,14 @@ code measured only when ``src/`` matches it. So each side also records
 whether ``git status --porcelain -- src`` is empty and, when it is not, the
 sha256 of ``git diff HEAD -- src`` (``src_state``).
 
-Both sides run from the same bytecode state. A checkout whose ``__pycache__``
-holds stale or no bytecode compiles its changed files again in every set-up,
-and where ``PYTHONDONTWRITEBYTECODE`` is set it never stops doing so, which
-reads as a ``setup_s`` loss. So every run of a side gets that side's own
-``PYTHONPYCACHEPREFIX``, a fresh temporary directory, with
-``PYTHONDONTWRITEBYTECODE`` unset, and one untimed run per workload and
-side fills it before the first timed run (``side_env``, ``warm``).
+Both sides run cold, as the benchmark's gate runs them: every run compiles
+what it imports, so ``setup_s`` includes compiling the package, and no run
+reads or writes bytecode in a checkout. A checkout's ``__pycache__`` would
+otherwise decide the set-up time: one with stale or no bytecode compiles its
+changed files in every set-up, one with fresh bytecode does not. So every
+run of a side gets ``PYTHONDONTWRITEBYTECODE=1`` and that side's own
+``PYTHONPYCACHEPREFIX``, an empty temporary directory, which stays empty
+(``side_env``).
 """
 
 from __future__ import annotations
@@ -52,17 +53,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 SEEDS = tuple(range(1, 11))
 TRACED = "inner_solvers"
-WARM_SECONDS = 1.0  # the length of a side's untimed run that fills its bytecode cache
-BYTECODE = ("each side its own fresh PYTHONPYCACHEPREFIX, PYTHONDONTWRITEBYTECODE unset, "
-            f"filled by one untimed {WARM_SECONDS:g} s run per workload before the timed runs")
+BYTECODE = ("cold: PYTHONDONTWRITEBYTECODE=1 and each side its own empty PYTHONPYCACHEPREFIX, "
+            "so every run compiles what it imports")
 
 
 def side_env(pycache: Path) -> dict:
-    """The environment of a side's runs: bytecode read from and written to
-    ``pycache`` only, whatever the checkout's ``__pycache__`` holds."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPYCACHEPREFIX"] = str(pycache)
-    return env
+    """The environment of a side's runs: bytecode looked up only under
+    ``pycache``, which no run writes to, whatever the checkout's
+    ``__pycache__`` holds."""
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": str(pycache)}
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
@@ -76,14 +75,6 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int,
     context = next(json.loads(line[len("context "):]) for line in lines
                    if line.startswith("context "))
     return {"context": context, "result": json.loads(lines[-1])}
-
-
-def warm(checkouts: dict, envs: dict, workloads: list[str]) -> None:
-    """One untimed run per side and workload, which compiles what the
-    side's timed runs will import into its bytecode cache."""
-    for side, checkout in checkouts.items():
-        for w in workloads:
-            bench(checkout, w, SEEDS[0], WARM_SECONDS, 0, envs[side])
 
 
 def src_state(checkout: Path) -> dict:
@@ -134,7 +125,6 @@ def main(argv=None) -> int:
     contexts = {}
     with tempfile.TemporaryDirectory(prefix="bench-pycache.") as pycache:
         envs = {side: side_env(Path(pycache) / side) for side in SIDES}
-        warm(checkouts, envs, workloads)
         for w in workloads:
             for i, seed in enumerate(SEEDS):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:

@@ -1,6 +1,10 @@
 """Fixed-point iteration schemes for sequences of strongly quasi-nonexpansive
 mappings on Hadamard model spaces, with resolvent-based proximal schemes and
-a diagnostics suite for the underlying inequalities."""
+a diagnostics suite for the underlying inequalities.
+
+``import hadamard_iter`` loads the engine modules; ``config`` and
+``diagnostics`` load when a name of theirs is first read from the package,
+and ``hadamard_iter.cli`` imports both."""
 
 from .errors import (
     ConfigError,
@@ -21,13 +25,6 @@ from .geometry import (
     Spider,
     WholeSpace,
     canonical_point,
-)
-from .config import (
-    point_from_config,
-    point_to_config,
-    set_from_config,
-    space_from_config,
-    space_to_config,
 )
 from .operators import (
     OperatorSequence,
@@ -75,15 +72,28 @@ from .schemes import (
     iterate_sequence,
     scheme_names,
 )
-from .diagnostics import (
-    CheckReport,
-    Violation,
-    check_fejer,
-    check_halpern_target,
-    check_nested_fixed_sets,
-    check_quasi_firm,
-    check_space_axioms,
-    check_sqn_inequality,
-)
 
 __version__ = "0.1.0"
+
+# name -> submodule, read on each access (PEP 562), so the package caches
+# nothing and a name patched on its submodule is what the package returns
+_LAZY = {
+    **dict.fromkeys(("config", "point_from_config", "point_to_config", "set_from_config",
+                     "space_from_config", "space_to_config"), "config"),
+    **dict.fromkeys(("diagnostics", "CheckReport", "Violation", "check_fejer",
+                     "check_halpern_target", "check_nested_fixed_sets", "check_quasi_firm",
+                     "check_space_axioms", "check_sqn_inequality"), "diagnostics"),
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    module = import_module(f"{__name__}.{home}")
+    return module if name == home else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

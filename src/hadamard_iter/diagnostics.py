@@ -155,8 +155,8 @@ def check_quasi_firm(
     space.check_point(witness)
     rng = _sampler(samples, seed, scale)
     col = _Collector("quasi_firm")
-    for i in range(samples):
-        x = space.sample_point(rng, scale)
+    for i, row in enumerate(space.sample_many(rng, samples, scale).tolist()):
+        x = SpacePoint(space.space_id, tuple(row))
         jx = convex_resolvent(f, lam, x)
         d = space.distance(jx, witness)
         col.check(f"sample {i}", d * d, space.quasilin(jx, witness, x, witness),
@@ -187,8 +187,8 @@ def check_sqn_inequality(
         raise ConfigError(f"no residual inequality is defined for operators tagged {op.tag!r}")
     rng = _sampler(samples, seed, scale)
     col = _Collector(f"sqn_inequality[{op.tag}]")
-    for i in range(samples):
-        x = space.project(op.domain, space.sample_point(rng, scale))
+    for i, row in enumerate(space.sample_many(rng, samples, scale).tolist()):
+        x = space.project(op.domain, SpacePoint(space.space_id, tuple(row)))
         sx = op.apply(x)
         dxs = space.distance(x, sx)
         dxp = space.distance(x, p)

@@ -1,5 +1,5 @@
 """``scripts/bench_record.py`` records whether each side's ``src/`` is its
-commit, and runs both sides from the same bytecode state.
+commit, and runs both sides cold.
 
 The commit a benchmark run reports is the checkout's HEAD, which names the
 code measured only when ``src/`` matches it. ``src_state`` reads that from
@@ -14,6 +14,7 @@ import os
 import py_compile
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,7 +89,8 @@ if os.path.exists(cached):
              and int.from_bytes(head[8:12], "little") == int(st.st_mtime) & 0xFFFFFFFF
              and int.from_bytes(head[12:16], "little") == st.st_size & 0xFFFFFFFF)
 print("context " + json.dumps({"commit": "x", "fresh_before_import": fresh,
-                               "pycache_prefix": sys.pycache_prefix}))
+                               "pycache_prefix": sys.pycache_prefix,
+                               "dont_write_bytecode": sys.dont_write_bytecode}))
 sys.path.insert(0, "src")
 import m
 print(json.dumps({"correct": m.X == 1, "failed": 0, "metrics": {}}))
@@ -96,17 +98,25 @@ print(json.dumps({"correct": m.X == 1, "failed": 0, "metrics": {}}))
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
-def test_both_sides_run_from_the_same_warm_bytecode(bench_record, tmp_path, monkeypatch):
-    # the parent's __pycache__ holds bytecode of an older m.py, the change's none,
-    # and no run may write bytecode into its checkout
+def test_every_run_of_both_sides_compiles_and_writes_no_bytecode(bench_record, tmp_path,
+                                                                 monkeypatch):
+    # the parent's __pycache__ holds bytecode that a plain run takes for its
+    # m.py (a source of the same mtime and size, another X), the change's none;
+    # every run must compile m.py, write no bytecode and change no checkout
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
     parent = tmp_path / "parent"
     (parent / "src").mkdir(parents=True)
     (parent / "perfbench").mkdir()
     (parent / "perfbench" / "run.py").write_text(FAKE_RUN)
-    (parent / "src" / "m.py").write_text("X = 10\n")
-    py_compile.compile(str(parent / "src" / "m.py"), doraise=True)
-    (parent / "src" / "m.py").write_text("X = 1\n")
+    m = parent / "src" / "m.py"
+    m.write_text("X = 9\n")
+    mtime = m.stat().st_mtime_ns
+    pyc = m.parent / "__pycache__" / f"m.{sys.implementation.cache_tag}.pyc"
+    py_compile.compile(str(m), cfile=str(pyc), doraise=True,
+                       invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+    m.write_text("X = 1\n")
+    os.utime(m, ns=(mtime, mtime))
     _git(parent, "init", "-q")
     _git(parent, "add", "perfbench", "src/m.py")
     _git(parent, "commit", "-q", "-m", "first")
@@ -115,19 +125,19 @@ def test_both_sides_run_from_the_same_warm_bytecode(bench_record, tmp_path, monk
     checkouts = {"parent": parent, "change": change}
     before = {side: _snapshot(c) for side, c in checkouts.items()}
 
-    def context(side, env):
-        run = bench_record.bench(checkouts[side], "w", 1, 1.0, 0, env)
-        assert run["result"]["correct"] is True
-        return run["context"]
-
-    # the plain environment: the parent compiles m.py again on every run
-    assert [context("parent", dict(os.environ))["fresh_before_import"] for _ in range(2)] \
-        == [False, False]
+    # the plain environment: the parent reads its checkout's bytecode, not m.py
+    plain = bench_record.bench(parent, "w", 1, 1.0, 0, dict(os.environ))
+    assert plain["context"]["fresh_before_import"] is True
+    assert plain["result"]["correct"] is False
 
     envs = {side: bench_record.side_env(tmp_path / "pycache" / side) for side in checkouts}
-    bench_record.warm(checkouts, envs, ["w"])
-    for side in checkouts:
-        seen = context(side, envs[side])
-        assert seen["fresh_before_import"] is True
-        assert seen["pycache_prefix"] == str(tmp_path / "pycache" / side)
+    for _ in range(2):
+        for side in checkouts:
+            run = bench_record.bench(checkouts[side], "w", 1, 1.0, 0, envs[side])
+            assert run["result"]["correct"] is True
+            assert run["context"] == {"commit": "x", "fresh_before_import": False,
+                                      "pycache_prefix": str(tmp_path / "pycache" / side),
+                                      "dont_write_bytecode": True}
+    assert not [p for p in (tmp_path / "pycache").rglob("*") if p.is_file()]
     assert {side: _snapshot(c) for side, c in checkouts.items()} == before
+    assert bench_record.BYTECODE.startswith("cold")

@@ -746,12 +746,13 @@ def test_sample_point_is_row_0_of_a_block_of_one(space, scale):
         assert rng.bit_generator.state == rng_many.bit_generator.state
 
 
-@pytest.mark.parametrize("space", [E2, E3, H2, H3], ids=lambda s: s.space_id)
+@pytest.mark.parametrize("space", [E1, E2, E3, H2, H3], ids=lambda s: s.space_id)
 def test_a_block_of_500_is_500_successive_draws(space):
-    # ROADMAP item 14's invariant, which lets a checker draw its points in one
-    # block: the same bits and the same final generator state. Spider(3) draws
-    # all its legs before its radii, so its block is not its rows (item 14's
-    # open case) and it is left out here.
+    # the invariant that lets check_quasi_firm and check_sqn_inequality draw
+    # their points in one block with the bits of one draw per sample: the same
+    # bits and the same final generator state. Spider(3) draws all its legs
+    # before its radii, so its block is not its rows, and its checker stream
+    # differs from a row-by-row one; it is left out here.
     rng, rng_many = np.random.default_rng(7), np.random.default_rng(7)
     rows = [space.sample_point(rng, 2.0).xs for _ in range(500)]
     block = space.sample_many(rng_many, 500, 2.0)

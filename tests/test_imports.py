@@ -1,8 +1,12 @@
-"""numpy is imported where an array is built, not on the import path.
+"""numpy is imported where an array is built, not on the import path, and
+``config`` and ``diagnostics`` load on first use.
 
 Each case runs in a fresh interpreter that imports the package from ``src/``,
 in a temporary directory, and reports whether ``numpy`` is in
-``sys.modules`` afterwards; the sweep case asks each forked worker.
+``sys.modules`` afterwards; the sweep case asks each forked worker. The
+lazy cases check, in a fresh interpreter too, that ``import hadamard_iter``
+leaves both submodules unloaded and that the package resolves their public
+names to the submodules' current bindings.
 """
 
 import json
@@ -89,3 +93,58 @@ def test_equilibrium_sweep_workers_import_no_numpy(tmp_path):
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 and "solver_error" not in "".join(rows)
 
+
+
+# the public names the package resolves on first use, with their submodules
+_LAZY_NAMES = {
+    **dict.fromkeys(["config", "point_from_config", "point_to_config", "set_from_config",
+                     "space_from_config", "space_to_config"], "config"),
+    **dict.fromkeys(["diagnostics", "CheckReport", "Violation", "check_fejer",
+                     "check_halpern_target", "check_nested_fixed_sets", "check_quasi_firm",
+                     "check_space_axioms", "check_sqn_inequality"], "diagnostics"),
+}
+
+
+def _run_fresh(code: str, cwd: Path) -> None:
+    done = _fresh_python(code, cwd)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_neither_config_nor_diagnostics(tmp_path):
+    _run_fresh("import sys\n"
+               "import hadamard_iter\n"
+               "lazy = {'hadamard_iter.config', 'hadamard_iter.diagnostics'}\n"
+               "assert not lazy & set(sys.modules), lazy & set(sys.modules)\n", tmp_path)
+
+
+def test_lazy_names_are_the_submodules_own_objects(tmp_path):
+    # the first read of each submodule's names is a from-import, then an attribute
+    _run_fresh(f"import sys\n"
+               f"import hadamard_iter as hi\n"
+               f"listed = dir(hi)\n"
+               f"for name, home in {_LAZY_NAMES!r}.items():\n"
+               f"    got = getattr(__import__('hadamard_iter', fromlist=[name]), name)\n"
+               f"    module = sys.modules['hadamard_iter.' + home]\n"
+               f"    want = module if name == home else getattr(module, name)\n"
+               f"    assert got is want and getattr(hi, name) is want, name\n"
+               f"    assert name in listed, name\n", tmp_path)
+
+
+def test_an_unknown_name_raises_attribute_error(tmp_path):
+    _run_fresh("import pytest\n"
+               "import hadamard_iter as hi\n"
+               "with pytest.raises(AttributeError, match='no attribute .no_such_name.'):\n"
+               "    hi.no_such_name\n"
+               "with pytest.raises(ImportError, match='no_such_name'):\n"
+               "    from hadamard_iter import no_such_name\n"
+               "assert 'no_such_name' not in dir(hi)\n", tmp_path)
+
+
+def test_a_name_patched_on_diagnostics_is_what_the_package_returns(tmp_path):
+    _run_fresh("from unittest import mock\n"
+               "import hadamard_iter as hi\n"
+               "from hadamard_iter import diagnostics\n"
+               "original = diagnostics.check_space_axioms\n"
+               "with mock.patch.object(diagnostics, 'check_space_axioms') as patched:\n"
+               "    assert hi.check_space_axioms is patched\n"
+               "assert hi.check_space_axioms is original\n", tmp_path)
