@@ -94,7 +94,6 @@ def test_equilibrium_sweep_workers_import_no_numpy(tmp_path):
     assert len(rows) == 2 and "solver_error" not in "".join(rows)
 
 
-
 # the public names the package resolves on first use, with their submodules
 _LAZY_NAMES = {
     **dict.fromkeys(["config", "point_from_config", "point_to_config", "set_from_config",
